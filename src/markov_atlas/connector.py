@@ -6,7 +6,14 @@ intermediate tables whose consecutive differences all have L1 norm at
 most 8 (degree at most 4), with every intermediate table non-negative
 and sharing the same marginals.
 
-The construction recurses on two-terminal series-parallel structure.
+The construction recurses on two-terminal series-parallel structure
+and enumerates no fiber.  Its base case is the triangle K3: the binary
+K3 model is the 2x2x2 no-three-way-interaction model, whose lattice
+kernel is spanned by one degree-4 move, so each K3 fiber is a segment
+walked one move at a time.  A longer cycle splits at two opposite
+vertices into two paths, or, with the chord between them added, into
+two shorter cycles.
+
 For a piece with poles (u, v) the produced sequence additionally
 guarantees: whenever a step changes the joint (u, v) marginal, that
 step's norm is exactly 4.  This pole discipline is what lets a parent
@@ -21,15 +28,14 @@ exact: the produced vectors meet their stated norm identities, which
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (InvariantViolation, NotK4MinorFree, ProjectionMismatch)
 from .graphs import Graph, SPTree, bridges, blocks, cut_vertices, \
     find_parallel3_poles, is_k4_minor_free, realize
-from .lattice import (TableVector, graph_marginals, project, vector_to_json)
-from .limits import Limits, default_limits
-from . import fiber as fiber_mod
+from .lattice import (TableVector, graph_marginals, project, restrict_mask,
+                      vector_to_json)
 
 
 # ---------------------------------------------------------------------
@@ -37,14 +43,6 @@ from . import fiber as fiber_mod
 
 def _positions(ground: Sequence[str], sub: Sequence[str]) -> List[int]:
     return [ground.index(v) for v in sub]
-
-
-def _restrict(mask: int, positions: Sequence[int]) -> int:
-    out = 0
-    for j, p in enumerate(positions):
-        if (mask >> p) & 1:
-            out |= 1 << j
-    return out
 
 
 def _bitmask_of(ground: Sequence[str], sub: Sequence[str]) -> int:
@@ -55,7 +53,7 @@ def _bitmask_of(ground: Sequence[str], sub: Sequence[str]) -> int:
 
 
 def _place(part_mask: int, positions: Sequence[int]) -> int:
-    """Inverse of _restrict: spread packed bits back onto `positions`."""
+    """Inverse of restrict_mask: spread packed bits back onto `positions`."""
     out = 0
     for j, p in enumerate(positions):
         if (part_mask >> j) & 1:
@@ -93,10 +91,10 @@ def glue_cutsame(z: TableVector, zbar: TableVector,
 
     bar_by_y: Dict[int, List[int]] = {}
     for m in zbar.units():
-        bar_by_y.setdefault(_restrict(m, pos_y_in_x1), []).append(m)
+        bar_by_y.setdefault(restrict_mask(m, pos_y_in_x1), []).append(m)
     z_by_y: Dict[int, List[int]] = {}
     for m in z.units():
-        z_by_y.setdefault(_restrict(m, pos_y_in_x), []).append(m)
+        z_by_y.setdefault(restrict_mask(m, pos_y_in_x), []).append(m)
 
     out_units: List[int] = []
     for ykey, full_units in sorted(z_by_y.items()):
@@ -107,7 +105,7 @@ def glue_cutsame(z: TableVector, zbar: TableVector,
         avail = Counter(bar_units)
         deferred: List[int] = []
         for full in full_units:
-            part = _restrict(full, pos_x1)
+            part = restrict_mask(full, pos_x1)
             if avail[part] > 0:
                 avail[part] -= 1
                 out_units.append(full)
@@ -152,14 +150,14 @@ def glue_swaps(z: TableVector, zp: TableVector,
                   if cur.get(s, 0) > tgt.get(s, 0)), None)
         if a is None:
             break
-        a1 = _restrict(a, pos1)
+        a1 = restrict_mask(a, pos1)
         c = next(s for s in support
                  if cur.get(s, 0) < tgt.get(s, 0)
-                 and _restrict(s, pos1) == a1)
-        c2 = _restrict(c, pos2)
+                 and restrict_mask(s, pos1) == a1)
+        c2 = restrict_mask(c, pos2)
         e = next(s for s in support
                  if cur.get(s, 0) > tgt.get(s, 0)
-                 and _restrict(s, pos2) == c2)
+                 and restrict_mask(s, pos2) == c2)
         f = (e & m1bits) | (a & ~m1bits)
         for s, d in ((a, -1), (e, -1), (c, +1), (f, +1)):
             cur[s] = cur.get(s, 0) + d
@@ -207,10 +205,10 @@ def glue_cutchange(z1: TableVector, z1p: TableVector,
     def lift_pairs(units1: List[int], units2: List[int]) -> List[int]:
         by_y1: Dict[int, List[int]] = {}
         for m in sorted(units1):
-            by_y1.setdefault(_restrict(m, pos_y1), []).append(m)
+            by_y1.setdefault(restrict_mask(m, pos_y1), []).append(m)
         by_y2: Dict[int, List[int]] = {}
         for m in sorted(units2):
-            by_y2.setdefault(_restrict(m, pos_y2), []).append(m)
+            by_y2.setdefault(restrict_mask(m, pos_y2), []).append(m)
         if sorted((k, len(v)) for k, v in by_y1.items()) != \
            sorted((k, len(v)) for k, v in by_y2.items()):
             raise InvariantViolation("overlap class sizes differ in lift")
@@ -350,9 +348,8 @@ def _uv_cells(x: TableVector, ulab: str, vlab: str) -> Tuple[int, ...]:
     return tuple(p.entries.get(m, 0) for m in range(4))
 
 
-def _connect_two_terminal(g: Graph, u: int, v: int,
-                          z: TableVector, zp: TableVector,
-                          limits: Limits) -> List[TableVector]:
+def _connect_two_terminal(g: Graph, u: int, v: int, z: TableVector,
+                          zp: TableVector) -> List[TableVector]:
     """States z .. zp with step norms <= 8 and the pole discipline for
     (u, v).  Assumes equal marginals and non-negative inputs."""
     if z == zp:
@@ -362,18 +359,18 @@ def _connect_two_terminal(g: Graph, u: int, v: int,
         raise InvariantViolation("distinct tables on a single edge")
     w = _separating_cut(g, u, v)
     if w is not None:
-        return _case_serial(g, u, v, w, z, zp, limits)
+        return _case_serial(g, u, v, w, z, zp)
     parts = bridges(g, u, v)
     if g.has_edge(u, v):
         if len(parts) >= 3:
-            return _case_parallel_edge(g, u, v, parts, z, zp, limits)
+            return _case_parallel_edge(g, u, v, parts, z, zp)
         if len(parts) != 2:
             raise InvariantViolation("edge uv with a single bridge")
         if g.is_cycle():
-            return _cycle_states(g, z, zp, limits)
+            return _cycle_states(g, z, zp)
         u2, v2, _ = find_parallel3_poles(g)
-        return _connect_two_terminal(g, u2, v2, z, zp, limits)
-    return _case_parallel_no_edge(g, u, v, parts, z, zp, limits)
+        return _connect_two_terminal(g, u2, v2, z, zp)
+    return _case_parallel_no_edge(g, u, v, parts, z, zp)
 
 
 def _side_setup(g: Graph, vert_idxs: Sequence[int], edge_idxs,
@@ -384,8 +381,7 @@ def _side_setup(g: Graph, vert_idxs: Sequence[int], edge_idxs,
 
 
 def _case_serial(g: Graph, u: int, v: int, w: int,
-                 z: TableVector, zp: TableVector,
-                 limits: Limits) -> List[TableVector]:
+                 z: TableVector, zp: TableVector) -> List[TableVector]:
     """Split at a cut vertex w between the poles; walk the u side, then
     the v side, then finish with swaps."""
     adj = g.adj()
@@ -403,9 +399,9 @@ def _case_serial(g: Graph, u: int, v: int, w: int,
     G2, X2, z2, z2p = _side_setup(g, side_v, None, z, zp)
     ulab, vlab, wlab = g.vertices[u], g.vertices[v], g.vertices[w]
     seq1 = _connect_two_terminal(G1, G1.index(ulab), G1.index(wlab),
-                                 z1, z1p, limits)
+                                 z1, z1p)
     seq2 = _connect_two_terminal(G2, G2.index(wlab), G2.index(vlab),
-                                 z2, z2p, limits)
+                                 z2, z2p)
 
     states = [z]
     hold2_plus_u = _labels(g, sorted(set(side_v) | {u}))
@@ -431,8 +427,7 @@ def _case_serial(g: Graph, u: int, v: int, w: int,
 
 
 def _case_parallel_edge(g: Graph, u: int, v: int, parts,
-                        z: TableVector, zp: TableVector,
-                        limits: Limits) -> List[TableVector]:
+                        z: TableVector, zp: TableVector) -> List[TableVector]:
     """Pole edge present and at least three bridges: both sides keep a
     copy of the pole edge, so the pole marginal never moves."""
     if not parts[0].is_edge:
@@ -448,9 +443,9 @@ def _case_parallel_edge(g: Graph, u: int, v: int, parts,
     G2, X2, z2, z2p = _side_setup(g, sorted(verts2), edges2, z, zp)
     ulab, vlab = g.vertices[u], g.vertices[v]
     seq1 = _connect_two_terminal(G1, G1.index(ulab), G1.index(vlab),
-                                 z1, z1p, limits)
+                                 z1, z1p)
     seq2 = _connect_two_terminal(G2, G2.index(ulab), G2.index(vlab),
-                                 z2, z2p, limits)
+                                 z2, z2p)
     states = [z]
     for s in seq1[1:]:
         _append_glued(states, glue_cutsame(states[-1], s, X2))
@@ -460,16 +455,15 @@ def _case_parallel_edge(g: Graph, u: int, v: int, parts,
     return states
 
 
-def _case_parallel_no_edge(g: Graph, u: int, v: int, parts,
-                           z: TableVector, zp: TableVector,
-                           limits: Limits) -> List[TableVector]:
+def _case_parallel_no_edge(g: Graph, u: int, v: int, parts, z: TableVector,
+                           zp: TableVector) -> List[TableVector]:
     """Poles not adjacent: either the pole marginal already agrees (add
     a virtual pole edge and reuse the edge case), or interpolate it one
     norm-4 exchange at a time and connect within each plateau."""
     ulab, vlab = g.vertices[u], g.vertices[v]
     if project(z, (ulab, vlab)) == project(zp, (ulab, vlab)):
         g_plus = g.with_edge(u, v)
-        return _connect_two_terminal(g_plus, u, v, z, zp, limits)
+        return _connect_two_terminal(g_plus, u, v, z, zp)
     if len(parts) < 2:
         raise InvariantViolation("non-adjacent poles with a single bridge")
 
@@ -482,9 +476,9 @@ def _case_parallel_no_edge(g: Graph, u: int, v: int, parts,
     G1, X1, z1, z1p = _side_setup(g, sorted(verts1), edges1, z, zp)
     G2, X2, z2, z2p = _side_setup(g, sorted(verts2), edges2, z, zp)
     seq1 = _connect_two_terminal(G1, G1.index(ulab), G1.index(vlab),
-                                 z1, z1p, limits)
+                                 z1, z1p)
     seq2 = _connect_two_terminal(G2, G2.index(ulab), G2.index(vlab),
-                                 z2, z2p, limits)
+                                 z2, z2p)
 
     # pole-marginal line: t0 + r*sign*(e00 + e11 - e01 - e10)
     t0 = _uv_cells(z, ulab, vlab)
@@ -528,72 +522,65 @@ def _case_parallel_no_edge(g: Graph, u: int, v: int, parts,
         a_r, b_r = glue_cutchange(seq1[ks1[r - 1] - 1], seq1[ks1[r - 1]],
                                   seq2[ks2[r - 1] - 1], seq2[ks2[r - 1]],
                                   g.vertices)
-        _extend(states, _connect_two_terminal(g_plus, u, v, cur, a_r, limits))
+        _extend(states, _connect_two_terminal(g_plus, u, v, cur, a_r))
         states.append(b_r)
         cur = b_r
-    _extend(states, _connect_two_terminal(g_plus, u, v, cur, zp, limits))
+    _extend(states, _connect_two_terminal(g_plus, u, v, cur, zp))
     return states
 
 
-def _cycle_states(g: Graph, z: TableVector, zp: TableVector,
-                  limits: Limits) -> List[TableVector]:
-    """Exact path inside the enumerated fiber with steps of norm <= 8.
+def _cycle_states(g: Graph, z: TableVector,
+                  zp: TableVector) -> List[TableVector]:
+    """States z .. zp on a cycle, steps of norm <= 8.
 
-    On a cycle such a path always exists; failing to find one indicates
-    a bug and raises InvariantViolation.
+    K3 is the base case.  A longer cycle goes back through the
+    two-terminal recursion with non-adjacent poles at distance n // 2:
+    the cycle splits into two paths, and with the pole chord added into
+    two shorter cycles.  The caller's poles, if any, are a cycle edge,
+    whose marginal never moves, so their discipline holds for free.
     """
-    fib = fiber_mod.fiber_of(g, z, limits=limits)
-    tables = [tuple(e.units()) for e in fib.elements]
-    index = {t: i for i, t in enumerate(tables)}
-    start = index.get(tuple(z.units()))
-    goal = index.get(tuple(zp.units()))
-    if start is None or goal is None:
-        raise InvariantViolation("endpoint missing from its own fiber")
+    if g.n == 3:
+        return _triangle_states(g, z, zp)
+    adj = g.adj()
+    far, prev = 0, None
+    for _ in range(g.n // 2):
+        far, prev = min(w for w in adj[far] if w != prev), far
+    return _connect_two_terminal(g, 0, far, z, zp)
 
-    def norm(a, b):
-        i = j = inter = 0
-        while i < len(a) and j < len(b):
-            if a[i] == b[j]:
-                inter += 1
-                i += 1
-                j += 1
-            elif a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
-        return (len(a) - inter) + (len(b) - inter)
 
-    prev: Dict[int, int] = {start: start}
-    queue = [start]
-    while queue and goal not in prev:
-        nxt_queue = []
-        for i in queue:
-            for j in range(len(tables)):
-                if j not in prev and norm(tables[i], tables[j]) <= 8:
-                    prev[j] = i
-                    nxt_queue.append(j)
-        queue = nxt_queue
-    if goal not in prev:
-        raise InvariantViolation("cycle fiber not connected at degree 4")
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return [fib.elements[i] for i in path]
+def _triangle_states(g: Graph, z: TableVector,
+                     zp: TableVector) -> List[TableVector]:
+    """Walk a K3 fiber, steps of norm exactly 8.
+
+    The binary K3 model is the 2x2x2 no-three-way-interaction model,
+    whose lattice kernel is spanned by one move: +1 on the labelings of
+    even popcount, -1 on the odd ones.  So every fiber is a segment
+    z + t*move, and every state on it is non-negative by convexity.
+    """
+    move = TableVector(g.vertices, {m: 1 - 2 * (bin(m).count("1") % 2)
+                                    for m in range(8)})
+    t = zp.entries.get(0, 0) - z.entries.get(0, 0)
+    step = move if t > 0 else -move
+    states = [z]
+    for _ in range(abs(t)):
+        states.append(states[-1] + step)
+    if states[-1] != zp:
+        raise InvariantViolation("K3 tables differ off the kernel move")
+    return states
 
 
 # ---------------------------------------------------------------------
 # unconstrained (no-pole) recursion over blocks and components
 
-def _connect_general(g: Graph, z: TableVector, zp: TableVector,
-                     limits: Limits) -> List[TableVector]:
+def _connect_general(g: Graph, z: TableVector,
+                     zp: TableVector) -> List[TableVector]:
     if z == zp:
         return [z]
     comps = g.connected_components()
     if len(comps) > 1:
         side1 = comps[0]
         side2 = sorted(x for comp in comps[1:] for x in comp)
-        return _split_stitch(g, side1, side2, z, zp, limits)
+        return _split_stitch(g, side1, side2, z, zp)
     if g.n == 1:
         # isolated vertex: shift units between the two labelings
         states = [z]
@@ -617,23 +604,22 @@ def _connect_general(g: Graph, z: TableVector, zp: TableVector,
                 w = next(iter(inner_cuts))
                 side1 = sorted(bl_idx)
                 side2 = sorted((set(range(g.n)) - bl_idx) | {w})
-                return _split_stitch(g, side1, side2, z, zp, limits)
+                return _split_stitch(g, side1, side2, z, zp)
         raise InvariantViolation("no leaf block found")
     if g.m == 1:
         raise InvariantViolation("distinct tables on a single edge")
     if g.is_cycle():
-        return _cycle_states(g, z, zp, limits)
+        return _cycle_states(g, z, zp)
     u, v, _ = find_parallel3_poles(g)
-    return _connect_two_terminal(g, u, v, z, zp, limits)
+    return _connect_two_terminal(g, u, v, z, zp)
 
 
 def _split_stitch(g: Graph, side1: Sequence[int], side2: Sequence[int],
-                  z: TableVector, zp: TableVector,
-                  limits: Limits) -> List[TableVector]:
+                  z: TableVector, zp: TableVector) -> List[TableVector]:
     G1, X1, z1, z1p = _side_setup(g, side1, None, z, zp)
     G2, X2, z2, z2p = _side_setup(g, side2, None, z, zp)
-    seq1 = _connect_general(G1, z1, z1p, limits)
-    seq2 = _connect_general(G2, z2, z2p, limits)
+    seq1 = _connect_general(G1, z1, z1p)
+    seq2 = _connect_general(G2, z2, z2p)
     states = [z]
     for s in seq1[1:]:
         _append_glued(states, glue_cutsame(states[-1], s, X2))
@@ -656,15 +642,13 @@ def _validate_pair(g: Graph, z: TableVector, zp: TableVector):
 
 
 def connect_graph(g: Graph, z: TableVector, zp: TableVector,
-                  limits: Optional[Limits] = None,
                   verify: bool = False) -> MoveSequence:
     """Chain z .. zp with every step of norm <= 8, for any graph without
     a K4 minor.  Raises NotK4MinorFree otherwise."""
-    limits = limits or default_limits()
     _validate_pair(g, z, zp)
     if not is_k4_minor_free(g):
         raise NotK4MinorFree("graph contains a K4 minor")
-    seq = MoveSequence(g, _connect_general(g, z, zp, limits))
+    seq = MoveSequence(g, _connect_general(g, z, zp))
     if verify:
         verify_sequence(seq)
     return seq
@@ -672,17 +656,15 @@ def connect_graph(g: Graph, z: TableVector, zp: TableVector,
 
 def connect_two_terminal(g: Graph, upole: str, vpole: str,
                          z: TableVector, zp: TableVector,
-                         limits: Optional[Limits] = None,
                          verify: bool = False) -> MoveSequence:
     """Connector for a two-terminal series-parallel graph; the returned
     sequence carries the pole pair and obeys the pole discipline."""
-    limits = limits or default_limits()
     _validate_pair(g, z, zp)
     if not g.is_connected():
         raise ValueError("two-terminal connector needs a connected graph")
     seq = MoveSequence(
         g, _connect_two_terminal(g, g.index(upole), g.index(vpole),
-                                 z, zp, limits),
+                                 z, zp),
         poles=(upole, vpole))
     if verify:
         verify_sequence(seq)
@@ -690,7 +672,6 @@ def connect_two_terminal(g: Graph, upole: str, vpole: str,
 
 
 def connect_sp(tree: SPTree, z: TableVector, zp: TableVector,
-               limits: Optional[Limits] = None,
                verify: bool = False) -> MoveSequence:
     """Connector driven by a series-parallel decomposition tree.
 
@@ -700,14 +681,15 @@ def connect_sp(tree: SPTree, z: TableVector, zp: TableVector,
     if g.vertices != z.vertices:
         raise ProjectionMismatch("tree does not span the table's vertices")
     return connect_two_terminal(g, tree.poles[0], tree.poles[1], z, zp,
-                                limits=limits, verify=verify)
+                                verify=verify)
 
 
-def connect_cycle(g: Graph, z: TableVector, zp: TableVector,
-                  limits: Optional[Limits] = None) -> MoveSequence:
-    """Fiber path on a cycle, steps of norm <= 8 (degree 4)."""
-    limits = limits or default_limits()
+def connect_cycle(g: Graph, z: TableVector,
+                  zp: TableVector) -> MoveSequence:
+    """Chain z .. zp on a cycle, steps of norm <= 8 (degree 4), built by
+    the two-terminal recursion down to K3, whose fibers are segments
+    along a single kernel move."""
     if not g.is_cycle():
         raise ValueError("graph is not a cycle")
     _validate_pair(g, z, zp)
-    return MoveSequence(g, _cycle_states(g, z, zp, limits))
+    return MoveSequence(g, _cycle_states(g, z, zp))

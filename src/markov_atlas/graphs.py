@@ -160,56 +160,59 @@ def parse_graph(text: str) -> Graph:
 # -- blocks and cut vertices ------------------------------------------
 
 def _block_decomposition(g: Graph):
-    """Hopcroft-Tarjan: returns (list of edge sets, set of cut vertices)."""
-    import sys
+    """Hopcroft-Tarjan: returns (list of edge sets, set of cut vertices).
 
+    The depth-first search runs on an explicit stack, so its depth is
+    not bounded by the interpreter's recursion limit.
+    """
     adj = g.adj()
     disc: Dict[int, int] = {}
     low: Dict[int, int] = {}
     block_list: List[List[Edge]] = []
     cuts: Set[int] = set()
-    counter = [0]
     edge_stack: List[Edge] = []
 
-    def dfs(u: int, parent: Optional[int]):
-        disc[u] = low[u] = counter[0]
-        counter[0] += 1
-        children = 0
-        skipped_parent = False
-        for w in sorted(adj[u]):
-            if w == parent and not skipped_parent:
-                skipped_parent = True  # simple graph: one edge to parent
-                continue
-            if w not in disc:
-                edge_stack.append(_norm_edge(u, w))
-                children += 1
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
-                    if parent is not None:
-                        cuts.add(u)
+    for root in range(g.n):
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        root_children = 0
+        # frames: (vertex, DFS parent, iterator over unscanned neighbours)
+        stack = [(root, None, iter(sorted(adj[root])))]
+        while stack:
+            u, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if w == parent:
+                    continue  # simple graph: one edge to parent
+                if w not in disc:
+                    edge_stack.append(_norm_edge(u, w))
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, u, iter(sorted(adj[w]))))
+                    break
+                if disc[w] < disc[u]:
+                    edge_stack.append(_norm_edge(u, w))
+                    low[u] = min(low[u], disc[w])
+            else:
+                # every neighbour of u is done: return to its parent
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    if stack[-1][1] is None:
+                        root_children += 1
+                    else:
+                        cuts.add(parent)
                     comp: List[Edge] = []
-                    target = _norm_edge(u, w)
+                    target = _norm_edge(parent, u)
                     while True:
                         e = edge_stack.pop()
                         comp.append(e)
                         if e == target:
                             break
                     block_list.append(comp)
-            elif disc[w] < disc[u]:
-                edge_stack.append(_norm_edge(u, w))
-                low[u] = min(low[u], disc[w])
-        if parent is None and children >= 2:
-            cuts.add(u)
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, g.n * 4 + 100))
-    try:
-        for root in range(g.n):
-            if root not in disc:
-                dfs(root, None)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        if root_children >= 2:
+            cuts.add(root)
     return block_list, cuts
 
 

@@ -117,18 +117,6 @@ class TableVector:
         return f"TableVector({terms or '0'})"
 
 
-def add(z1: TableVector, z2: TableVector) -> TableVector:
-    return z1 + z2
-
-
-def sub(z1: TableVector, z2: TableVector) -> TableVector:
-    return z1 - z2
-
-
-def l1_norm(z: TableVector) -> int:
-    return z.l1()
-
-
 # -- projections -------------------------------------------------------
 
 def restrict_mask(mask: int, positions: Sequence[int]) -> int:

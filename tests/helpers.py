@@ -5,9 +5,9 @@ inputs, used to cross-check the package's structured algorithms.
 """
 
 import itertools
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from markov_atlas import Graph, TableVector, graph_marginals
+from markov_atlas import Graph, TableVector, fiber_of, graph_marginals
 
 
 def brute_has_k4_minor(g: Graph) -> bool:
@@ -56,6 +56,47 @@ def rejection_fiber(g: Graph, z: TableVector) -> List[TableVector]:
         if graph_marginals(cand, g) == ref:
             out.append(cand)
     return out
+
+
+def bfs_connected(g: Graph, z: TableVector, zp: TableVector,
+                  max_norm: int = 8) -> Optional[int]:
+    """Fewest steps of L1 norm <= max_norm from z to zp inside the fiber
+    of z, or None when zp is unreachable.
+
+    Breadth-first search over the whole enumerated fiber, O(F^2).
+    """
+    elements = fiber_of(g, z).elements
+    dist = {z: 0}
+    frontier = [z]
+    while frontier and zp not in dist:
+        nxt = []
+        for a in frontier:
+            for b in elements:
+                if b not in dist and (a - b).l1() <= max_norm:
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    return dist.get(zp)
+
+
+def swap_partner(g: Graph, z: TableVector, rng, tries: int) -> TableVector:
+    """A table with z's marginals, without enumerating its fiber.
+
+    Each try picks two units and a vertex v; when the units agree at
+    every neighbour of v, exchanging their bits at v keeps every edge
+    marginal.
+    """
+    units = z.units()
+    adj = g.adj()
+    for _ in range(tries):
+        i, j = rng.sample(range(len(units)), 2)
+        v = rng.randrange(g.n)
+        x, y = units[i], units[j]
+        if not any(((x ^ y) >> w) & 1 for w in adj[v]):
+            bit = 1 << v
+            units[i] = (x & ~bit) | (y & bit)
+            units[j] = (y & ~bit) | (x & bit)
+    return TableVector.from_units(z.vertices, units)
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

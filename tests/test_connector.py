@@ -15,7 +15,7 @@ from markov_atlas.errors import (InvariantViolation, NotK4MinorFree,
                                  ProjectionMismatch)
 from markov_atlas.fiber import _kernel
 
-from helpers import all_graphs
+from helpers import all_graphs, bfs_connected, swap_partner
 
 
 def tv(verts, units):
@@ -202,6 +202,87 @@ def test_connect_cycle_c4_and_c5():
             assert stats["max_step_norm"] <= 8
             count += 1
         assert count > 0
+
+
+def cycle_orbit_fibers(n, total):
+    """Fibers of C_n at `total` with two or more tables, at least one
+    per orbit under the model's symmetries: bit flips at any vertex and
+    the cycle's rotations and reflections map fibers to fibers.  Kept
+    are the fibers whose per-vertex counts of 1s are at most total / 2
+    and lexicographically least among their rotations and reflections;
+    flips and then a rotation bring every fiber there."""
+    g = cycle_graph("abcdef"[:n])
+    groups = _kernel.group_tables(n, sorted(g.edges), total)
+    for key in sorted(groups):
+        tabs = groups[key]
+        counts = [sum((m >> v) & 1 for m in tabs[0]) for v in range(n)]
+        turns = [counts[k:] + counts[:k] for k in range(n)]
+        if (len(tabs) >= 2 and all(2 * c <= total for c in counts)
+                and counts == min(turns + [t[::-1] for t in turns])):
+            yield g, [tv(g.vertices, t) for t in tabs]
+
+
+def test_connect_cycle_matches_bfs_oracle():
+    """C3-C6 at totals <= 4: wherever the exhaustive search connects two
+    tables at degree 4, the connector does too (at most two pairs per
+    fiber keep the test quick)."""
+    pairs = 0
+    for n in range(3, 7):
+        for total in range(2, 5):
+            for g, tabs in cycle_orbit_fibers(n, total):
+                picks = [(tabs[0], tabs[-1])]
+                if len(tabs) > 2:
+                    picks.append((tabs[-1], tabs[len(tabs) // 2]))
+                for z, zp in picks:
+                    assert bfs_connected(g, z, zp) is not None
+                    seq = connect_graph(g, z, zp, verify=True)
+                    assert seq.states[0] == z and seq.states[-1] == zp
+                    pairs += 1
+    assert pairs > 3000
+
+
+def test_triangle_walk_is_shortest():
+    """A K3 fiber is a segment along one norm-8 move, so the connector's
+    walk has exactly the oracle's shortest length."""
+    g = cycle_graph("abc")
+    longest = 0
+    for total in range(1, 9):
+        groups = _kernel.group_tables(3, sorted(g.edges), total)
+        for tabs in groups.values():
+            for a, b in itertools.permutations(tabs, 2):
+                z, zp = tv(g.vertices, a), tv(g.vertices, b)
+                seq = connect_cycle(g, z, zp)
+                verify_sequence(seq)
+                assert seq.length == bfs_connected(g, z, zp) == \
+                    abs(zp.entries.get(0, 0) - z.entries.get(0, 0))
+                longest = max(longest, seq.length)
+    assert longest >= 2
+
+
+@pytest.mark.parametrize("n,total", [(5, 11), (12, 8)])
+def test_connect_cycle_beyond_fiber_search(n, total):
+    """Cycles out of reach of a fiber search: C5 at total 11 exceeds the
+    default table-total cap, and C12 has 4,096 cells per table."""
+    g = cycle_graph([f"v{i}" for i in range(n)])
+    rng = random.Random(n * 100 + total)
+    for _ in range(5):
+        z = tv(g.vertices, random_units(rng, n, total))
+        zp = swap_partner(g, z, rng, tries=50 * total)
+        assert zp != z
+        seq = connect_graph(g, z, zp)
+        verify_sequence(seq)
+        assert seq.states[0] == z and seq.states[-1] == zp
+
+
+def test_connect_ignores_resource_caps(monkeypatch):
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_total=2")
+    g = cycle_graph("abcdef")
+    rng = random.Random(6)
+    z = tv(g.vertices, random_units(rng, 6, 6))
+    zp = swap_partner(g, z, rng, tries=300)
+    assert zp != z
+    seq = connect_graph(g, z, zp, verify=True)
+    assert seq.states[-1] == zp
 
 
 def test_connect_cycle_rejects_non_cycle():

@@ -1,6 +1,8 @@
 """Graph structure: blocks, bridges, series-parallel decomposition,
 and K4-minor-freeness against a brute-force oracle."""
 
+import sys
+
 import pytest
 
 from markov_atlas import (Graph, SPTree, blocks, bridges, complete_graph,
@@ -89,6 +91,17 @@ def test_cut_vertices_oracle():
             if len(rest.connected_components()) > base - (g.degree(v) == 0):
                 expect.add(v)
         assert cut_vertices(g) == expect, repr(g)
+
+
+def test_blocks_of_a_long_path():
+    """The block DFS is iterative: a 5,000-vertex path needs no deep
+    recursion, and the process-wide recursion limit is left alone."""
+    n = 5000
+    g = Graph([str(i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    limit = sys.getrecursionlimit()
+    assert len(blocks(g)) == n - 1
+    assert cut_vertices(g) == set(range(1, n - 1))
+    assert sys.getrecursionlimit() == limit
 
 
 # -- bridges -----------------------------------------------------------
