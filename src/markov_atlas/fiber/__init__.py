@@ -5,16 +5,15 @@ tables sharing those marginals.  Enumeration is exhaustive (depth-first
 placement of units with per-edge budget pruning) and either returns the
 whole fiber or raises `ResourceLimitError` — never a truncated result.
 
-The inner enumeration loop lives in a compiled kernel when available
-(`markov_atlas.fiber._kernel_c`), with a pure-Python fallback.
+The enumeration and analysis loops live in `markov_atlas.fiber._kernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ResourceLimitError
 from ..graphs import Graph
 from ..lattice import (MarginalSet, Move, TableVector, canonical_sign,
                        graph_marginals)
@@ -81,8 +80,8 @@ def enumerate_fiber(g: Graph, m: MarginalSet,
                                       m.total, candidates=candidates,
                                       cap=limits.max_fiber)
     except _kernel.CapExceeded:
-        raise ResourceLimitError(
-            f"fiber exceeds {limits.max_fiber} elements") from None
+        raise limits.exceeded(
+            "max_fiber", f"the fiber of total {m.total}") from None
     return Fiber(g, m, _tables_to_elements(g, tables))
 
 
@@ -133,12 +132,13 @@ def extract_moves(f: Fiber, k: int) -> List[Move]:
 
 
 def _grouped_tables(g: Graph, total: int, limits: Limits):
-    try:
-        return _kernel.group_tables(g.n, _sorted_edges(g), total,
-                                    cap=limits.max_fiber)
-    except _kernel.CapExceeded:
-        raise ResourceLimitError(
-            f"more than {limits.max_fiber} tables of total {total}") from None
+    cells = 1 << g.n
+    count = comb(cells + total - 1, total)
+    if limits.max_fiber and count > limits.max_fiber:
+        raise limits.exceeded(
+            "max_fiber",
+            f"C({cells}+{total - 1}, {total}) = {count} tables")
+    return _kernel.group_tables(g.n, _sorted_edges(g), total)
 
 
 def min_connecting_degree(g: Graph, max_total: int,

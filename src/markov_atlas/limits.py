@@ -25,13 +25,17 @@ class Limits:
 
     def check_vertices(self, n):
         if n > self.max_vertices:
-            raise ResourceLimitError(
-                f"{n} vertices exceeds the cap of {self.max_vertices}")
+            raise self.exceeded("max_vertices", f"{n} vertices")
 
     def check_total(self, total):
         if total > self.max_total:
-            raise ResourceLimitError(
-                f"table total {total} exceeds the cap of {self.max_total}")
+            raise self.exceeded("max_total", f"table total {total}")
+
+    def exceeded(self, key: str, what: str) -> ResourceLimitError:
+        """The error for `what` going over the cap named `key`."""
+        return ResourceLimitError(
+            f"{what} exceeds the cap {key} = {getattr(self, key)}; "
+            f"raise it with {_ENV_VAR}=\"{key}=...\"")
 
 
 def _from_env() -> Limits:

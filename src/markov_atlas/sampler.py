@@ -9,9 +9,10 @@ reachable set is stationary for this chain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Sequence
 
+from .errors import GroundSetMismatch
 from .graphs import Graph
 from .lattice import Move, TableVector, as_move
 
@@ -63,52 +64,64 @@ def _checked_moves(g: Graph, moves: Sequence[Move]) -> List[TableVector]:
     return vecs
 
 
+def _steps(g: Graph, moves: Sequence[Move], z0: TableVector,
+           cfg: WalkConfig, counts: Dict[int, int]) -> Iterator[bool]:
+    """Walk `counts`, a mutable copy of z0's entries, in place and yield
+    after every step whether its proposal was accepted.
+
+    Without moves nothing is proposed and nothing is yielded.
+    """
+    if not z0.is_nonnegative():
+        raise ValueError("initial table must be non-negative")
+    vecs = _checked_moves(g, moves)
+    if not vecs:
+        return
+    if z0.vertices != g.vertices:  # as_move checked the moves against g
+        raise GroundSetMismatch(f"{z0.vertices} vs {g.vertices}")
+    rng = random.Random(cfg.seed)
+    get = counts.get
+    for _ in range(cfg.burn_in + cfg.steps):
+        # move first, then sign: the draw order fixes the trajectory
+        delta = vecs[rng.randrange(len(vecs))].entries.items()
+        sign = -1 if rng.randrange(2) else 1
+        # entries off the move's support stay as they are, hence >= 0
+        if all(get(m, 0) + sign * c >= 0 for m, c in delta):
+            for m, c in delta:
+                left = get(m, 0) + sign * c
+                if left:
+                    counts[m] = left
+                else:
+                    del counts[m]
+            yield True
+        else:
+            yield False
+
+
 def walk_states(g: Graph, moves: Sequence[Move], z0: TableVector,
                 cfg: WalkConfig) -> Iterator[TableVector]:
     """Yield the state after every step (burn-in steps included).
 
     The trajectory is a deterministic function of (moves order, z0, cfg).
     """
-    if not z0.is_nonnegative():
-        raise ValueError("initial table must be non-negative")
-    vecs = _checked_moves(g, moves)
-    rng = random.Random(cfg.seed)
+    counts = dict(z0.entries)
+    steps = _steps(g, moves, z0, cfg, counts)
     state = z0
-    total = cfg.burn_in + cfg.steps
-    for _ in range(total):
-        if vecs:
-            vec = vecs[rng.randrange(len(vecs))]
-            if rng.randrange(2):
-                vec = -vec
-            candidate = state + vec
-            if candidate.is_nonnegative():
-                state = candidate
+    for _ in range(cfg.burn_in + cfg.steps):
+        if next(steps, False):
+            state = TableVector(z0.vertices, counts)
         yield state
 
 
 def random_walk(g: Graph, moves: Sequence[Move], z0: TableVector,
                 cfg: WalkConfig) -> WalkResult:
     """Run the walk and return the final state with acceptance metadata."""
-    if not z0.is_nonnegative():
-        raise ValueError("initial table must be non-negative")
-    vecs = _checked_moves(g, moves)
-    rng = random.Random(cfg.seed)
-    state = z0
-    accepted = 0
-    proposed = 0
-    total = cfg.burn_in + cfg.steps
-    for _ in range(total):
-        if not vecs:
-            break
+    counts = dict(z0.entries)
+    accepted = proposed = 0
+    for moved in _steps(g, moves, z0, cfg, counts):
         proposed += 1
-        vec = vecs[rng.randrange(len(vecs))]
-        if rng.randrange(2):
-            vec = -vec
-        candidate = state + vec
-        if candidate.is_nonnegative():
-            state = candidate
-            accepted += 1
-    return WalkResult(state, cfg, accepted, proposed)
+        accepted += moved
+    return WalkResult(TableVector(z0.vertices, counts), cfg, accepted,
+                      proposed)
 
 
 def visit_counts(g: Graph, moves: Sequence[Move], z0: TableVector,

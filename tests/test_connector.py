@@ -334,12 +334,11 @@ def test_connect_named_shapes():
 def test_connect_disconnected_graph():
     g = parse_graph("a b\nc d\n")
     z = tv(g.vertices, [0b0011, 0b1100])
-    zp_units = [0b0011, 0b1100]
-    # same marginals, different joint pairing: move d's partner
-    z2 = tv(g.vertices, [0b0111, 0b1000])
-    if graph_marginals(z2, g) == graph_marginals(z, g):
-        seq = connect_graph(g, z, z2, verify=True)
-        assert seq.states[-1] == z2
+    # same marginals on both components, the other joint pairing
+    z2 = tv(g.vertices, [0b0000, 0b1111])
+    assert graph_marginals(z2, g) == graph_marginals(z, g)
+    seq = connect_graph(g, z, z2, verify=True)
+    assert seq.states[-1] == z2
 
 
 def test_connect_forest_steps_stay_small():
@@ -376,7 +375,9 @@ def test_connect_trivial_pair():
 # -- two-terminal pole discipline --------------------------------------
 
 def test_two_terminal_pole_discipline_theta():
-    g = parse_graph("a b\na c\nc b\na d\nd b\n")
+    # K_{2,3} with poles a, b: without an a-b edge the pole marginal is
+    # not a model marginal, so steps can change it
+    g = parse_graph("a c\nc b\na d\nd b\na e\ne b\n")
     rng = random.Random(19)
     checked = 0
     for z, zp in fiber_pairs(g, 3, rng, max_pairs=6):
@@ -386,6 +387,7 @@ def test_two_terminal_pole_discipline_theta():
         checked += stats["pole_changing_steps"]
     # discipline is enforced by verify_sequence: any pole-changing step
     # with norm other than 4 would have raised
+    assert checked > 0
 
 
 def test_connect_sp_drives_from_tree():

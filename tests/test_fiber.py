@@ -2,9 +2,6 @@
 minimal-connecting-degree search."""
 
 import itertools
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -15,7 +12,7 @@ from markov_atlas import (Graph, TableVector, cycle_graph, enumerate_fiber,
 from markov_atlas.errors import ResourceLimitError
 from markov_atlas.lattice import MarginalSet
 from markov_atlas.limits import Limits
-from markov_atlas.fiber import _kernel, _kernel_py
+from markov_atlas.fiber import _kernel
 
 from helpers import all_graphs, rejection_fiber
 
@@ -88,17 +85,32 @@ def test_inconsistent_marginals_rejected():
 def test_fiber_cap_raises():
     g = Graph(("a", "b", "c", "d"), [])
     z = tv(g, [0] * 5)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="max_fiber"):
         enumerate_fiber(g, graph_marginals(z, g),
                         limits=Limits(max_fiber=10))
 
 
+def test_table_count_cap_raises_before_enumerating(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("tables enumerated past the cap")
+
+    monkeypatch.setattr(_kernel, "group_tables", enumerate_nothing)
+    # four vertices have 16 labelings, so total 1 already has 16 tables
+    g = Graph(("a", "b", "c", "d"), [])
+    with pytest.raises(ResourceLimitError, match="max_fiber") as exc:
+        min_connecting_degree(g, 8, limits=Limits(max_fiber=10))
+    assert "C(16+0, 1) = 16 tables" in str(exc.value)
+    assert "MARKOV_ATLAS_LIMITS" in str(exc.value)
+
+
 def test_vertex_and_total_caps():
     g = Graph(tuple("abcdefghijklmnopq"), [])
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError,
+                       match="max_vertices.*MARKOV_ATLAS_LIMITS"):
         fiber_of(g, TableVector.zero(g.vertices))
     g2 = Graph(("a",), [])
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError,
+                       match="max_total.*MARKOV_ATLAS_LIMITS"):
         fiber_of(g2, tv(g2, [0] * 9))
 
 
@@ -160,38 +172,3 @@ def test_min_degree_monotone_in_total():
         d = min_connecting_degree(g, total)
         assert d >= prev
         prev = d
-
-
-# -- kernel parity -----------------------------------------------------
-
-@pytest.mark.skipif(_kernel.KERNEL_ID == "py",
-                    reason="compiled kernel unavailable")
-def test_compiled_kernel_matches_pure():
-    from markov_atlas.fiber import _kernel_c
-    import random
-    rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        edges = sorted(e for e in itertools.combinations(range(n), 2)
-                       if rng.random() < 0.6)
-        total = rng.randint(0, 4)
-        gp = _kernel_py.group_tables(n, edges, total)
-        gc = _kernel_c.group_tables(n, edges, total)
-        assert gp == gc
-        for key in sorted(gp)[:3]:
-            budgets = list(key)
-            fp = _kernel_py.fiber_tables(n, edges, budgets, total)
-            fc = _kernel_c.fiber_tables(n, edges, budgets, total)
-            assert fp == fc
-            assert _kernel_py.component_labels(fp, 4) == \
-                _kernel_c.component_labels(fp, 4)
-            assert _kernel_py.bottleneck_norm(fp) == \
-                _kernel_c.bottleneck_norm(fp)
-
-
-def test_pure_kernel_env_override():
-    code = ("import markov_atlas.fiber as f; print(f.KERNEL_ID)")
-    env = dict(os.environ, MARKOV_ATLAS_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "py"

@@ -5,7 +5,7 @@ import pytest
 from markov_atlas import (Graph, TableVector, cycle_graph, extract_moves,
                           fiber_of, graph_marginals, random_walk,
                           walk_states)
-from markov_atlas.errors import NotKernelMove
+from markov_atlas.errors import GroundSetMismatch, NotKernelMove
 from markov_atlas.sampler import RNG_ALGORITHM, WalkConfig, visit_counts
 
 
@@ -42,6 +42,15 @@ def test_nonkernel_move_rejected_at_load():
         random_walk(g, [bad], z0, WalkConfig(steps=1, seed=0))
 
 
+def test_start_over_other_vertices_rejected():
+    g, _, _, moves = c4_setup([0b0101, 0b0101, 0b1111, 0b1111])
+    z0 = TableVector.from_units(("b", "a", "c", "d"), [0b0101, 0b1111])
+    with pytest.raises(GroundSetMismatch):
+        random_walk(g, moves, z0, WalkConfig(steps=5, seed=0))
+    with pytest.raises(GroundSetMismatch):
+        list(walk_states(g, moves, z0, WalkConfig(steps=5, seed=0)))
+
+
 def test_marginals_conserved_along_trajectory():
     g, z0, _, moves = c4_setup([0b0101, 0b0101, 0b1111, 0b1111])
     ref = graph_marginals(z0, g)
@@ -65,6 +74,19 @@ def test_walk_reaches_whole_fiber():
     g, z0, fib, moves = c4_setup([0b0101, 0b0101, 0b1111, 0b1111])
     counts = visit_counts(g, moves, z0, WalkConfig(steps=20000, seed=11))
     assert len(counts) == fib.size
+
+
+def test_random_walk_ends_where_walk_states_ends():
+    g, z0, _, moves = c4_setup([0b0101, 0b0101, 0b1111, 0b1111])
+    for seed in (0, 1, 7, 42):
+        for burn_in in (0, 5, 60):
+            cfg = WalkConfig(steps=150, burn_in=burn_in, seed=seed)
+            states = list(walk_states(g, moves, z0, cfg))
+            res = random_walk(g, moves, z0, cfg)
+            assert res.state == states[-1]
+            moved = sum(a != b for a, b in zip([z0] + states, states))
+            assert res.accepted == moved
+            assert res.proposed == len(states) == burn_in + 150
 
 
 def test_result_metadata():
