@@ -21,7 +21,8 @@ from .lattice import (MarginalSet, Move, TableVector, as_move,
 from .limits import Limits, default_limits
 from .fiber import (Fiber, FiberGraph, enumerate_fiber, extract_moves,
                     fiber_components, fiber_graph, fiber_of,
-                    min_connecting_degree, witness_disconnected_fiber)
+                    min_connecting_degree, search_width,
+                    witness_disconnected_fiber)
 from .connector import (MoveSequence, connect_cycle, connect_graph,
                         connect_sp, connect_two_terminal, glue_cutchange,
                         glue_cutsame, glue_swaps, verify_sequence)

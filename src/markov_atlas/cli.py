@@ -17,7 +17,6 @@ from .errors import MarkovAtlasError
 from .graphs import parse_graph, sp_decompose
 from .lattice import (Move, as_move, format_vector, parse_vector,
                       vector_to_json)
-from .limits import default_limits
 
 
 def _read(path: str) -> str:
@@ -114,16 +113,11 @@ def _cmd_certify(args) -> int:
 
 def _cmd_search_width(args) -> int:
     g = _load_graph(args.graph)
-    limits = default_limits()
-    rows = []
-    for total in range(1, args.max_total + 1):
-        rows.append((total, fiber.min_connecting_degree(g, total,
-                                                        limits=limits)))
+    degrees, witness = fiber.search_width(g, args.max_total, args.max_degree)
+    rows = list(enumerate(degrees, start=1))
     out = {"per_total": [{"total": t, "min_degree": d} for t, d in rows]}
     lines = [f"total {t}: minimal connecting degree {d}" for t, d in rows]
     if args.max_degree is not None:
-        witness = fiber.witness_disconnected_fiber(
-            g, args.max_degree, args.max_total, limits=limits)
         if witness is None:
             out["witness"] = None
             lines.append(f"no fiber disconnected at degree {args.max_degree}")

@@ -141,6 +141,77 @@ def _grouped_tables(g: Graph, total: int, limits: Limits):
     return _kernel.group_tables(g.n, _sorted_edges(g), total)
 
 
+def _flips(g: Graph):
+    """(mask, perm) for every flip of vertices that have an edge: the
+    fiber with key `key` flipped by `mask` in every unit has the key
+    `bytes(key[p] for p in perm)`."""
+    edges = _sorted_edges(g)
+    touched = 0
+    for i, j in edges:
+        touched |= (1 << i) | (1 << j)
+    out = []
+    for mask in range(1 << g.n):
+        if mask & ~touched:
+            continue
+        perm = []
+        for e, (i, j) in enumerate(edges):
+            f = (((mask >> i) & 1) << 1) | ((mask >> j) & 1)
+            perm.extend(4 * e + (c ^ f) for c in range(4))
+        out.append((mask, perm))
+    return out
+
+
+def _witness(g: Graph, k: int, groups, split_keys):
+    """The fiber with the smallest key among the flip images of the
+    fibers `split_keys` (the first split fiber of a search over every
+    fiber), with one representative per side of its first two
+    components."""
+    _, key, mask = min((bytes(map(key.__getitem__, perm)), key, mask)
+                       for mask, perm in _flips(g) for key in split_keys)
+    tables = sorted(tuple(sorted(m ^ mask for m in t)) for t in groups[key])
+    labels = _kernel.component_labels(tables, 2 * k)
+    roots = sorted(set(labels))
+    elements = _tables_to_elements(g, tables)
+    fib = Fiber(g, graph_marginals(elements[0], g), elements)
+    za = elements[labels.index(roots[0])]
+    zb = elements[labels.index(roots[1])]
+    return fib, (za, zb)
+
+
+def search_width(g: Graph, max_total: int, k: Optional[int] = None,
+                 limits: Optional[Limits] = None):
+    """Fiber search over every total up to max_total, in one pass.
+
+    Returns `(degrees, witness)`.  `degrees[t - 1]` is the smallest
+    k >= 1 such that every fiber of a table with total <= t is
+    connected by moves of degree <= k.  `witness` is None unless `k` is
+    given and some fiber of total <= max_total is split by moves of
+    degree <= k; then it is the split fiber of the lowest total with the
+    smallest marginal key, with one representative per side.
+
+    Vertex flips map fibers to fibers and keep L1 distances, so one
+    fiber per flip orbit is analysed (see `_kernel.group_tables`).
+    """
+    limits = limits or default_limits()
+    limits.check_vertices(g.n)
+    limits.check_total(max_total)
+    degrees: List[int] = []
+    best = 1
+    witness = None
+    for total in range(1, max_total + 1):
+        groups = _grouped_tables(g, total, limits)
+        split_keys = []
+        for key, tables in groups.items():
+            b = _kernel.bottleneck_norm(tables)
+            best = max(best, b // 2)
+            if k is not None and b > 2 * k:
+                split_keys.append(key)
+        degrees.append(best)
+        if witness is None and split_keys:
+            witness = _witness(g, k, groups, split_keys)
+    return degrees, witness
+
+
 def min_connecting_degree(g: Graph, max_total: int,
                           limits: Optional[Limits] = None) -> int:
     """Smallest k such that every fiber of a table with total <= max_total
@@ -149,35 +220,11 @@ def min_connecting_degree(g: Graph, max_total: int,
     This is a lower-bound estimator of the graph's Markov width: larger
     totals can only increase it.
     """
-    limits = limits or default_limits()
-    limits.check_vertices(g.n)
-    limits.check_total(max_total)
-    best = 1
-    for total in range(1, max_total + 1):
-        for tables in _grouped_tables(g, total, limits).values():
-            b = _kernel.bottleneck_norm(tables)
-            if b // 2 > best:
-                best = b // 2
-    return best
+    return max(search_width(g, max_total, limits=limits)[0], default=1)
 
 
 def witness_disconnected_fiber(g: Graph, k: int, max_total: int,
                                limits: Optional[Limits] = None):
     """A fiber (total <= max_total) split by degree-<=k moves, with one
     representative per side, or None if every such fiber is connected."""
-    limits = limits or default_limits()
-    limits.check_vertices(g.n)
-    limits.check_total(max_total)
-    for total in range(1, max_total + 1):
-        groups = _grouped_tables(g, total, limits)
-        for key in sorted(groups):
-            tables = groups[key]
-            labels = _kernel.component_labels(tables, 2 * k)
-            roots = sorted(set(labels))
-            if len(roots) > 1:
-                elements = _tables_to_elements(g, tables)
-                fib = Fiber(g, graph_marginals(elements[0], g), elements)
-                za = elements[labels.index(roots[0])]
-                zb = elements[labels.index(roots[1])]
-                return fib, (za, zb)
-    return None
+    return search_width(g, max_total, k, limits=limits)[1]

@@ -8,6 +8,7 @@ smaller-index endpoint).
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 KERNEL_ID = "py"
@@ -30,36 +31,56 @@ def _bump_table(n: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
     return bump
 
 
+def _packed(rows: Sequence[Sequence[int]], width: int) -> List[int]:
+    """One integer per row: 1 in the `width`-bit field of each index."""
+    return [sum(1 << (width * idx) for idx in row) for row in rows]
+
+
 def group_tables(n: int, edges,
                  total: int) -> Dict[bytes, List[Tuple[int, ...]]]:
-    """All tables with exactly `total` units, grouped by marginal key.
+    """Tables with exactly `total` units, grouped by marginal key, at
+    least one fiber per orbit of vertex flips.
 
-    There are C(2^n + total - 1, total) of them; callers bound that
-    number before calling."""
-    bump = _bump_table(n, edges)
+    Flipping one vertex's bit in every unit maps fibers onto fibers and
+    keeps L1 distances.  The count of 1s at a vertex with an edge is
+    fixed by the marginals, and a flip takes it from c to total - c, so
+    only tables whose every such count is at most total // 2 are
+    enumerated.  Each returned fiber is complete, in lexicographic
+    order.  Isolated vertices are not pruned: their bits are free inside
+    a fiber.  All C(2^n + total - 1, total) tables bound the work;
+    callers check that number before calling."""
     num = 1 << n
-    cells = [0] * (4 * len(edges))
+    ncells = 4 * len(edges)
+    if ncells and total > 255:
+        raise ValueError("cell counts above 255 do not fit a byte key")
+    # cell counts, one byte each in edge order, so that the key is the
+    # little-endian bytes of their sum
+    cell_inc = _packed(_bump_table(n, edges), 8)
+    # per-vertex counts of 1s, one field each, started at an offset so
+    # that a count above total // 2 sets the field's top bit
+    width = total.bit_length() + 1
+    top = 1 << (width - 1)
+    touched = sorted({v for e in edges for v in e})
+    one_inc = _packed([[v for v in touched if (mask >> v) & 1]
+                       for mask in range(num)], width)
+    over = sum(top << (width * v) for v in touched)
+    start_ones = sum((top - 1 - total // 2) << (width * v) for v in touched)
     units = [0] * total
     groups: Dict[bytes, List[Tuple[int, ...]]] = {}
 
-    def rec(depth: int, start: int):
+    def rec(depth: int, start: int, cells: int, ones: int):
         if depth == total:
-            key = bytes(cells)
+            key = cells.to_bytes(ncells, "little")
             groups.setdefault(key, []).append(tuple(units))
             return
         for mask in range(start, num):
-            row = bump[mask]
-            for idx in row:
-                cells[idx] += 1
+            grown = ones + one_inc[mask]
+            if grown & over:
+                continue
             units[depth] = mask
-            rec(depth + 1, mask)
-            for idx in row:
-                cells[idx] -= 1
+            rec(depth + 1, mask, cells + cell_inc[mask], grown)
 
-    if total == 0:
-        groups[bytes(cells)] = [()]
-    else:
-        rec(0, 0)
+    rec(0, 0, 0, start_ones)
     return groups
 
 
@@ -67,44 +88,39 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
                  candidates: Optional[Sequence[int]] = None,
                  cap: int = 0) -> List[Tuple[int, ...]]:
     """All tables with exactly `total` units whose per-edge cell counts
-    equal `budgets` (length 4 * len(edges))."""
-    bump = _bump_table(n, edges)
+    equal `budgets` (length 4 * len(edges)), in lexicographic order."""
     if candidates is None:
         candidates = range(1 << n)
-    cand = sorted(candidates)
-    budgets = list(budgets)
     ncells = 4 * len(edges)
     if len(budgets) != ncells:
         raise ValueError("budgets length mismatch")
-    cells = [0] * ncells
+    if total == 0:
+        return [] if any(budgets) else [()]
+    # budget left per cell, one field each, kept above the field's top
+    # bit: taking a unit from an empty cell clears that bit
+    width = max(budgets, default=0).bit_length() + 1
+    top = 1 << (width - 1)
+    full = sum(top << (width * idx) for idx in range(ncells))
+    left = full + sum(b << (width * idx) for idx, b in enumerate(budgets))
+    inc = _packed(_bump_table(n, edges), width)
     units = [0] * total
     out: List[Tuple[int, ...]] = []
 
-    def rec(depth: int, start: int):
+    def fitting(cand: Sequence[int], left: int) -> List[int]:
+        return [m for m in cand if (left - inc[m]) & full == full]
+
+    def rec(depth: int, cand: List[int], left: int):
         if depth == total:
             if cap and len(out) >= cap:
                 raise CapExceeded
             out.append(tuple(units))
             return
-        for ci in range(start, len(cand)):
-            mask = cand[ci]
-            row = bump[mask]
-            ok = True
-            for idx in row:
-                cells[idx] += 1
-                if cells[idx] > budgets[idx]:
-                    ok = False
-            if ok:
-                units[depth] = mask
-                rec(depth + 1, ci)
-            for idx in row:
-                cells[idx] -= 1
+        for ci, mask in enumerate(cand):
+            units[depth] = mask
+            rest = left - inc[mask]
+            rec(depth + 1, fitting(cand[ci:], rest), rest)
 
-    if total == 0:
-        if all(b == 0 for b in budgets):
-            out.append(())
-    else:
-        rec(0, 0)
+    rec(0, fitting(sorted(candidates), left), left)
     return out
 
 
@@ -150,29 +166,39 @@ def component_labels(tables: Sequence[Tuple[int, ...]],
 def bottleneck_norm(tables: Sequence[Tuple[int, ...]]) -> int:
     """Largest edge norm on a minimum spanning tree of the fiber under
     L1 distance (0 for fibers of size <= 1).  This is the smallest move
-    norm whose threshold graph connects the fiber."""
+    norm whose threshold graph connects the fiber.
+
+    Two tables of N units are within 2d of each other exactly when they
+    share N - d units, so the threshold graph at 2d joins all tables
+    with a common sub-multiset of N - d units.  The thresholds are tried
+    from d = 1 up, joining tables in a union-find; at 2N every pair is
+    joined."""
     f = len(tables)
     if f <= 1:
         return 0
-    INF = 1 << 60
-    dist = [INF] * f
-    used = [False] * f
-    dist[0] = 0
-    best = 0
-    for _ in range(f):
-        u = -1
-        du = INF
-        for i in range(f):
-            if not used[i] and dist[i] < du:
-                du = dist[i]
-                u = i
-        used[u] = True
-        if du > best:
-            best = du
-        tu = tables[u]
-        for i in range(f):
-            if not used[i]:
-                d = _norm(tu, tables[i])
-                if d < dist[i]:
-                    dist[i] = d
-    return best
+    if f == 2:
+        return _norm(tables[0], tables[1])
+    size = len(tables[0])
+    parent = list(range(f))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    parts = f
+    for d in range(1, size):
+        first: Dict[Tuple[int, ...], int] = {}
+        for idx, t in enumerate(tables):
+            for sub in combinations(t, size - d):
+                other = first.setdefault(sub, idx)
+                if other == idx:
+                    continue
+                a, b = find(other), find(idx)
+                if a != b:
+                    parent[a] = b
+                    parts -= 1
+                    if parts == 1:
+                        return 2 * d
+    return 2 * size

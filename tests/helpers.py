@@ -8,6 +8,7 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from markov_atlas import Graph, TableVector, fiber_of, graph_marginals
+from markov_atlas.fiber import _kernel
 
 
 def brute_has_k4_minor(g: Graph) -> bool:
@@ -56,6 +57,99 @@ def rejection_fiber(g: Graph, z: TableVector) -> List[TableVector]:
         if graph_marginals(cand, g) == ref:
             out.append(cand)
     return out
+
+
+def all_grouped_tables(n: int, edges,
+                       total: int) -> Dict[bytes, List[Tuple[int, ...]]]:
+    """Every table with exactly `total` units, grouped by the kernel's
+    marginal key (bytes of the per-edge cells c00, c01, c10, c11), each
+    fiber in lexicographic order: all C(2^n + total - 1, total) tables,
+    with no orbit pruning."""
+    num = 1 << n
+    bump = [[4 * e + ((((mask >> i) & 1) << 1) | ((mask >> j) & 1))
+             for e, (i, j) in enumerate(edges)] for mask in range(num)]
+    cells = [0] * (4 * len(edges))
+    units = [0] * total
+    groups: Dict[bytes, List[Tuple[int, ...]]] = {}
+
+    def rec(depth: int, start: int):
+        if depth == total:
+            groups.setdefault(bytes(cells), []).append(tuple(units))
+            return
+        for mask in range(start, num):
+            row = bump[mask]
+            for idx in row:
+                cells[idx] += 1
+            units[depth] = mask
+            rec(depth + 1, mask)
+            for idx in row:
+                cells[idx] -= 1
+
+    rec(0, 0)
+    return groups
+
+
+def _norm(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
+    """L1 distance between two same-size sorted tuples of units."""
+    i = j = inter = 0
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            inter += 1
+            i += 1
+            j += 1
+        elif a[i] < b[j]:
+            i += 1
+        else:
+            j += 1
+    return len(a) + len(b) - 2 * inter
+
+
+def mst_bottleneck(tables: List[Tuple[int, ...]]) -> int:
+    """Largest edge norm on a minimum spanning tree of the tables under
+    L1 distance (0 for one table), by Prim's algorithm over all pairs."""
+    f = len(tables)
+    dist = [0] + [None] * (f - 1)
+    used = [False] * f
+    best = 0
+    for _ in range(f):
+        u = min((i for i in range(f) if not used[i] and dist[i] is not None),
+                key=dist.__getitem__)
+        used[u] = True
+        best = max(best, dist[u])
+        for i in range(f):
+            if not used[i]:
+                d = _norm(tables[u], tables[i])
+                if dist[i] is None or d < dist[i]:
+                    dist[i] = d
+    return best
+
+
+def naive_search(g: Graph, max_total: int, ks=()):
+    """Degrees and witnesses of a search over every fiber.
+
+    `degrees[t - 1]` is the running maximum, from 1, of half the
+    bottleneck norm of every fiber of total <= t.  For each k in `ks`
+    the witness is None or `(tables, a, b)`: the tables of the split
+    fiber (bottleneck above 2k) with the smallest key at the lowest
+    split total, and the first table of its first two components."""
+    edges = sorted(g.edges)
+    degrees: List[int] = []
+    best = 1
+    witnesses = {k: None for k in ks}
+    for total in range(1, max_total + 1):
+        groups = all_grouped_tables(g.n, edges, total)
+        norms = {key: mst_bottleneck(t) for key, t in groups.items()}
+        best = max([best] + [b // 2 for b in norms.values()])
+        degrees.append(best)
+        for k in ks:
+            split = [key for key in sorted(groups) if norms[key] > 2 * k]
+            if witnesses[k] is None and split:
+                tables = groups[split[0]]
+                labels = _kernel.component_labels(tables, 2 * k)
+                roots = sorted(set(labels))
+                witnesses[k] = (tables, tables[labels.index(roots[0])],
+                                tables[labels.index(roots[1])])
+    return degrees, [witnesses[k] for k in ks]
 
 
 def bfs_connected(g: Graph, z: TableVector, zp: TableVector,

@@ -21,10 +21,9 @@ from markov_atlas import (Graph, TableVector, classify_width, complete_graph,
                           project, verify_sequence,
                           witness_disconnected_fiber)
 from markov_atlas.errors import NoSuchPoles, ProjectionMismatch
-from markov_atlas.fiber import _kernel
 from markov_atlas.triangulation import certify_lower_bound, double_wheel
 
-from helpers import all_trees, nonisomorphic_graphs
+from helpers import all_grouped_tables, all_trees, nonisomorphic_graphs
 
 
 def verdict(num: int, ok: bool, text: str):
@@ -101,7 +100,7 @@ def test_acceptance_4_connector_on_random_graphs():
         if not is_k4_minor_free(g):
             continue
         total = rng.randint(1, 3)
-        groups = _kernel.group_tables(n, sorted(g.edges), total)
+        groups = all_grouped_tables(n, sorted(g.edges), total)
         keys = [k for k in sorted(groups) if len(groups[k]) >= 2]
         if not keys:
             continue

@@ -15,7 +15,8 @@ from markov_atlas.errors import (InvariantViolation, NotK4MinorFree,
                                  ProjectionMismatch)
 from markov_atlas.fiber import _kernel
 
-from helpers import all_graphs, bfs_connected, swap_partner
+from helpers import (all_graphs, all_grouped_tables, bfs_connected,
+                     swap_partner)
 
 
 def tv(verts, units):
@@ -186,7 +187,7 @@ def test_cutchange_randomized_on_unit_relabelings():
 
 def cycle_fiber_pairs(n, total):
     g = cycle_graph("abcdefgh"[:n])
-    groups = _kernel.group_tables(n, sorted(g.edges), total)
+    groups = all_grouped_tables(n, sorted(g.edges), total)
     for key in sorted(groups):
         tabs = groups[key]
         if len(tabs) >= 2:
@@ -247,7 +248,7 @@ def test_triangle_walk_is_shortest():
     g = cycle_graph("abc")
     longest = 0
     for total in range(1, 9):
-        groups = _kernel.group_tables(3, sorted(g.edges), total)
+        groups = all_grouped_tables(3, sorted(g.edges), total)
         for tabs in groups.values():
             for a, b in itertools.permutations(tabs, 2):
                 z, zp = tv(g.vertices, a), tv(g.vertices, b)
@@ -295,7 +296,7 @@ def test_connect_cycle_rejects_non_cycle():
 # -- connector: general graphs -----------------------------------------
 
 def fiber_pairs(g, total, rng, max_pairs=2):
-    groups = _kernel.group_tables(g.n, sorted(g.edges), total)
+    groups = all_grouped_tables(g.n, sorted(g.edges), total)
     keys = [k for k in sorted(groups) if len(groups[k]) >= 2]
     rng.shuffle(keys)
     for key in keys[:max_pairs]:

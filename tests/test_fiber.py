@@ -8,13 +8,15 @@ import pytest
 from markov_atlas import (Graph, TableVector, cycle_graph, enumerate_fiber,
                           extract_moves, fiber_components, fiber_graph,
                           fiber_of, graph_marginals, is_kernel_element,
-                          min_connecting_degree, witness_disconnected_fiber)
+                          min_connecting_degree, search_width,
+                          witness_disconnected_fiber)
 from markov_atlas.errors import ResourceLimitError
 from markov_atlas.lattice import MarginalSet
 from markov_atlas.limits import Limits
 from markov_atlas.fiber import _kernel
 
-from helpers import all_graphs, rejection_fiber
+from helpers import (all_graphs, all_grouped_tables, mst_bottleneck,
+                     naive_search, rejection_fiber)
 
 
 def tv(g, units):
@@ -172,3 +174,66 @@ def test_min_degree_monotone_in_total():
         d = min_connecting_degree(g, total)
         assert d >= prev
         prev = d
+
+
+# -- orbit-reduced search against the search over every fiber ----------
+
+ORBIT_CASES = [
+    (Graph(("a", "b", "c", "d"), [(0, 1), (1, 2)]), 4),  # P3 + isolated d
+    (cycle_graph("abcd"), 4),
+    (Graph(tuple("abcd"), list(itertools.combinations(range(4), 2))), 3),
+]
+
+
+@pytest.mark.parametrize("g,total", ORBIT_CASES)
+def test_group_tables_keeps_one_fiber_per_flip_orbit(g, total):
+    """Every fiber is the flip image of a fiber `group_tables` returns,
+    and each returned fiber is complete; bits of isolated vertices are
+    free inside a fiber, so pruning them would lose tables."""
+    edges = sorted(g.edges)
+    oracle = all_grouped_tables(g.n, edges, total)
+    key_of = {t: key for key, tabs in oracle.items() for t in tabs}
+    got = _kernel.group_tables(g.n, edges, total)
+    assert len(got) < len(oracle)
+    covered = set()
+    for key, tabs in got.items():
+        assert tabs == oracle[key]
+        for flips in range(1 << g.n):
+            covered.add(key_of[tuple(sorted(m ^ flips for m in tabs[0]))])
+    assert covered == set(oracle)
+
+
+@pytest.mark.parametrize("g,total", ORBIT_CASES)
+def test_kernel_fibers_and_bottlenecks_match_oracles(g, total):
+    edges = sorted(g.edges)
+    for key, tabs in all_grouped_tables(g.n, edges, total).items():
+        assert _kernel.fiber_tables(g.n, edges, list(key), total) == tabs
+        support = sorted({m for t in tabs for m in t})
+        assert _kernel.fiber_tables(g.n, edges, list(key), total,
+                                    candidates=support) == tabs
+        assert _kernel.bottleneck_norm(tabs) == mst_bottleneck(tabs)
+
+
+def test_search_width_matches_naive_search():
+    """Same degrees and witnesses as a search over every fiber: every
+    labelled graph on 2-4 vertices at totals <= 4, and C5 and K_{2,3}
+    at total 3, for k = 1, 2, 3."""
+    ks = (1, 2, 3)
+    graphs = [(g, 4) for n in (2, 3, 4) for g in all_graphs(n)]
+    graphs.append((cycle_graph("abcde"), 3))
+    graphs.append((Graph(tuple("abcde"),
+                         [(i, j) for i in (0, 1) for j in (2, 3, 4)]), 3))
+    witnessed = 0
+    for g, max_total in graphs:
+        degrees, witnesses = naive_search(g, max_total, ks)
+        for k, want in zip(ks, witnesses):
+            got_degrees, got = search_width(g, max_total, k)
+            assert got_degrees == degrees
+            if want is None:
+                assert got is None
+                continue
+            fib, (za, zb) = got
+            assert [tuple(e.units()) for e in fib.elements] == want[0]
+            assert (tuple(za.units()), tuple(zb.units())) == want[1:]
+            witnessed += 1
+    assert witnessed > 20
