@@ -84,12 +84,12 @@ def _cmd_connect(args) -> int:
     g = _load_graph(args.graph)
     z = _load_vector(args.vec_a)
     zp = _load_vector(args.vec_b)
-    seq = connector.connect_graph(g, z, zp, verify=args.verify)
+    seq = connector.connect_graph(g, z, zp)
     obj = seq.to_json()
     if args.verify:
         obj["verified"] = connector.verify_sequence(seq)
     text = (f"connected in {seq.length} steps, "
-            f"max norm {max([s.l1() for s in seq.steps], default=0)}")
+            f"max norm {max(obj['norms'], default=0)}")
     _emit(args, obj, text)
     return 0
 

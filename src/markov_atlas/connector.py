@@ -6,13 +6,22 @@ intermediate tables whose consecutive differences all have L1 norm at
 most 8 (degree at most 4), with every intermediate table non-negative
 and sharing the same marginals.
 
-The construction recurses on two-terminal series-parallel structure
-and enumerates no fiber.  Its base case is the triangle K3: the binary
-K3 model is the 2x2x2 no-three-way-interaction model, whose lattice
-kernel is spanned by one degree-4 move, so each K3 fiber is a segment
-walked one move at a time.  A longer cycle splits at two opposite
-vertices into two paths, or, with the chord between them added, into
-two shorter cycles.
+The construction enumerates no fiber.  It makes one pass over the
+block-cut forest (`graphs.block_cut_forest`).  Each block or isolated
+vertex whose part of the two tables differs gets its own chain; then
+the union of the pieces before piece j is joined to piece j by norm-4
+swaps.  Every step is lifted onto the whole table at the cut vertices:
+each component of the rest of the graph meets the stepped vertices in
+one vertex, so it moves with a released unit that has the same bit
+there, and the lift keeps the step's norm and every edge marginal.
+
+Inside a 2-connected block the chain recurses on two-terminal
+series-parallel structure.  Its base case is the triangle K3: the
+binary K3 model is the 2x2x2 no-three-way-interaction model, whose
+lattice kernel is spanned by one degree-4 move, so each K3 fiber is a
+segment walked one move at a time.  A longer cycle splits at two
+opposite vertices into two paths, or, with the chord between them
+added, into two shorter cycles.
 
 For a piece with poles (u, v) the produced sequence additionally
 guarantees: whenever a step changes the joint (u, v) marginal, that
@@ -29,11 +38,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (InvariantViolation, NotK4MinorFree, ProjectionMismatch)
-from .graphs import Graph, SPTree, bridges, blocks, cut_vertices, \
-    find_parallel3_poles, is_k4_minor_free, realize
+from .graphs import Graph, Piece, SPTree, block_cut_forest, \
+    block_is_k4_minor_free, bridges, find_parallel3_poles, realize
 from .lattice import (TableVector, graph_marginals, project, restrict_mask,
                       vector_to_json)
 
@@ -137,34 +146,37 @@ def glue_swaps(z: TableVector, zp: TableVector,
     if not (z.is_nonnegative() and zp.is_nonnegative()):
         raise ValueError("glue_swaps needs non-negative inputs")
 
-    pos1 = _positions(X, x1)
-    pos2 = _positions(X, x2)
-    m1bits = _bitmask_of(X, x1)
-
     cur = dict(z.entries)
-    tgt = zp.entries
     states = [z]
+    for _ in _swaps(cur, zp.entries, _bitmask_of(X, x1), _bitmask_of(X, x2)):
+        states.append(TableVector(X, cur))
+    return states
+
+
+def _swaps(cur: Dict[int, int], tgt: Dict[int, int], m1bits: int,
+           m2bits: int):
+    """Take the counts `cur` to `tgt` (equal projections on the bits of
+    `m1bits` and of `m2bits`, which cover every bit used) by norm-4
+    swaps.  Applies each swap to `cur` in place, then yields it as the
+    labelings (a, e) removed and (c, f) added."""
     while True:
         support = sorted(set(cur) | set(tgt))
         a = next((s for s in support
                   if cur.get(s, 0) > tgt.get(s, 0)), None)
         if a is None:
-            break
-        a1 = restrict_mask(a, pos1)
+            return
+        a1 = a & m1bits
         c = next(s for s in support
-                 if cur.get(s, 0) < tgt.get(s, 0)
-                 and restrict_mask(s, pos1) == a1)
-        c2 = restrict_mask(c, pos2)
+                 if cur.get(s, 0) < tgt.get(s, 0) and s & m1bits == a1)
+        c2 = c & m2bits
         e = next(s for s in support
-                 if cur.get(s, 0) > tgt.get(s, 0)
-                 and restrict_mask(s, pos2) == c2)
+                 if cur.get(s, 0) > tgt.get(s, 0) and s & m2bits == c2)
         f = (e & m1bits) | (a & ~m1bits)
         for s, d in ((a, -1), (e, -1), (c, +1), (f, +1)):
             cur[s] = cur.get(s, 0) + d
             if cur[s] == 0:
                 del cur[s]
-        states.append(TableVector(X, cur))
-    return states
+        yield a, e, c, f
 
 
 def glue_cutchange(z1: TableVector, z1p: TableVector,
@@ -254,12 +266,13 @@ class MoveSequence:
         return len(self.states) - 1
 
     def to_json(self) -> dict:
+        steps = self.steps
         obj = {
             "graph": {"vertices": list(self.graph.vertices),
                       "edges": self.graph.edge_labels()},
             "states": [vector_to_json(s) for s in self.states],
-            "steps": [vector_to_json(s) for s in self.steps],
-            "norms": [s.l1() for s in self.steps],
+            "steps": [vector_to_json(s) for s in steps],
+            "norms": [s.l1() for s in steps],
         }
         if self.poles is not None:
             obj["poles"] = list(self.poles)
@@ -570,18 +583,72 @@ def _triangle_states(g: Graph, z: TableVector,
 
 
 # ---------------------------------------------------------------------
-# unconstrained (no-pole) recursion over blocks and components
+# one pass over the block-cut forest
 
-def _connect_general(g: Graph, z: TableVector,
-                     zp: TableVector) -> List[TableVector]:
-    if z == zp:
-        return [z]
-    comps = g.connected_components()
-    if len(comps) > 1:
-        side1 = comps[0]
-        side2 = sorted(x for comp in comps[1:] for x in comp)
-        return _split_stitch(g, side1, side2, z, zp)
-    if g.n == 1:
+def _part_counts(entries: Dict[int, int], mask: int) -> Dict[int, int]:
+    """Counts of the parts `unit & mask` of a table's units."""
+    out: Dict[int, int] = {}
+    for u, c in entries.items():
+        part = u & mask
+        out[part] = out.get(part, 0) + c
+    return out
+
+
+def _lift(cur: Dict[int, int], mask: int, gone: Sequence[int],
+          new: Sequence[int], groups: Sequence[Tuple[int, int]]):
+    """Apply to the whole table `cur`, in place, a step that replaces
+    the parts `gone` by the parts `new` on the vertices of `mask`.
+
+    Units whose part is still wanted stay as they are; one unit per
+    gone part is released.  Each group (key bit, group mask) holds
+    vertices outside `mask` whose edges reach `mask` at the key vertex
+    only, or nowhere for key 0.  Every new part takes each group's bits
+    from a released unit with the same key bit, so the lift has the
+    step's norm and keeps every edge marginal that the step keeps.
+    """
+    released = []
+    for part in gone:
+        u = min(x for x in cur if x & mask == part)
+        released.append(u)
+        cur[u] -= 1
+        if not cur[u]:
+            del cur[u]
+    units = list(new)
+    for key, gmask in groups:
+        for bit in ((0, key) if key else (0,)):
+            src = [u for u in released if u & key == bit]
+            dst = [i for i, q in enumerate(new) if q & key == bit]
+            if len(src) != len(dst):
+                raise InvariantViolation("a step moved the marginal of "
+                                         "a cut vertex")
+            for i, u in zip(dst, src):
+                units[i] |= u & gmask
+    for u in units:
+        cur[u] = cur.get(u, 0) + 1
+
+
+def _groups(pieces: Sequence[Piece], below: Sequence[int],
+            heads: Iterable[int], inside: int, rest_key: int,
+            full: int) -> List[Tuple[int, int]]:
+    """Lift groups for the vertices outside `inside`: the pieces in
+    `heads`, each with everything below it, grouped by the attach
+    vertex they hang from, and the remaining vertices keyed on
+    `rest_key`."""
+    by_key: Dict[int, int] = {}
+    rest = full & ~inside
+    for h in heads:
+        bit = 1 << pieces[h].attach
+        by_key[bit] = by_key.get(bit, 0) | below[h]
+        rest &= ~below[h]
+    if rest:
+        by_key[rest_key] = by_key.get(rest_key, 0) | rest
+    return [(key, m & ~inside) for key, m in by_key.items()]
+
+
+def _piece_states(sub: Graph, z: TableVector,
+                  zp: TableVector) -> List[TableVector]:
+    """States z .. zp on one piece: an isolated vertex or a block."""
+    if sub.n == 1:
         # isolated vertex: shift units between the two labelings
         states = [z]
         cur = dict(z.entries)
@@ -593,39 +660,76 @@ def _connect_general(g: Graph, z: TableVector,
             cur[src] = cur.get(src, 0) - 1
             cur[dst] = cur.get(dst, 0) + 1
             cur = {k: c for k, c in cur.items() if c}
-            states.append(TableVector(g.vertices, cur))
+            states.append(TableVector(sub.vertices, cur))
         return states
-    cuts = cut_vertices(g)
-    if cuts:
-        for bl in blocks(g):
-            bl_idx = {g.index(lbl) for lbl in bl.vertices}
-            inner_cuts = bl_idx & cuts
-            if len(inner_cuts) == 1:
-                w = next(iter(inner_cuts))
-                side1 = sorted(bl_idx)
-                side2 = sorted((set(range(g.n)) - bl_idx) | {w})
-                return _split_stitch(g, side1, side2, z, zp)
-        raise InvariantViolation("no leaf block found")
-    if g.m == 1:
+    if sub.m == 1:
         raise InvariantViolation("distinct tables on a single edge")
-    if g.is_cycle():
-        return _cycle_states(g, z, zp)
-    u, v, _ = find_parallel3_poles(g)
-    return _connect_two_terminal(g, u, v, z, zp)
+    if sub.is_cycle():
+        return _cycle_states(sub, z, zp)
+    u, v, _ = find_parallel3_poles(sub)
+    return _connect_two_terminal(sub, u, v, z, zp)
 
 
-def _split_stitch(g: Graph, side1: Sequence[int], side2: Sequence[int],
-                  z: TableVector, zp: TableVector) -> List[TableVector]:
-    G1, X1, z1, z1p = _side_setup(g, side1, None, z, zp)
-    G2, X2, z2, z2p = _side_setup(g, side2, None, z, zp)
-    seq1 = _connect_general(G1, z1, z1p)
-    seq2 = _connect_general(G2, z2, z2p)
+def _connect_pieces(g: Graph, pieces: Sequence[Piece], z: TableVector,
+                    zp: TableVector) -> List[TableVector]:
+    """States z .. zp over the pieces of `block_cut_forest(g)`.
+
+    First each piece whose part differs is walked to its target part
+    by its own chain, every step lifted onto the whole table.  Then for
+    j = 1, 2, ... the union of pieces 0 .. j-1 is joined to piece j by
+    norm-4 swaps, lifted the same way.  A lift keeps the part of every
+    piece outside the vertices it changes, because such a piece lies in
+    a single lift group plus at most that group's key vertex.
+    """
+    if z == zp:
+        return [z]
+    full = (1 << g.n) - 1
+    masks = [sum(1 << v for v in p.vertices) for p in pieces]
+    children: List[List[int]] = [[] for _ in pieces]
+    for j, p in enumerate(pieces):
+        if p.parent is not None:
+            children[p.parent].append(j)
+    below = list(masks)  # a piece with every piece hanging below it
+    for j in reversed(range(len(pieces))):
+        if pieces[j].parent is not None:
+            below[pieces[j].parent] |= below[j]
+    cur = dict(z.entries)
     states = [z]
-    for s in seq1[1:]:
-        _append_glued(states, glue_cutsame(states[-1], s, X2))
-    for s in seq2[1:]:
-        _append_glued(states, glue_cutsame(states[-1], s, X1))
-    _extend(states, glue_swaps(states[-1], zp, X1, X2))
+
+    for j, p in enumerate(pieces):
+        if _part_counts(z.entries, masks[j]) == \
+                _part_counts(zp.entries, masks[j]):
+            continue
+        sub = g.subgraph(p.vertices, p.edges)
+        chain = _piece_states(sub, project(z, sub.vertices),
+                              project(zp, sub.vertices))
+        key = 0 if p.attach is None else 1 << p.attach
+        groups = _groups(pieces, below, children[j], masks[j], key, full)
+        for s, t in zip(chain, chain[1:]):
+            before, after = Counter(s.entries), Counter(t.entries)
+            gone = sorted(_place(m, p.vertices)
+                          for m in (before - after).elements())
+            new = sorted(_place(m, p.vertices)
+                         for m in (after - before).elements())
+            _lift(cur, masks[j], gone, new, groups)
+            states.append(TableVector(g.vertices, cur))
+
+    union = 0
+    hung = 0  # pieces j+1 .. hung-1 hang from pieces 0 .. j (BFS order)
+    for j in range(len(pieces)):
+        joined = union | masks[j]
+        hung = max(hung, j + 1, *(c + 1 for c in children[j]))
+        have = _part_counts(cur, joined)
+        want = _part_counts(zp.entries, joined)
+        if have != want:
+            groups = _groups(pieces, below, range(j + 1, hung), joined, 0,
+                             full)
+            for a, e, c, f in _swaps(have, want, union, masks[j]):
+                _lift(cur, joined, (a, e), (c, f), groups)
+                states.append(TableVector(g.vertices, cur))
+        union = joined
+    if states[-1] != zp:
+        raise InvariantViolation("block-cut pass ended off the target")
     return states
 
 
@@ -646,9 +750,11 @@ def connect_graph(g: Graph, z: TableVector, zp: TableVector,
     """Chain z .. zp with every step of norm <= 8, for any graph without
     a K4 minor.  Raises NotK4MinorFree otherwise."""
     _validate_pair(g, z, zp)
-    if not is_k4_minor_free(g):
+    pieces = block_cut_forest(g)
+    if not all(block_is_k4_minor_free(g.subgraph(p.vertices, p.edges))
+               for p in pieces if len(p.edges) > 1):
         raise NotK4MinorFree("graph contains a K4 minor")
-    seq = MoveSequence(g, _connect_general(g, z, zp))
+    seq = MoveSequence(g, _connect_pieces(g, pieces, z, zp))
     if verify:
         verify_sequence(seq)
     return seq

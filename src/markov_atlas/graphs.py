@@ -8,7 +8,8 @@ subgraph) keeps its vertices in the parent's order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .errors import NoSuchPoles, NotSeriesParallel, ParseError
 
@@ -216,24 +217,87 @@ def _block_decomposition(g: Graph):
     return block_list, cuts
 
 
+def _sorted_blocks(g: Graph) -> List[Tuple[List[int], List[Edge]]]:
+    """(sorted vertex indices, edges) of each block, ordered by the
+    vertex index lists."""
+    edge_sets, _ = _block_decomposition(g)
+    out = [(sorted({v for e in es for v in e}), es) for es in edge_sets]
+    out.sort(key=lambda b: b[0])
+    return out
+
+
 def blocks(g: Graph) -> List[Graph]:
     """Maximal 2-connected subgraphs plus bridge edges.
 
     Every edge appears in exactly one block; isolated vertices yield no
     block.  Blocks are returned as graphs over parent-ordered vertices.
     """
-    edge_sets, _ = _block_decomposition(g)
-    out = []
-    for es in edge_sets:
-        verts = sorted({v for e in es for v in e})
-        out.append(g.subgraph(verts, es))
-    out.sort(key=lambda b: sorted(g.index(v) for v in b.vertices))
-    return out
+    return [g.subgraph(verts, es) for verts, es in _sorted_blocks(g)]
 
 
 def cut_vertices(g: Graph) -> Set[int]:
     _, cuts = _block_decomposition(g)
     return cuts
+
+
+class Piece(NamedTuple):
+    """A block or an isolated vertex of a graph's block-cut forest.
+
+    `vertices` are sorted indices into the graph and `edges` the
+    block's edges (none for an isolated vertex).  `attach` is the one
+    vertex the piece shares with the pieces before it in
+    `block_cut_forest` order, and `parent` the index of the earlier
+    piece through which it was reached; both are None for the first
+    piece of a connected component.
+    """
+
+    vertices: Tuple[int, ...]
+    edges: Tuple[Edge, ...]
+    parent: Optional[int]
+    attach: Optional[int]
+
+
+def block_cut_forest(g: Graph) -> List[Piece]:
+    """Blocks and isolated vertices, from one block decomposition, in
+    breadth-first order over the block-cut forest.
+
+    Components come in the order of their smallest vertex.  Within one,
+    the first piece holds that vertex and every later piece meets the
+    earlier ones in exactly its `attach` vertex, which lies in its
+    `parent`; so the pieces hanging below a piece come after it.
+    """
+    bl = _sorted_blocks(g)
+    at: List[List[int]] = [[] for _ in range(g.n)]
+    for b, (verts, _) in enumerate(bl):
+        for v in verts:
+            at[v].append(b)
+    placed = [False] * len(bl)
+    expanded = [False] * g.n  # the blocks at the vertex are placed
+    pieces: List[Piece] = []
+
+    def place(b: int, parent: Optional[int], attach: Optional[int]):
+        placed[b] = True
+        pieces.append(Piece(tuple(bl[b][0]), tuple(bl[b][1]), parent,
+                            attach))
+
+    for s in range(g.n):
+        if expanded[s]:
+            continue
+        if not at[s]:
+            pieces.append(Piece((s,), (), None, None))
+            continue
+        place(at[s][0], None, None)
+        head = len(pieces) - 1
+        while head < len(pieces):
+            for v in pieces[head].vertices:
+                if expanded[v]:
+                    continue
+                expanded[v] = True
+                for b in at[v]:
+                    if not placed[b]:
+                        place(b, head, v)
+            head += 1
+    return pieces
 
 
 # -- bridges -----------------------------------------------------------
@@ -497,18 +561,15 @@ def _is_sp_reducible(g: Graph) -> bool:
         return False
 
 
-def is_k4_minor_free(g: Graph) -> bool:
-    """True iff the graph has no K4 minor.
+def block_is_k4_minor_free(b: Graph) -> bool:
+    """True iff a block (a single edge or a 2-connected graph) has no K4
+    minor: it is an edge, a cycle, or series-parallel reducible."""
+    return b.m == 1 or b.is_cycle() or _is_sp_reducible(b)
 
-    Decided block-wise: each block must be a single edge, a cycle, or
-    series-parallel reducible.
-    """
-    for b in blocks(g):
-        if b.m == 1 or b.is_cycle():
-            continue
-        if not _is_sp_reducible(b):
-            return False
-    return True
+
+def is_k4_minor_free(g: Graph) -> bool:
+    """True iff the graph has no K4 minor, decided block-wise."""
+    return all(block_is_k4_minor_free(b) for b in blocks(g))
 
 
 def complete_graph(labels: Sequence[str]) -> Graph:

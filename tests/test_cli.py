@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from markov_atlas import connector
 from markov_atlas.cli import main
+from markov_atlas.connector import verify_sequence
 
 C5 = "a b\nb c\nc d\nd e\ne a\n"
 C4 = "a b\nb c\nc d\nd a\n"
@@ -71,6 +73,31 @@ def test_connect_success(files, capsys):
     assert obj["states"][0]["entries"] == {"0101": 2, "1111": 2}
     assert all(n <= 8 for n in obj["norms"])
     assert obj["verified"]["max_step_norm"] <= 8
+
+
+def test_connect_verifies_once(files, capsys, monkeypatch):
+    """--verify checks the chain once and reports that check's summary;
+    the text output gives the same length and largest norm."""
+    calls = []
+
+    def counting(seq, *args, **kwargs):
+        calls.append(seq)
+        return verify_sequence(seq, *args, **kwargs)
+
+    monkeypatch.setattr(connector, "verify_sequence", counting)
+    paths = (files("c4.txt", C4), files("a.vec", VEC_C4),
+             files("b.vec", VEC_C4_B))
+    code, out, _ = run(capsys, "connect", *paths, "--verify", "--json")
+    assert code == 0 and len(calls) == 1
+    obj = json.loads(out)
+    assert obj["verified"] == {"length": len(obj["steps"]),
+                               "max_step_norm": max(obj["norms"]),
+                               "pole_changing_steps": 0}
+    assert obj["verified"] == verify_sequence(calls[0])
+    code, out, _ = run(capsys, "connect", *paths)
+    assert code == 0 and len(calls) == 1
+    assert out == (f"connected in {len(obj['steps'])} steps, "
+                   f"max norm {max(obj['norms'])}\n")
 
 
 def test_connect_k4_is_domain_error(files, capsys):

@@ -2,14 +2,16 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
-from markov_atlas import (Graph, TableVector, connect_cycle, connect_graph,
-                          connect_sp, connect_two_terminal, cycle_graph,
-                          complete_graph, glue_cutchange, glue_cutsame,
-                          glue_swaps, graph_marginals, is_k4_minor_free,
-                          parse_graph, project, sp_decompose, verify_sequence)
+from markov_atlas import (Graph, TableVector, connect_cycle,
+                          connect_graph, connect_sp, connect_two_terminal,
+                          cut_vertices, cycle_graph, complete_graph,
+                          glue_cutchange, glue_cutsame, glue_swaps,
+                          graph_marginals, is_k4_minor_free, parse_graph,
+                          project, sp_decompose, verify_sequence)
 from markov_atlas.connector import MoveSequence
 from markov_atlas.errors import (InvariantViolation, NotK4MinorFree,
                                  ProjectionMismatch)
@@ -340,6 +342,86 @@ def test_connect_disconnected_graph():
     assert graph_marginals(z2, g) == graph_marginals(z, g)
     seq = connect_graph(g, z, z2, verify=True)
     assert seq.states[-1] == z2
+
+
+MULTI_CUT_SHAPES = [
+    # triangle a b c with a pendant path at each vertex
+    "a b\nb c\nc a\na a1\na1 a2\nb b1\nc c1\nc1 c2\nc2 c3\n",
+    # triangle, 4-cycle cut at opposite vertices, triangle, 4-cycle cut
+    # at adjacent vertices, triangle: each shares a vertex with the next
+    "a b\nb c\nc a\nc d\nd e\ne f\nf c\ne g\ng h\nh e\n"
+    "h i\ni j\nj k\nk h\ni l\nl m\nm i\n",
+]
+
+
+def multi_cut_graphs():
+    for text in MULTI_CUT_SHAPES:
+        yield parse_graph(text)
+    # forests over interleaved labels: a tree, a path and an isolated
+    # vertex; a path on five vertices and two isolated vertices
+    yield Graph("abcdefghi", [(0, 2), (2, 5), (2, 6), (6, 8),
+                              (1, 3), (3, 7)])
+    yield Graph("abcdefg", [(1, 3), (3, 4), (4, 5), (5, 6)])
+
+
+def test_connect_lifts_steps_that_move_several_cut_vertices():
+    """Steps that change the joint marginal of several cut vertices
+    (blocks with two or more cut vertices, and unions of blocks joined
+    by swaps) cannot be lifted across a single overlap vertex; the lift
+    takes one group per cut vertex.  Every chain is checked by
+    verify_sequence, and such steps occur on every graph."""
+    rng = random.Random(57)
+    for g in multi_cut_graphs():
+        cuts = tuple(g.vertices[v] for v in sorted(cut_vertices(g)))
+        pairs = joint_moves = 0
+        for total in range(2, 7):
+            for _ in range(12):
+                z = tv(g.vertices, random_units(rng, g.n, total))
+                zp = swap_partner(g, z, rng, tries=6 * g.n)
+                if zp == z:
+                    continue
+                seq = connect_graph(g, z, zp, verify=True)
+                assert seq.states[0] == z and seq.states[-1] == zp
+                pairs += 1
+                joint_moves += sum(project(a, cuts) != project(b, cuts)
+                                   for a, b in zip(seq.states,
+                                                   seq.states[1:]))
+        assert pairs >= 30 and joint_moves > 0, repr(g)
+
+
+def test_connect_long_path_within_recursion_limit():
+    """A 5,000-vertex path connects, verified, under the default
+    recursion limit of 1000."""
+    n = 5000
+    g = Graph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    rng = random.Random(5)
+    z = tv(g.vertices, random_units(rng, n, 2))
+    zp = swap_partner(g, z, rng, tries=200)
+    assert zp != z
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        seq = connect_graph(g, z, zp, verify=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert seq.states[0] == z and seq.states[-1] == zp
+
+
+def test_connect_large_random_tree():
+    n = 2000
+    rng = random.Random(2000)
+    g = Graph([f"v{i}" for i in range(n)],
+              [(i, rng.randrange(i)) for i in range(1, n)])
+    z = tv(g.vertices, random_units(rng, n, 4))
+    zp = swap_partner(g, z, rng, tries=400)
+    assert zp != z
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        seq = connect_graph(g, z, zp, verify=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert seq.states[0] == z and seq.states[-1] == zp
 
 
 def test_connect_forest_steps_stay_small():

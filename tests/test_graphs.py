@@ -10,6 +10,7 @@ from markov_atlas import (Graph, SPTree, blocks, bridges, complete_graph,
                           is_k4_minor_free, parse_graph, realize,
                           sp_decompose)
 from markov_atlas.errors import NoSuchPoles, NotSeriesParallel, ParseError
+from markov_atlas.graphs import block_cut_forest
 
 from helpers import all_graphs, brute_has_k4_minor, nonisomorphic_graphs
 
@@ -102,6 +103,33 @@ def test_blocks_of_a_long_path():
     assert len(blocks(g)) == n - 1
     assert cut_vertices(g) == set(range(1, n - 1))
     assert sys.getrecursionlimit() == limit
+
+
+def test_block_cut_forest_order():
+    """Blocks and isolated vertices once each; components in order of
+    their smallest vertex; every later piece of a component meets the
+    earlier ones exactly at its attach vertex, which its parent holds."""
+    for g in all_graphs(5):
+        pieces = block_cut_forest(g)
+        assert sorted(p.vertices for p in pieces if p.edges) == \
+            sorted(tuple(g.index(v) for v in b.vertices) for b in blocks(g))
+        assert sorted(e for p in pieces for e in p.edges) == sorted(g.edges)
+        comps = g.connected_components()
+        comp_of = {v: k for k, c in enumerate(comps) for v in c}
+        firsts = [j for j, p in enumerate(pieces) if p.parent is None]
+        assert [pieces[j].vertices[0] for j in firsts] == \
+            [c[0] for c in comps]
+        seen = set()
+        for j, p in enumerate(pieces):
+            if p.parent is None:
+                assert p.attach is None and not seen & set(p.vertices)
+                comp = comp_of[p.vertices[0]]
+            else:
+                assert p.parent < j and comp_of[p.vertices[0]] == comp
+                assert seen & set(p.vertices) == {p.attach}
+                assert p.attach in pieces[p.parent].vertices
+            seen |= set(p.vertices)
+        assert seen == set(range(g.n))
 
 
 # -- bridges -----------------------------------------------------------
