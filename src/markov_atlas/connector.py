@@ -15,13 +15,17 @@ each component of the rest of the graph meets the stepped vertices in
 one vertex, so it moves with a released unit that has the same bit
 there, and the lift keeps the step's norm and every edge marginal.
 
-Inside a 2-connected block the chain recurses on two-terminal
-series-parallel structure.  Its base case is the triangle K3: the
+Inside a 2-connected block the chain is driven by the block's
+series-parallel tree (`graphs.block_sp_tree`, from the same reduction
+that decides the K4 test): a serial node splits the tables at its join,
+a parallel node between its children, each side projected onto the
+vertices of its subtree, and the cases run from a work stack rather
+than by Python recursion.  A pole edge with one serial child closes a
+ring, which is re-poled at one of its parallel nodes or, when it is a
+cycle, split into two paths.  The base case is the triangle K3: the
 binary K3 model is the 2x2x2 no-three-way-interaction model, whose
 lattice kernel is spanned by one degree-4 move, so each K3 fiber is a
-segment walked one move at a time.  A longer cycle splits at two
-opposite vertices into two paths, or, with the chord between them
-added, into two shorter cycles.
+segment walked one move at a time.
 
 For a piece with poles (u, v) the produced sequence additionally
 guarantees: whenever a step changes the joint (u, v) marginal, that
@@ -41,28 +45,34 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (InvariantViolation, NotK4MinorFree, ProjectionMismatch)
-from .graphs import Graph, Piece, SPTree, block_cut_forest, \
-    block_is_k4_minor_free, bridges, find_parallel3_poles, realize
-from .lattice import (TableVector, graph_marginals, project, restrict_mask,
-                      vector_to_json)
+from .graphs import (Graph, Piece, SPTree, block_cut_forest, block_sp_tree,
+                     realize, sp_decompose)
+from .lattice import (TableVector, graph_marginals, label_index, project,
+                      restrict_mask, vector_to_json)
 
 
 # ---------------------------------------------------------------------
 # mask plumbing
 
 def _positions(ground: Sequence[str], sub: Sequence[str]) -> List[int]:
-    return [ground.index(v) for v in sub]
+    at = label_index(tuple(ground))
+    return [at[v] for v in sub]
 
 
 def _bitmask_of(ground: Sequence[str], sub: Sequence[str]) -> int:
-    m = 0
-    for v in sub:
-        m |= 1 << ground.index(v)
-    return m
+    return _place((1 << len(sub)) - 1, _positions(ground, sub))
 
 
 def _place(part_mask: int, positions: Sequence[int]) -> int:
     """Inverse of restrict_mask: spread packed bits back onto `positions`."""
+    if len(positions) > 32:
+        # as in restrict_mask: past a few dozen positions, setting
+        # characters of a bit string beats shifting long masks
+        out = bytearray(b"0" * (max(positions) + 1))
+        for p, bit in zip(positions, format(part_mask, "b")[::-1]):
+            if bit == "1":
+                out[p] = ord("1")
+        return int(out[::-1], 2)
     out = 0
     for j, p in enumerate(positions):
         if (part_mask >> j) & 1:
@@ -317,13 +327,12 @@ def verify_sequence(seq: MoveSequence, max_norm: int = 8) -> dict:
 
 
 # ---------------------------------------------------------------------
-# recursion
+# recursion over a series-parallel tree
 
 def _extend(states: List[TableVector], more: Sequence[TableVector]):
     if more[0] != states[-1]:
         raise InvariantViolation("sequence junction mismatch")
-    for s in more[1:]:
-        states.append(s)
+    states.extend(more[1:])
 
 
 def _append_glued(states: List[TableVector], nxt: TableVector):
@@ -331,29 +340,9 @@ def _append_glued(states: List[TableVector], nxt: TableVector):
         states.append(nxt)
 
 
-def _labels(g: Graph, idxs: Sequence[int]) -> Tuple[str, ...]:
-    return tuple(g.vertices[i] for i in sorted(idxs))
-
-
-def _separating_cut(g: Graph, u: int, v: int) -> Optional[int]:
-    """Smallest vertex whose removal puts u and v in different
-    components, or None."""
-    adj = g.adj()
-    for w in range(g.n):
-        if w in (u, v):
-            continue
-        # BFS from u avoiding w
-        seen = {u, w}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if v not in seen:
-            return w
-    return None
+def _labels(ground: Sequence[str], keep) -> Tuple[str, ...]:
+    """The labels in `keep`, in ground-set order."""
+    return tuple(x for x in ground if x in keep)
 
 
 def _uv_cells(x: TableVector, ulab: str, vlab: str) -> Tuple[int, ...]:
@@ -361,141 +350,120 @@ def _uv_cells(x: TableVector, ulab: str, vlab: str) -> Tuple[int, ...]:
     return tuple(p.entries.get(m, 0) for m in range(4))
 
 
-def _connect_two_terminal(g: Graph, u: int, v: int, z: TableVector,
+def _connect_two_terminal(tree: SPTree, u: str, v: str, z: TableVector,
                           zp: TableVector) -> List[TableVector]:
     """States z .. zp with step norms <= 8 and the pole discipline for
-    (u, v).  Assumes equal marginals and non-negative inputs."""
+    (u, v), on the graph of `tree` with poles u and v.  Assumes equal
+    marginals and non-negative inputs over the tree's vertices in
+    ground-set order.
+
+    Each case is a generator that yields its sub-problems (tree, poles,
+    tables) and is sent their chains; this loop runs them from an
+    explicit stack, so the tree's depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    stack = [_case(tree, u, v, z, zp)]
+    chain = None
+    while stack:
+        try:
+            request = stack[-1].send(chain)
+        except StopIteration as done:
+            stack.pop()
+            chain = done.value
+        else:
+            stack.append(_case(*request))
+            chain = None
+    return chain
+
+
+def _case(t: SPTree, u: str, v: str, z: TableVector, zp: TableVector):
+    """Dispatch on the node kind.  Children may list their poles in
+    either order; a parallel node has at most one leaf child, and none
+    of its children is parallel."""
     if z == zp:
         return [z]
-    if g.m == 1:
+    if t.kind == "leaf":
         # a single edge pins the table; unequal endpoints cannot happen
         raise InvariantViolation("distinct tables on a single edge")
-    w = _separating_cut(g, u, v)
-    if w is not None:
-        return _case_serial(g, u, v, w, z, zp)
-    parts = bridges(g, u, v)
-    if g.has_edge(u, v):
-        if len(parts) >= 3:
-            return _case_parallel_edge(g, u, v, parts, z, zp)
-        if len(parts) != 2:
-            raise InvariantViolation("edge uv with a single bridge")
-        if g.is_cycle():
-            return _cycle_states(g, z, zp)
-        u2, v2, _ = find_parallel3_poles(g)
-        return _connect_two_terminal(g, u2, v2, z, zp)
-    return _case_parallel_no_edge(g, u, v, parts, z, zp)
+    if t.kind == "serial":
+        return (yield from _case_serial(t, u, v, z, zp))
+    edge = next((c for c in t.children if c.kind == "leaf"), None)
+    others = tuple(c for c in t.children if c is not edge)
+    if edge is None:
+        return (yield from _case_parallel_no_edge(t, u, v, z, zp))
+    if len(others) >= 2:
+        return (yield from _case_parallel_edge(t, edge, others, u, v, z, zp))
+    return (yield from _case_ring(edge, others[0], u, v, z, zp))
 
 
-def _side_setup(g: Graph, vert_idxs: Sequence[int], edge_idxs,
-                z: TableVector, zp: TableVector):
-    sub = g.subgraph(vert_idxs, edge_idxs)
-    labels = sub.vertices
-    return sub, labels, project(z, labels), project(zp, labels)
-
-
-def _case_serial(g: Graph, u: int, v: int, w: int,
-                 z: TableVector, zp: TableVector) -> List[TableVector]:
-    """Split at a cut vertex w between the poles; walk the u side, then
+def _case_serial(t: SPTree, u: str, v: str, z: TableVector,
+                 zp: TableVector):
+    """Split at the join w between the poles; walk the u side, then
     the v side, then finish with swaps."""
-    adj = g.adj()
-    seen = {u, w}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    side_u = sorted(seen)  # u's side plus w
-    side_v = sorted((set(range(g.n)) - set(side_u)) | {w})
-    G1, X1, z1, z1p = _side_setup(g, side_u, None, z, zp)
-    G2, X2, z2, z2p = _side_setup(g, side_v, None, z, zp)
-    ulab, vlab, wlab = g.vertices[u], g.vertices[v], g.vertices[w]
-    seq1 = _connect_two_terminal(G1, G1.index(ulab), G1.index(wlab),
-                                 z1, z1p)
-    seq2 = _connect_two_terminal(G2, G2.index(wlab), G2.index(vlab),
-                                 z2, z2p)
+    c1, c2 = t.children
+    if u not in c1.poles:
+        c1, c2 = c2, c1
+    w = t.join
+    X1 = _labels(z.vertices, c1.vertex_labels())
+    X2 = _labels(z.vertices, c2.vertex_labels())
+    seq1 = yield c1, u, w, project(z, X1), project(zp, X1)
+    seq2 = yield c2, w, v, project(z, X2), project(zp, X2)
 
     states = [z]
-    hold2_plus_u = _labels(g, sorted(set(side_v) | {u}))
-    prev = seq1[0]
-    for s in seq1[1:]:
-        if project(prev, (ulab, wlab)) == project(s, (ulab, wlab)):
-            nxt = glue_cutsame(states[-1], s, hold2_plus_u)
-        else:
-            nxt = glue_cutsame(states[-1], s, X2)
-        _append_glued(states, nxt)
-        prev = s
-    hold1_plus_v = _labels(g, sorted(set(side_u) | {v}))
-    prev = seq2[0]
-    for s in seq2[1:]:
-        if project(prev, (wlab, vlab)) == project(s, (wlab, vlab)):
-            nxt = glue_cutsame(states[-1], s, hold1_plus_v)
-        else:
-            nxt = glue_cutsame(states[-1], s, X1)
-        _append_glued(states, nxt)
-        prev = s
-    _extend(states, glue_swaps(states[-1], zp, X1, X2))
+    for seq, poles, hold, pole in ((seq1, (u, w), X2, u),
+                                   (seq2, (w, v), X1, v)):
+        # a step that keeps its side's pole marginal also holds the
+        # outer pole, so the (u, v) marginal stays put
+        hold_pole = _labels(z.vertices, set(hold) | {pole})
+        for prev, s in zip(seq, seq[1:]):
+            keeps = project(prev, poles) == project(s, poles)
+            _append_glued(states, glue_cutsame(states[-1], s,
+                                               hold_pole if keeps else hold))
+    if states[-1] != zp:
+        _extend(states, glue_swaps(states[-1], zp, X1, X2))
     return states
 
 
-def _case_parallel_edge(g: Graph, u: int, v: int, parts,
-                        z: TableVector, zp: TableVector) -> List[TableVector]:
-    """Pole edge present and at least three bridges: both sides keep a
-    copy of the pole edge, so the pole marginal never moves."""
-    if not parts[0].is_edge:
-        raise InvariantViolation("expected the uv edge bridge first")
-    uv_edge = next(iter(parts[0].edges))
-    b1 = parts[1]
-    rest = parts[2:]
-    edges1 = set(b1.edges) | {uv_edge}
-    verts1 = set(b1.vertices) | {u, v}
-    edges2 = {e for p in rest for e in p.edges} | {uv_edge}
-    verts2 = {x for p in rest for x in p.vertices} | {u, v}
-    G1, X1, z1, z1p = _side_setup(g, sorted(verts1), edges1, z, zp)
-    G2, X2, z2, z2p = _side_setup(g, sorted(verts2), edges2, z, zp)
-    ulab, vlab = g.vertices[u], g.vertices[v]
-    seq1 = _connect_two_terminal(G1, G1.index(ulab), G1.index(vlab),
-                                 z1, z1p)
-    seq2 = _connect_two_terminal(G2, G2.index(ulab), G2.index(vlab),
-                                 z2, z2p)
+def _case_parallel_edge(t: SPTree, edge: SPTree, others: Tuple[SPTree, ...],
+                        u: str, v: str, z: TableVector, zp: TableVector):
+    """Pole edge present and at least two other children: both sides
+    keep a copy of the pole edge, so the pole marginal never moves."""
+    side1 = SPTree("parallel", t.poles, (edge, others[0]))
+    side2 = SPTree("parallel", t.poles, (edge,) + others[1:])
+    X1 = _labels(z.vertices, others[0].vertex_labels())
+    X2 = _labels(z.vertices, side2.vertex_labels())
+    seq1 = yield side1, u, v, project(z, X1), project(zp, X1)
+    seq2 = yield side2, u, v, project(z, X2), project(zp, X2)
     states = [z]
-    for s in seq1[1:]:
-        _append_glued(states, glue_cutsame(states[-1], s, X2))
-    for s in seq2[1:]:
-        _append_glued(states, glue_cutsame(states[-1], s, X1))
-    _extend(states, glue_swaps(states[-1], zp, X1, X2))
+    for seq, hold in ((seq1, X2), (seq2, X1)):
+        for s in seq[1:]:
+            _append_glued(states, glue_cutsame(states[-1], s, hold))
+    if states[-1] != zp:
+        _extend(states, glue_swaps(states[-1], zp, X1, X2))
     return states
 
 
-def _case_parallel_no_edge(g: Graph, u: int, v: int, parts, z: TableVector,
-                           zp: TableVector) -> List[TableVector]:
+def _case_parallel_no_edge(t: SPTree, u: str, v: str, z: TableVector,
+                           zp: TableVector):
     """Poles not adjacent: either the pole marginal already agrees (add
-    a virtual pole edge and reuse the edge case), or interpolate it one
-    norm-4 exchange at a time and connect within each plateau."""
-    ulab, vlab = g.vertices[u], g.vertices[v]
-    if project(z, (ulab, vlab)) == project(zp, (ulab, vlab)):
-        g_plus = g.with_edge(u, v)
-        return _connect_two_terminal(g_plus, u, v, z, zp)
-    if len(parts) < 2:
-        raise InvariantViolation("non-adjacent poles with a single bridge")
+    a virtual pole edge as a leaf and reuse the edge case), or
+    interpolate it one norm-4 exchange at a time and connect within
+    each plateau."""
+    plus = SPTree("parallel", t.poles,
+                  (SPTree("leaf", t.poles),) + t.children)
+    if project(z, (u, v)) == project(zp, (u, v)):
+        return (yield plus, u, v, z, zp)
 
-    b1 = parts[0]
-    rest = parts[1:]
-    edges1 = set(b1.edges)
-    verts1 = set(b1.vertices) | {u, v}
-    edges2 = {e for p in rest for e in p.edges}
-    verts2 = {x for p in rest for x in p.vertices} | {u, v}
-    G1, X1, z1, z1p = _side_setup(g, sorted(verts1), edges1, z, zp)
-    G2, X2, z2, z2p = _side_setup(g, sorted(verts2), edges2, z, zp)
-    seq1 = _connect_two_terminal(G1, G1.index(ulab), G1.index(vlab),
-                                 z1, z1p)
-    seq2 = _connect_two_terminal(G2, G2.index(ulab), G2.index(vlab),
-                                 z2, z2p)
+    first, rest = t.children[0], t.children[1:]
+    side2 = rest[0] if len(rest) == 1 else SPTree("parallel", t.poles, rest)
+    X1 = _labels(z.vertices, first.vertex_labels())
+    X2 = _labels(z.vertices, side2.vertex_labels())
+    seq1 = yield first, u, v, project(z, X1), project(zp, X1)
+    seq2 = yield side2, u, v, project(z, X2), project(zp, X2)
 
     # pole-marginal line: t0 + r*sign*(e00 + e11 - e01 - e10)
-    t0 = _uv_cells(z, ulab, vlab)
-    t1 = _uv_cells(zp, ulab, vlab)
+    t0 = _uv_cells(z, u, v)
+    t1 = _uv_cells(zp, u, v)
     c = t1[0] - t0[0]
     if c == 0 or tuple(t1[i] - t0[i] for i in range(4)) != \
             (c, -c, -c, c):
@@ -505,7 +473,7 @@ def _case_parallel_no_edge(g: Graph, u: int, v: int, parts, z: TableVector,
     sign = 1 if c > 0 else -1
 
     def scoord(x: TableVector) -> int:
-        cells = _uv_cells(x, ulab, vlab)
+        cells = _uv_cells(x, u, v)
         s = sign * (cells[0] - t0[0])
         if cells != (t0[0] + sign * s, t0[1] - sign * s,
                      t0[2] - sign * s, t0[3] + sign * s):
@@ -528,41 +496,70 @@ def _case_parallel_no_edge(g: Graph, u: int, v: int, parts, z: TableVector,
     ks1 = crossings(seq1)
     ks2 = crossings(seq2)
 
-    g_plus = g.with_edge(u, v)
     states = [z]
     cur = z
     for r in range(1, m + 1):
         a_r, b_r = glue_cutchange(seq1[ks1[r - 1] - 1], seq1[ks1[r - 1]],
                                   seq2[ks2[r - 1] - 1], seq2[ks2[r - 1]],
-                                  g.vertices)
-        _extend(states, _connect_two_terminal(g_plus, u, v, cur, a_r))
+                                  z.vertices)
+        _extend(states, (yield plus, u, v, cur, a_r))
         states.append(b_r)
         cur = b_r
-    _extend(states, _connect_two_terminal(g_plus, u, v, cur, zp))
+    _extend(states, (yield plus, u, v, cur, zp))
     return states
 
 
-def _cycle_states(g: Graph, z: TableVector,
-                  zp: TableVector) -> List[TableVector]:
-    """States z .. zp on a cycle, steps of norm <= 8.
-
-    K3 is the base case.  A longer cycle goes back through the
-    two-terminal recursion with non-adjacent poles at distance n // 2:
-    the cycle splits into two paths, and with the pole chord added into
-    two shorter cycles.  The caller's poles, if any, are a cycle edge,
-    whose marginal never moves, so their discipline holds for free.
-    """
-    if g.n == 3:
-        return _triangle_states(g, z, zp)
-    adj = g.adj()
-    far, prev = 0, None
-    for _ in range(g.n // 2):
-        far, prev = min(w for w in adj[far] if w != prev), far
-    return _connect_two_terminal(g, 0, far, z, zp)
+def _chain(pieces: Sequence[Tuple[SPTree, str, str]]) -> SPTree:
+    """A serial tree through pieces (tree, p, q), each q the next p,
+    joined pairwise so that its depth is logarithmic."""
+    while len(pieces) > 1:
+        joined = [(SPTree("serial", (p, q), (t1, t2), w), p, q)
+                  for (t1, p, w), (t2, _, q) in zip(pieces[::2],
+                                                    pieces[1::2])]
+        pieces = joined + list(pieces[len(joined) * 2:])
+    return pieces[0][0]
 
 
-def _triangle_states(g: Graph, z: TableVector,
-                     zp: TableVector) -> List[TableVector]:
+def _case_ring(edge: SPTree, ring: SPTree, u: str, v: str, z: TableVector,
+               zp: TableVector):
+    """The pole edge and one serial child close a ring of blobs, each a
+    leaf or a parallel node.  A ring of leaves is a cycle: K3 is the
+    base case, and a longer cycle splits at u and the vertex halfway
+    round into two paths, which the no-edge case joins (and, with the
+    chord between them added, two shorter cycles).
+    Otherwise the ring is re-poled at its first parallel blob, whose
+    children gain the rest of the ring as one more child.  The caller's
+    poles are an edge, whose marginal never moves, so their discipline
+    holds for free."""
+    blobs = []  # (tree, p, q) from u to v
+    stack = [(ring, u, v)]
+    while stack:
+        t, p, q = stack.pop()
+        if t.kind != "serial":
+            blobs.append((t, p, q))
+            continue
+        c1, c2 = t.children
+        if p not in c1.poles:
+            c1, c2 = c2, c1
+        stack += [(c2, t.join, q), (c1, p, t.join)]
+    i = next((k for k, b in enumerate(blobs) if b[0].kind != "leaf"), None)
+    if i is not None:
+        blob, x, y = blobs[i]
+        rest = _chain(blobs[i + 1:] + [(edge, v, u)] + blobs[:i])
+        return (yield (SPTree("parallel", (x, y), blob.children + (rest,)),
+                       x, y, z, zp))
+    if len(blobs) == 2:
+        return _triangle_states(z, zp)
+    cyc = [u] + [q for _, _, q in blobs]
+    h = len(cyc) // 2
+    halves = tuple(_chain([(SPTree("leaf", (a, b)), a, b)
+                           for a, b in zip(path, path[1:])])
+                   for path in (cyc[:h + 1], cyc[h:] + cyc[:1]))
+    return (yield (SPTree("parallel", (cyc[0], cyc[h]), halves),
+                   cyc[0], cyc[h], z, zp))
+
+
+def _triangle_states(z: TableVector, zp: TableVector) -> List[TableVector]:
     """Walk a K3 fiber, steps of norm exactly 8.
 
     The binary K3 model is the 2x2x2 no-three-way-interaction model,
@@ -570,7 +567,7 @@ def _triangle_states(g: Graph, z: TableVector,
     even popcount, -1 on the odd ones.  So every fiber is a segment
     z + t*move, and every state on it is non-negative by convexity.
     """
-    move = TableVector(g.vertices, {m: 1 - 2 * (bin(m).count("1") % 2)
+    move = TableVector(z.vertices, {m: 1 - 2 * (bin(m).count("1") % 2)
                                     for m in range(8)})
     t = zp.entries.get(0, 0) - z.entries.get(0, 0)
     step = move if t > 0 else -move
@@ -645,34 +642,35 @@ def _groups(pieces: Sequence[Piece], below: Sequence[int],
     return [(key, m & ~inside) for key, m in by_key.items()]
 
 
-def _piece_states(sub: Graph, z: TableVector,
+def _piece_states(tree: Optional[SPTree], z: TableVector,
                   zp: TableVector) -> List[TableVector]:
-    """States z .. zp on one piece: an isolated vertex or a block."""
-    if sub.n == 1:
-        # isolated vertex: shift units between the two labelings
-        states = [z]
-        cur = dict(z.entries)
-        while cur != zp.entries:
-            if cur.get(0, 0) > zp.entries.get(0, 0):
-                src, dst = 0, 1
-            else:
-                src, dst = 1, 0
-            cur[src] = cur.get(src, 0) - 1
-            cur[dst] = cur.get(dst, 0) + 1
-            cur = {k: c for k, c in cur.items() if c}
-            states.append(TableVector(sub.vertices, cur))
-        return states
-    if sub.m == 1:
+    """States z .. zp on one piece: a block of two or more edges, given
+    by its series-parallel tree, or an isolated vertex (tree None)."""
+    if tree is not None:
+        return _connect_two_terminal(tree, *tree.poles, z, zp)
+    if len(z.vertices) != 1:
         raise InvariantViolation("distinct tables on a single edge")
-    if sub.is_cycle():
-        return _cycle_states(sub, z, zp)
-    u, v, _ = find_parallel3_poles(sub)
-    return _connect_two_terminal(sub, u, v, z, zp)
+    # isolated vertex: shift units between the two labelings
+    states = [z]
+    cur = dict(z.entries)
+    while cur != zp.entries:
+        if cur.get(0, 0) > zp.entries.get(0, 0):
+            src, dst = 0, 1
+        else:
+            src, dst = 1, 0
+        cur[src] = cur.get(src, 0) - 1
+        cur[dst] = cur.get(dst, 0) + 1
+        cur = {k: c for k, c in cur.items() if c}
+        states.append(TableVector(z.vertices, cur))
+    return states
 
 
-def _connect_pieces(g: Graph, pieces: Sequence[Piece], z: TableVector,
+def _connect_pieces(g: Graph, pieces: Sequence[Piece],
+                    trees: Dict[int, SPTree], z: TableVector,
                     zp: TableVector) -> List[TableVector]:
-    """States z .. zp over the pieces of `block_cut_forest(g)`.
+    """States z .. zp over the pieces of `block_cut_forest(g)`, with
+    the series-parallel tree of each piece j of two or more edges in
+    `trees[j]`.
 
     First each piece whose part differs is walked to its target part
     by its own chain, every step lifted onto the whole table.  Then for
@@ -700,9 +698,9 @@ def _connect_pieces(g: Graph, pieces: Sequence[Piece], z: TableVector,
         if _part_counts(z.entries, masks[j]) == \
                 _part_counts(zp.entries, masks[j]):
             continue
-        sub = g.subgraph(p.vertices, p.edges)
-        chain = _piece_states(sub, project(z, sub.vertices),
-                              project(zp, sub.vertices))
+        labels = tuple(g.vertices[v] for v in p.vertices)
+        chain = _piece_states(trees.get(j), project(z, labels),
+                              project(zp, labels))
         key = 0 if p.attach is None else 1 << p.attach
         groups = _groups(pieces, below, children[j], masks[j], key, full)
         for s, t in zip(chain, chain[1:]):
@@ -751,10 +749,13 @@ def connect_graph(g: Graph, z: TableVector, zp: TableVector,
     a K4 minor.  Raises NotK4MinorFree otherwise."""
     _validate_pair(g, z, zp)
     pieces = block_cut_forest(g)
-    if not all(block_is_k4_minor_free(g.subgraph(p.vertices, p.edges))
-               for p in pieces if len(p.edges) > 1):
-        raise NotK4MinorFree("graph contains a K4 minor")
-    seq = MoveSequence(g, _connect_pieces(g, pieces, z, zp))
+    trees = {}
+    for j, p in enumerate(pieces):
+        if len(p.edges) > 1:
+            trees[j] = block_sp_tree(g.vertices, p.edges)
+            if trees[j] is None:
+                raise NotK4MinorFree("graph contains a K4 minor")
+    seq = MoveSequence(g, _connect_pieces(g, pieces, trees, z, zp))
     if verify:
         verify_sequence(seq)
     return seq
@@ -764,30 +765,34 @@ def connect_two_terminal(g: Graph, upole: str, vpole: str,
                          z: TableVector, zp: TableVector,
                          verify: bool = False) -> MoveSequence:
     """Connector for a two-terminal series-parallel graph; the returned
-    sequence carries the pole pair and obeys the pole discipline."""
+    sequence carries the pole pair and obeys the pole discipline.
+
+    The graph is reduced once with `upole` and `vpole` kept as poles;
+    if it is not series-parallel between them, NotSeriesParallel is
+    raised before the connector starts.
+    """
     _validate_pair(g, z, zp)
     if not g.is_connected():
         raise ValueError("two-terminal connector needs a connected graph")
-    seq = MoveSequence(
-        g, _connect_two_terminal(g, g.index(upole), g.index(vpole),
-                                 z, zp),
-        poles=(upole, vpole))
-    if verify:
-        verify_sequence(seq)
-    return seq
+    return connect_sp(sp_decompose(g, (upole, vpole)), z, zp, verify)
 
 
 def connect_sp(tree: SPTree, z: TableVector, zp: TableVector,
                verify: bool = False) -> MoveSequence:
-    """Connector driven by a series-parallel decomposition tree.
+    """Connector driven by a series-parallel decomposition tree, as
+    `sp_decompose` returns it.
 
     The tree's realized graph is taken over the ground set of `z`.
     """
     g = realize(tree, z.vertices)
     if g.vertices != z.vertices:
         raise ProjectionMismatch("tree does not span the table's vertices")
-    return connect_two_terminal(g, tree.poles[0], tree.poles[1], z, zp,
-                                verify=verify)
+    _validate_pair(g, z, zp)
+    seq = MoveSequence(g, _connect_two_terminal(tree, *tree.poles, z, zp),
+                       poles=tree.poles)
+    if verify:
+        verify_sequence(seq)
+    return seq
 
 
 def connect_cycle(g: Graph, z: TableVector,
@@ -798,4 +803,4 @@ def connect_cycle(g: Graph, z: TableVector,
     if not g.is_cycle():
         raise ValueError("graph is not a cycle")
     _validate_pair(g, z, zp)
-    return MoveSequence(g, _cycle_states(g, z, zp))
+    return MoveSequence(g, _piece_states(sp_decompose(g), z, zp))

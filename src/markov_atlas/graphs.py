@@ -7,7 +7,8 @@ subgraph) keeps its vertices in the parent's order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
@@ -67,9 +68,6 @@ class Graph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return _norm_edge(i, j) in self.edges
-
-    def with_edge(self, i: int, j: int) -> "Graph":
-        return Graph(self.vertices, set(self.edges) | {_norm_edge(i, j)})
 
     def edge_labels(self) -> List[Tuple[str, str]]:
         return [(self.vertices[i], self.vertices[j])
@@ -318,7 +316,11 @@ class BridgePart:
 
 def bridges(g: Graph, u: int, v: int) -> List[BridgePart]:
     """Partition of E(g) into {u,v}-bridges, deterministic order (the
-    uv edge bridge first, then by smallest contained vertex)."""
+    uv edge bridge first, then by smallest contained vertex).
+
+    A public utility: the connector no longer calls it, since it reads
+    every split from the block's series-parallel tree.
+    """
     if u == v:
         raise ValueError("bridge poles must be distinct")
     parts: List[Tuple[List[int], List[Edge]]] = []
@@ -353,7 +355,9 @@ def find_parallel3_poles(g: Graph):
     """Smallest lexicographic vertex pair with >= 3 bridges.
 
     Exists for every 2-connected series-parallel graph that is not a
-    cycle; raises NoSuchPoles otherwise.
+    cycle; raises NoSuchPoles otherwise.  A public utility: the
+    connector no longer calls it, since it re-poles at a parallel node
+    of the block's series-parallel tree.
     """
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -379,17 +383,21 @@ class SPTree:
     children: Tuple["SPTree", ...] = ()
     join: Optional[str] = None
 
-    def realize_edges(self) -> Set[Tuple[str, str]]:
-        if self.kind == "leaf":
-            a, b = self.poles
-            return {(a, b) if a <= b else (b, a)}
-        out: Set[Tuple[str, str]] = set()
-        for c in self.children:
-            out |= c.realize_edges()
+    def _leaf_poles(self) -> List[Tuple[str, str]]:
+        """The poles of every leaf, from an explicit stack."""
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if t.kind == "leaf":
+                out.append(t.poles)
+            stack.extend(t.children)
         return out
 
+    def realize_edges(self) -> Set[Tuple[str, str]]:
+        return {(a, b) if a <= b else (b, a) for a, b in self._leaf_poles()}
+
     def vertex_labels(self) -> Set[str]:
-        return {v for e in self.realize_edges() for v in e}
+        return {v for e in self._leaf_poles() for v in e}
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "poles": list(self.poles)}
@@ -424,152 +432,135 @@ def realize(tree: SPTree, vertex_order: Optional[Sequence[str]] = None) -> Graph
     return Graph(order, edges)
 
 
-def _flip(tree: SPTree) -> SPTree:
-    """Reverse the pole orientation of a tree."""
-    poles = (tree.poles[1], tree.poles[0])
-    if tree.kind == "leaf":
-        return SPTree("leaf", poles)
-    if tree.kind == "serial":
-        kids = tuple(_flip(c) for c in reversed(tree.children))
-        return SPTree("serial", poles, kids, tree.join)
-    return SPTree("parallel", poles, tuple(_flip(c) for c in tree.children))
+def _reduce(edges: Iterable[Edge], keep: Sequence[int] = (),
+            largest_first: bool = False):
+    """Series-parallel reduction of a simple graph, one heap operation
+    per step.
+
+    Suppresses the smallest (with `largest_first`, the largest)
+    degree-2 vertex not in `keep` while more than one edge is left; a
+    suppression that makes two parallel edges merges them at once.
+    Returns the nodes made, the last one spanning what is left, and the
+    number of edges left: 1 iff the graph reduces.  A node is [kind, a,
+    b, children, join, smallest vertex, edge count]; a serial node's
+    children run a-join-b, and a parallel node takes over the children
+    of a parallel child of its pair.
+    """
+    nodes: List[list] = []
+    nbr: Dict[int, Dict[int, int]] = {}  # vertex -> neighbour -> node
+    for i, j in sorted(edges):
+        nbr.setdefault(i, {})[j] = nbr.setdefault(j, {})[i] = len(nodes)
+        nodes.append(["leaf", i, j, (), None, i, 1])
+    left = len(nodes)
+    sign = -1 if largest_first else 1
+    heap = [sign * v for v, ws in nbr.items()
+            if len(ws) == 2 and v not in keep]
+    heapq.heapify(heap)
+    while left > 1 and heap:
+        w = sign * heapq.heappop(heap)
+        if len(nbr.get(w, ())) != 2:  # suppressed, or merged down since
+            continue
+        (e1, a), (e2, b) = sorted((e, x) for x, e in nbr.pop(w).items())
+        del nbr[a][w], nbr[b][w]
+        nodes.append(["serial", a, b, (e1, e2), w,
+                      min(nodes[e1][5], nodes[e2][5]),
+                      nodes[e1][6] + nodes[e2][6]])
+        new = len(nodes) - 1
+        left -= 1
+        old = nbr[a].get(b)
+        if old is not None:
+            kids = nodes[old][3] if nodes[old][0] == "parallel" else [old]
+            kids.append(new)
+            nodes.append(["parallel", min(a, b), max(a, b), kids, None,
+                          min(nodes[old][5], nodes[new][5]),
+                          nodes[old][6] + nodes[new][6]])
+            new = len(nodes) - 1
+            left -= 1
+            for x in (a, b):
+                if len(nbr[x]) == 2 and x not in keep:
+                    heapq.heappush(heap, sign * x)
+        nbr[a][b] = nbr[b][a] = new
+    return nodes, left
 
 
-def _canonical(tree: SPTree, rank: Dict[str, int]) -> SPTree:
-    """Deterministic form: flatten same-pole parallel nests and sort
-    parallel children by (smallest contained vertex rank, edge count)."""
-    if tree.kind == "leaf":
-        return tree
-    if tree.kind == "serial":
-        kids = tuple(_canonical(c, rank) for c in tree.children)
-        return SPTree("serial", tree.poles, kids, tree.join)
-    flat: List[SPTree] = []
-    for c in tree.children:
-        c = _canonical(c, rank)
-        if c.kind == "parallel" and set(c.poles) == set(tree.poles):
-            if c.poles != tree.poles:
-                c = _flip(c)
-            flat.extend(c.children)
+def _tree(nodes: List[list], vertices: Sequence[str],
+          poles: Tuple[int, int]) -> SPTree:
+    """The last node of a reduction as an SPTree with the given poles.
+
+    Parallel children are sorted by (smallest vertex, edge count),
+    stably, which gives one deterministic tree per reduction order.
+    The tree is built bottom-up after a top-down pass that orients
+    every node from its parent's poles.
+    """
+    order = []
+    stack = [(len(nodes) - 1, poles[0], poles[1])]
+    while stack:
+        k, p, q = stack.pop()
+        kind, a, _, kids, w = nodes[k][:5]
+        if kind == "serial":
+            first, second = kids if p == a else kids[::-1]
+            sub = [(first, p, w), (second, w, q)]
         else:
-            flat.append(c)
-
-    def sort_key(c: SPTree):
-        return (min(rank[v] for v in c.vertex_labels()),
-                len(c.realize_edges()))
-
-    return SPTree("parallel", tree.poles, tuple(sorted(flat, key=sort_key)))
+            sub = [(c, p, q) for c in sorted(kids,
+                                             key=lambda c: nodes[c][5:])]
+        order.append((k, p, q, [c for c, _, _ in sub]))
+        stack.extend(sub)
+    built: Dict[int, SPTree] = {}
+    for k, p, q, kids in reversed(order):
+        w = nodes[k][4]
+        built[k] = SPTree(nodes[k][0], (vertices[p], vertices[q]),
+                          tuple(built.pop(c) for c in kids),
+                          None if w is None else vertices[w])
+    return built[len(nodes) - 1]
 
 
 def sp_decompose(g: Graph,
                  poles: Optional[Tuple[str, str]] = None) -> SPTree:
     """Decompose a two-terminal series-parallel graph.
 
-    Runs series/parallel reductions on a multigraph copy: merge parallel
-    edge pairs, suppress degree-2 non-pole vertices.  Succeeds iff a
-    single edge remains; with `poles` given, pole vertices are never
-    suppressed and the surviving edge must connect them.
+    Runs series/parallel reductions: merge parallel edge pairs,
+    suppress degree-2 non-pole vertices.  Succeeds iff a single edge
+    remains; with `poles` given, pole vertices are never suppressed and
+    the surviving edge must connect them.
     """
     if g.m == 0 or not g.is_connected():
         raise NotSeriesParallel("graph must be connected with an edge")
-    pole_idx: Optional[Set[int]] = None
+    keep: Tuple[int, ...] = ()
     if poles is not None:
-        pole_idx = {g.index(poles[0]), g.index(poles[1])}
-        if len(pole_idx) != 2:
+        keep = (g.index(poles[0]), g.index(poles[1]))
+        if keep[0] == keep[1]:
             raise ValueError("poles must be two distinct vertices")
-
-    # multigraph state: edge id -> (a, b, tree); incidence: vertex -> ids
-    edges: Dict[int, Tuple[int, int, SPTree]] = {}
-    incidence: Dict[int, Set[int]] = {i: set() for i in range(g.n)}
-    next_id = 0
-    for (i, j) in sorted(g.edges):
-        leaf = SPTree("leaf", (g.vertices[i], g.vertices[j]))
-        edges[next_id] = (i, j, leaf)
-        incidence[i].add(next_id)
-        incidence[j].add(next_id)
-        next_id += 1
-
-    def endpoint_pairs() -> Dict[Edge, List[int]]:
-        by_pair: Dict[Edge, List[int]] = {}
-        for eid, (a, b, _) in edges.items():
-            by_pair.setdefault(_norm_edge(a, b), []).append(eid)
-        return by_pair
-
-    def oriented(eid: int, a: int) -> SPTree:
-        """Tree of edge eid with its pole order starting at vertex a."""
-        ea, eb, t = edges[eid]
-        return t if ea == a else _flip(t)
-
-    while len(edges) > 1:
-        # parallel merge first (smallest endpoint pair)
-        pair_ids = sorted((p, ids) for p, ids in endpoint_pairs().items()
-                          if len(ids) >= 2)
-        if pair_ids:
-            (a, b), ids = pair_ids[0]
-            ids = sorted(ids)
-            kids = tuple(oriented(eid, a) for eid in ids)
-            merged = SPTree("parallel",
-                            (g.vertices[a], g.vertices[b]), kids)
-            for eid in ids:
-                ea, eb, _ = edges.pop(eid)
-                incidence[ea].discard(eid)
-                incidence[eb].discard(eid)
-            edges[next_id] = (a, b, merged)
-            incidence[a].add(next_id)
-            incidence[b].add(next_id)
-            next_id += 1
-            continue
-        # then suppress a degree-2 vertex
-        candidates = [v for v in range(g.n)
-                      if len(incidence[v]) == 2
-                      and (pole_idx is None or v not in pole_idx)]
-        if not candidates:
-            break
-        w = candidates[0]
-        e1, e2 = sorted(incidence[w])
-        a = edges[e1][0] if edges[e1][1] == w else edges[e1][1]
-        b = edges[e2][0] if edges[e2][1] == w else edges[e2][1]
-        # a == b would mean parallel edges, handled above
-        t = SPTree("serial", (g.vertices[a], g.vertices[b]),
-                   (oriented(e1, a), oriented(e2, w)), g.vertices[w])
-        for eid in (e1, e2):
-            ea, eb, _ = edges.pop(eid)
-            incidence[ea].discard(eid)
-            incidence[eb].discard(eid)
-        edges[next_id] = (a, b, t)
-        incidence[a].add(next_id)
-        incidence[b].add(next_id)
-        next_id += 1
-
-    if len(edges) != 1:
-        raise NotSeriesParallel(f"reduction stalled with {len(edges)} edges")
-    (a, b, tree), = edges.values()
-    if pole_idx is not None and {a, b} != pole_idx:
+    nodes, left = _reduce(g.edges, keep)
+    if left != 1:
+        raise NotSeriesParallel(f"reduction stalled with {left} edges")
+    a, b = nodes[-1][1:3]
+    if keep and {a, b} != set(keep):
         raise NotSeriesParallel(
             f"reduction ended at {g.vertices[a]},{g.vertices[b]}, "
             f"not at the requested poles")
-    if poles is not None and tree.poles != poles:
-        tree = _flip(tree)
-    rank = {v: i for i, v in enumerate(g.vertices)}
-    return _canonical(tree, rank)
+    return _tree(nodes, g.vertices, keep or (a, b))
 
 
-def _is_sp_reducible(g: Graph) -> bool:
-    try:
-        sp_decompose(g)
-        return True
-    except NotSeriesParallel:
-        return False
+def block_sp_tree(vertices: Sequence[str],
+                  edges: Iterable[Edge]) -> Optional[SPTree]:
+    """The series-parallel tree of a block whose edges index into
+    `vertices` (a subset of them may be used), or None if the block
+    has a K4 minor.
 
-
-def block_is_k4_minor_free(b: Graph) -> bool:
-    """True iff a block (a single edge or a 2-connected graph) has no K4
-    minor: it is an edge, a cycle, or series-parallel reducible."""
-    return b.m == 1 or b.is_cycle() or _is_sp_reducible(b)
+    The largest vertices are suppressed first, so they lie deepest.
+    `glue_cutsame` hands a side's new parts to units in sorted order,
+    that is by their largest vertices, which then keeps units paired as
+    in the target far more often (2-4 steps instead of 15-18 on 2x100
+    ladders).
+    """
+    nodes, left = _reduce(edges, largest_first=True)
+    return _tree(nodes, vertices, nodes[-1][1:3]) if left == 1 else None
 
 
 def is_k4_minor_free(g: Graph) -> bool:
-    """True iff the graph has no K4 minor, decided block-wise."""
-    return all(block_is_k4_minor_free(b) for b in blocks(g))
+    """True iff the graph has no K4 minor, decided block-wise: a block
+    has none iff its series-parallel reduction reaches one edge."""
+    return all(_reduce(es)[1] == 1 for es in _block_decomposition(g)[0])
 
 
 def complete_graph(labels: Sequence[str]) -> Graph:

@@ -10,6 +10,8 @@ of vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (GroundSetMismatch, InconsistentMarginals, NotKernelMove,
@@ -121,11 +123,24 @@ class TableVector:
 
 def restrict_mask(mask: int, positions: Sequence[int]) -> int:
     """Repack the bits at `positions` into a contiguous mask."""
+    if len(positions) > 32:
+        # past a few dozen positions, indexing a string of the bits
+        # beats shifting the whole mask once per position
+        bits = format(mask, "b")[::-1].ljust(max(positions) + 1, "0")
+        return int("".join(itemgetter(*positions)(bits))[::-1], 2)
     out = 0
     for j, i in enumerate(positions):
         if (mask >> i) & 1:
             out |= 1 << j
     return out
+
+
+@lru_cache(maxsize=16)
+def label_index(vertices: Tuple[str, ...]) -> Dict[str, int]:
+    """Position of each label in an ordered vertex set.  Cached, so the
+    dict is shared: callers must not change it.  The connector asks for
+    the same few large vertex sets many times."""
+    return {v: i for i, v in enumerate(vertices)}
 
 
 def project(z: TableVector, targets: Sequence[str]) -> TableVector:
@@ -135,9 +150,10 @@ def project(z: TableVector, targets: Sequence[str]) -> TableVector:
     vertex order is exactly `targets`.  An empty target set yields a
     vector over zero vertices whose single entry is the signed total.
     """
+    at = label_index(z.vertices)
     try:
-        positions = [z.vertices.index(v) for v in targets]
-    except ValueError as exc:
+        positions = [at[v] for v in targets]
+    except KeyError as exc:
         raise GroundSetMismatch(f"{exc} not in {z.vertices}") from None
     out: Dict[int, int] = {}
     for mask, c in z.entries.items():

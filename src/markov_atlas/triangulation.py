@@ -1,13 +1,18 @@
 """Closed triangulated surfaces and complete-graph width certificates.
 
-A clean, 2-face-colorable triangulation with m edges certifies that
-tables on the complete graph over its vertex set admit a two-element
-fiber whose elements differ by 2m/3, which forces any connecting move
-set to contain a move of degree at least m/3.
+A clean, 2-face-colorable triangulation certifies a lower bound on the
+Markov width of the complete graph over its vertex set.  The red faces
+and the blue faces give two tables with equal complete-graph marginals.
+Their fiber holds exactly 2^c tables, one per choice of red or blue in
+each of the c components of the dual graph of the faces, and flipping a
+component with m_i edges is a move of degree m_i/3.  So any connecting
+move set needs degree at least the largest m_i/3: m/3 when the dual is
+connected.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -134,9 +139,11 @@ def is_clean(t: Triangulation) -> bool:
 
 @dataclass(frozen=True)
 class FaceColoring:
-    """Proper two-coloring of the faces (True = red)."""
+    """Proper two-coloring of the faces (True = red), and the index of
+    each face's component in the dual graph."""
 
     red: Tuple[bool, ...]
+    component: Tuple[int, ...]
 
     def red_faces(self, t: Triangulation) -> List[Face]:
         return [f for f, r in zip(t.faces, self.red) if r]
@@ -160,27 +167,33 @@ def _dual_adjacency(t: Triangulation) -> List[Set[int]]:
 
 
 def two_face_coloring(t: Triangulation) -> FaceColoring:
-    """2-color the dual graph; deterministic (first face red).
+    """2-color the dual graph; deterministic (the first face of each
+    dual component red), numbering the components in that order.
 
     Raises NotTwoFaceColorable if the dual has an odd cycle.
     """
     adj = _dual_adjacency(t)
     color: List[Optional[bool]] = [None] * t.f
+    component = [0] * t.f
+    count = 0
     for start in range(t.f):
         if color[start] is not None:
             continue
         color[start] = True
+        component[start] = count
         queue = [start]
         while queue:
             x = queue.pop()
             for y in adj[x]:
                 if color[y] is None:
                     color[y] = not color[x]
+                    component[y] = count
                     queue.append(y)
                 elif color[y] == color[x]:
                     raise NotTwoFaceColorable(
                         f"faces {t.faces[x]} and {t.faces[y]} conflict")
-    return FaceColoring(tuple(color))
+        count += 1
+    return FaceColoring(tuple(color), tuple(component))
 
 
 def _face_mask(face: Face) -> int:
@@ -232,11 +245,13 @@ class CertificateReport:
     fiber_size: Optional[int]
     fiber_is_pair: Optional[bool]
     skip_reason: Optional[str] = None
+    dual_components: Optional[int] = None
 
     def to_json(self) -> dict:
         return {
             "n": self.n, "m": self.m, "faces": self.f, "euler": self.euler,
             "clean": self.clean, "colorable": self.colorable,
+            "dual_components": self.dual_components,
             "bound": self.bound, "fiber_verified": self.fiber_verified,
             "fiber_size": self.fiber_size, "fiber_is_pair": self.fiber_is_pair,
             "skip_reason": self.skip_reason,
@@ -247,10 +262,13 @@ def certify_lower_bound(t: Triangulation, verify_fiber: bool = False,
                         restrict_support: bool = True,
                         limits: Optional[Limits] = None) -> CertificateReport:
     """Check cleanness and 2-face-colorability; on success the bound
-    m/3 applies to the complete graph over the triangulation's vertices.
+    max_i m_i/3, over the components of the dual graph with m_i edges
+    each (m/3 for a connected dual), applies to the complete graph over
+    the triangulation's vertices.
 
     With `verify_fiber`, additionally enumerate the complete-graph fiber
-    of the red vector and confirm it is exactly the red/blue pair.  By
+    of the red vector and confirm it is exactly the 2^c tables that
+    pick red or blue faces in each of the c dual components.  By
     default the enumeration restricts candidate supports to cliques of
     the skeleton (a provably sufficient set); `restrict_support=False`
     forces the blind search for cross-checking.
@@ -269,7 +287,10 @@ def certify_lower_bound(t: Triangulation, verify_fiber: bool = False,
         bound=None, fiber_verified=False, fiber_size=None, fiber_is_pair=None)
     if not (clean and colorable):
         return report
-    report.bound = t.m // 3
+    faces_per_component = Counter(coloring.component)
+    report.dual_components = len(faces_per_component)
+    # a component's faces hold each of its m_i edges twice, so f_i = 2m_i/3
+    report.bound = max(faces_per_component.values()) // 2
     if not verify_fiber:
         return report
     zr, zb = red_blue_vectors(t, coloring)
@@ -283,5 +304,12 @@ def certify_lower_bound(t: Triangulation, verify_fiber: bool = False,
         return report
     report.fiber_size = fib.size
     report.fiber_is_pair = set(fib.elements) == {zr, zb}
-    report.fiber_verified = report.fiber_is_pair
+    if fib.size == 2 ** report.dual_components:
+        masks = [(_face_mask(f), r, c) for f, r, c
+                 in zip(t.faces, coloring.red, coloring.component)]
+        picks = {TableVector.from_units(
+                     t.vertices, [m for m, r, c in masks
+                                  if r != bool((flips >> c) & 1)])
+                 for flips in range(fib.size)}
+        report.fiber_verified = set(fib.elements) == picks
     return report

@@ -147,7 +147,8 @@ def kn_lower_bound_report(n: int,
     length n-2 is used (n must be even and at least 6 for the wheel to
     be 2-face-colorable; n=6 gives the octahedron and bound 4).  A
     supplied triangulation must have n vertices, be clean and
-    2-face-colorable; its bound is m/3.
+    2-face-colorable; its bound is the largest m_i/3 over the
+    components of its dual graph, m/3 when the dual is connected.
     """
     if triangulation is None:
         if n < 6 or n % 2:

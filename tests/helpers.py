@@ -193,6 +193,26 @@ def swap_partner(g: Graph, z: TableVector, rng, tries: int) -> TableVector:
     return TableVector.from_units(z.vertices, units)
 
 
+def ladder_graph(k: int) -> Graph:
+    """The 2 x k ladder: rails v0..v(k-1) and vk..v(2k-1), and rungs."""
+    return Graph([f"v{i}" for i in range(2 * k)],
+                 [(i, i + 1) for i in range(k - 1)]
+                 + [(k + i, k + i + 1) for i in range(k - 1)]
+                 + [(i, k + i) for i in range(k)])
+
+
+def random_sp_block(n: int, rng) -> Graph:
+    """A 2-connected series-parallel graph on n >= 3 vertices, grown
+    from a triangle: each new vertex subdivides a random edge or joins
+    its ends by a new path of length two."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    for v in range(3, n):
+        k = rng.randrange(len(edges))
+        a, b = edges.pop(k) if rng.random() < 0.5 else edges[k]
+        edges += [(a, v), (b, v)]
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
 def all_graphs(n: int) -> Iterator[Graph]:
     """Every labeled simple graph on n vertices."""
     labels = [chr(97 + i) for i in range(n)]

@@ -39,6 +39,19 @@ def test_width_text(files, capsys):
     assert "exact 4" in out
 
 
+def test_width_long_ladder(files, capsys, default_recursion_limit):
+    """A 2x1000 ladder has no K4 minor; its series-parallel reduction
+    runs without recursion."""
+    k = 1000
+    text = "".join(f"{a} {b}\n" for a, b in
+                   [(f"u{i}", f"u{i + 1}") for i in range(k - 1)]
+                   + [(f"w{i}", f"w{i + 1}") for i in range(k - 1)]
+                   + [(f"u{i}", f"w{i}") for i in range(k)])
+    code, out, _ = run(capsys, "width", files("ladder.txt", text))
+    assert code == 0
+    assert out.startswith("exact 4")
+
+
 def test_width_json(files, capsys):
     code, out, _ = run(capsys, "width", files("k4.txt", K4), "--json")
     assert code == 0

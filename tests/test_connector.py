@@ -2,9 +2,9 @@
 
 import itertools
 import random
-import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from markov_atlas import (Graph, TableVector, connect_cycle,
                           connect_graph, connect_sp, connect_two_terminal,
@@ -12,13 +12,14 @@ from markov_atlas import (Graph, TableVector, connect_cycle,
                           glue_cutchange, glue_cutsame, glue_swaps,
                           graph_marginals, is_k4_minor_free, parse_graph,
                           project, sp_decompose, verify_sequence)
-from markov_atlas.connector import MoveSequence
+from markov_atlas.connector import MoveSequence, _place
 from markov_atlas.errors import (InvariantViolation, NotK4MinorFree,
-                                 ProjectionMismatch)
+                                 NotSeriesParallel, ProjectionMismatch)
 from markov_atlas.fiber import _kernel
+from markov_atlas.lattice import restrict_mask
 
 from helpers import (all_graphs, all_grouped_tables, bfs_connected,
-                     swap_partner)
+                     ladder_graph, swap_partner)
 
 
 def tv(verts, units):
@@ -27,6 +28,19 @@ def tv(verts, units):
 
 def random_units(rng, nbits, total):
     return [rng.randrange(1 << nbits) for _ in range(total)]
+
+
+# -- mask plumbing -----------------------------------------------------
+
+@given(st.integers(0, 1 << 100), st.lists(st.integers(0, 99), max_size=100,
+                                          unique=True))
+def test_place_inverts_restrict_mask(part, positions):
+    """_place spreads packed bits onto `positions` (from a bit string
+    past 32 positions, by shifts below) and sets no other bit."""
+    part &= (1 << len(positions)) - 1
+    spread = _place(part, positions)
+    assert restrict_mask(spread, positions) == part
+    assert spread & ~sum(1 << p for p in positions) == 0
 
 
 # -- glue_cutsame ------------------------------------------------------
@@ -389,7 +403,7 @@ def test_connect_lifts_steps_that_move_several_cut_vertices():
         assert pairs >= 30 and joint_moves > 0, repr(g)
 
 
-def test_connect_long_path_within_recursion_limit():
+def test_connect_long_path_within_recursion_limit(default_recursion_limit):
     """A 5,000-vertex path connects, verified, under the default
     recursion limit of 1000."""
     n = 5000
@@ -398,16 +412,11 @@ def test_connect_long_path_within_recursion_limit():
     z = tv(g.vertices, random_units(rng, n, 2))
     zp = swap_partner(g, z, rng, tries=200)
     assert zp != z
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        seq = connect_graph(g, z, zp, verify=True)
-    finally:
-        sys.setrecursionlimit(limit)
+    seq = connect_graph(g, z, zp, verify=True)
     assert seq.states[0] == z and seq.states[-1] == zp
 
 
-def test_connect_large_random_tree():
+def test_connect_large_random_tree(default_recursion_limit):
     n = 2000
     rng = random.Random(2000)
     g = Graph([f"v{i}" for i in range(n)],
@@ -415,12 +424,20 @@ def test_connect_large_random_tree():
     z = tv(g.vertices, random_units(rng, n, 4))
     zp = swap_partner(g, z, rng, tries=400)
     assert zp != z
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        seq = connect_graph(g, z, zp, verify=True)
-    finally:
-        sys.setrecursionlimit(limit)
+    seq = connect_graph(g, z, zp, verify=True)
+    assert seq.states[0] == z and seq.states[-1] == zp
+
+
+def test_connect_long_ladder_within_recursion_limit(default_recursion_limit):
+    """A 2x300 ladder is one 2-connected block whose series-parallel
+    tree is about 900 levels deep; the connector walks it from a work
+    stack."""
+    g = ladder_graph(300)
+    rng = random.Random(300)
+    z = tv(g.vertices, random_units(rng, g.n, 4))
+    zp = swap_partner(g, z, rng, tries=100)
+    assert zp != z
+    seq = connect_graph(g, z, zp, verify=True)
     assert seq.states[0] == z and seq.states[-1] == zp
 
 
@@ -471,6 +488,18 @@ def test_two_terminal_pole_discipline_theta():
     # discipline is enforced by verify_sequence: any pole-changing step
     # with norm other than 4 would have raised
     assert checked > 0
+
+
+def test_two_terminal_rejects_bad_poles_up_front():
+    """The theta a-c-e-b, a-d-f-b, a-g-b is not series-parallel between
+    c and d: the reduction says so before any table is touched."""
+    g = parse_graph("a c\nc e\ne b\na d\nd f\nf b\na g\ng b\n")
+    rng = random.Random(11)
+    for _ in range(20):
+        z = tv(g.vertices, random_units(rng, g.n, 4))
+        zp = swap_partner(g, z, rng, tries=40)
+        with pytest.raises(NotSeriesParallel):
+            connect_two_terminal(g, "c", "d", z, zp)
 
 
 def test_connect_sp_drives_from_tree():

@@ -1,6 +1,10 @@
 """Graph structure: blocks, bridges, series-parallel decomposition,
 and K4-minor-freeness against a brute-force oracle."""
 
+import hashlib
+import itertools
+import json
+import random
 import sys
 
 import pytest
@@ -12,7 +16,8 @@ from markov_atlas import (Graph, SPTree, blocks, bridges, complete_graph,
 from markov_atlas.errors import NoSuchPoles, NotSeriesParallel, ParseError
 from markov_atlas.graphs import block_cut_forest
 
-from helpers import all_graphs, brute_has_k4_minor, nonisomorphic_graphs
+from helpers import (all_graphs, brute_has_k4_minor, ladder_graph,
+                     nonisomorphic_graphs, random_sp_block)
 
 
 # -- parsing -----------------------------------------------------------
@@ -165,7 +170,9 @@ def test_cycle_has_no_parallel3_poles():
 
 
 def test_every_2connected_sp_noncycle_has_poles():
-    """Structure guarantee used by the connector's re-poling step."""
+    """Structure guarantee of the public `find_parallel3_poles`; the
+    connector no longer calls it, since it re-poles a ring at a parallel
+    node of the block's series-parallel tree."""
     for g in nonisomorphic_graphs(6):
         if not g.is_connected() or cut_vertices(g) or g.n < 3:
             continue
@@ -200,6 +207,46 @@ def test_sp_decompose_respects_requested_poles():
     tree = sp_decompose(g, poles=("b", "d"))
     assert tree.poles == ("b", "d")
     assert realize(tree, g.vertices) == g
+
+
+# sha256 over (poles, to_json()) of every decomposition below, as the
+# recursive reduction it replaced printed them; the iterative reduction
+# must reproduce every tree exactly
+DECOMPOSE_DIGEST = \
+    "5ab5f9ee831aa9dc47032ce88610aa06a2f915b4231fc3af9fca5d685c354f17"
+
+
+def test_decompose_output_pinned():
+    """Every connected 6-vertex graph that reduces, without poles and
+    with every ordered pole pair that reduces: 487 trees."""
+    digest = hashlib.sha256()
+    count = 0
+    for g in nonisomorphic_graphs(6):
+        if not g.is_connected() or g.m == 0:
+            continue
+        for poles in [None] + list(itertools.permutations(g.vertices, 2)):
+            try:
+                tree = sp_decompose(g, poles)
+            except NotSeriesParallel:
+                continue
+            count += 1
+            digest.update(json.dumps([poles, tree.to_json()]).encode())
+    assert count == 487
+    assert digest.hexdigest() == DECOMPOSE_DIGEST
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ladder_graph(1000),
+    lambda: cycle_graph([f"v{i}" for i in range(5000)]),
+    lambda: random_sp_block(2000, random.Random(2000)),
+], ids=["ladder-2x1000", "C5000", "sp-block-2000"])
+def test_sp_decompose_deep_inputs(make, default_recursion_limit):
+    """Trees up to thousands of levels deep decompose, realize back to
+    the graph and pass the K4 test, under the default recursion limit."""
+    g = make()
+    tree = sp_decompose(g)
+    assert realize(tree, g.vertices) == g
+    assert is_k4_minor_free(g)
 
 
 def test_sp_decompose_all_small_sp_graphs():

@@ -125,8 +125,38 @@ def test_octahedron_blind_cross_check():
 
 def test_double_wheel_6_certificate():
     rep = certify_lower_bound(double_wheel(6), verify_fiber=True)
+    assert rep.dual_components == 1
     assert rep.bound == 6
     assert rep.fiber_verified and rep.fiber_size == 2
+
+
+def octahedra(shared_apex: bool):
+    """Two octahedra, disjoint or glued at one vertex: the dual graph of
+    the faces has two components of 12 edges each."""
+    t = octahedron()
+    text = ""
+    for prefix in "pq":
+        labels = [prefix + v for v in t.vertices]
+        if shared_apex:
+            labels[t.vertices.index("a")] = "a"
+        text += "".join(" ".join(labels[i] for i in f) + "\n"
+                        for f in t.faces)
+    return load_triangulation(text)
+
+
+@pytest.mark.parametrize("shared_apex", [True, False])
+def test_disconnected_dual_bounds_the_largest_component(shared_apex):
+    """m = 24 but the fiber has 2^2 tables, one per choice of red or
+    blue in each octahedron; flipping one octahedron is a degree-4
+    move, so the bound is 4, not 8."""
+    t = octahedra(shared_apex)
+    assert (t.n, t.m) == (11 if shared_apex else 12, 24)
+    rep = certify_lower_bound(t, verify_fiber=True)
+    assert rep.clean and rep.colorable
+    assert rep.dual_components == 2
+    assert rep.bound == 4
+    assert rep.fiber_verified and rep.fiber_size == 4
+    assert not rep.fiber_is_pair
 
 
 def test_tetrahedron_certificate_fails():
