@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (InvariantViolation, NotK4MinorFree, ProjectionMismatch)
+from .errors import InvariantViolation, ProjectionMismatch
 from .graphs import (Graph, Piece, SPTree, block_cut_forest, block_sp_tree,
                      realize, sp_decompose)
 from .lattice import (TableVector, graph_marginals, label_index, project,
@@ -65,14 +65,6 @@ def _bitmask_of(ground: Sequence[str], sub: Sequence[str]) -> int:
 
 def _place(part_mask: int, positions: Sequence[int]) -> int:
     """Inverse of restrict_mask: spread packed bits back onto `positions`."""
-    if len(positions) > 32:
-        # as in restrict_mask: past a few dozen positions, setting
-        # characters of a bit string beats shifting long masks
-        out = bytearray(b"0" * (max(positions) + 1))
-        for p, bit in zip(positions, format(part_mask, "b")[::-1]):
-            if bit == "1":
-                out[p] = ord("1")
-        return int(out[::-1], 2)
     out = 0
     for j, p in enumerate(positions):
         if (part_mask >> j) & 1:
@@ -83,14 +75,19 @@ def _place(part_mask: int, positions: Sequence[int]) -> int:
 # ---------------------------------------------------------------------
 # gluing primitives
 
-def glue_cutsame(z: TableVector, zbar: TableVector,
-                 x2: Sequence[str]) -> TableVector:
+def glue_cutsame(z: TableVector, zbar: TableVector, x2: Sequence[str],
+                 prefer: Optional[TableVector] = None) -> TableVector:
     """Rewrite the X1 side of `z` to match `zbar` while freezing X2.
 
     X1 is the ground set of `zbar`; X1 and `x2` must cover the ground
     set of `z` and agree with it on Y = X1 & X2 projections.  The result
     z' satisfies project(z', X1) = zbar, project(z', X2) = project(z, X2)
     and ||z - z'|| = ||project(z, X1) - zbar||.
+
+    Units of `prefer` (a table over the ground set of `z`) keep their
+    X1 part first, and a new part goes first to a unit that it turns
+    into a unit of `prefer`, as often as `prefer` has it; the rest take
+    the new parts in sorted order.  The connector passes its target.
     """
     X = z.vertices
     X1 = zbar.vertices
@@ -102,39 +99,52 @@ def glue_cutsame(z: TableVector, zbar: TableVector,
         raise ProjectionMismatch("z and zbar disagree on the overlap")
     if not (z.is_nonnegative() and zbar.is_nonnegative()):
         raise ValueError("glue_cutsame needs non-negative inputs")
+    if prefer is not None and prefer.vertices != X:
+        raise ProjectionMismatch("prefer is not over the ground set of z")
+    want = Counter(prefer.units() if prefer is not None else ())
 
+    # zbar's units are placed at the positions of X1 in X, so parts
+    # compare with masked units of z
     pos_x1 = _positions(X, X1)
-    pos_y_in_x1 = _positions(X1, Y)
-    pos_y_in_x = _positions(X, Y)
-    x1_bits = _bitmask_of(X, X1)
-
+    x1_bits = _place((1 << len(X1)) - 1, pos_x1)
+    y_bits = _bitmask_of(X, Y)
     bar_by_y: Dict[int, List[int]] = {}
     for m in zbar.units():
-        bar_by_y.setdefault(restrict_mask(m, pos_y_in_x1), []).append(m)
+        part = _place(m, pos_x1)
+        bar_by_y.setdefault(part & y_bits, []).append(part)
     z_by_y: Dict[int, List[int]] = {}
     for m in z.units():
-        z_by_y.setdefault(restrict_mask(m, pos_y_in_x), []).append(m)
+        z_by_y.setdefault(m & y_bits, []).append(m)
 
     out_units: List[int] = []
     for ykey, full_units in sorted(z_by_y.items()):
         bar_units = bar_by_y.get(ykey, [])
         if len(bar_units) != len(full_units):
             raise InvariantViolation("overlap class sizes differ")
-        # keep units whose X1 part already occurs in zbar
+        # keep units whose X1 part already occurs in zbar, units of
+        # `prefer` first
         avail = Counter(bar_units)
         deferred: List[int] = []
-        for full in full_units:
-            part = restrict_mask(full, pos_x1)
+        for full in sorted(full_units, key=lambda m: want[m] <= 0):
+            part = full & x1_bits
             if avail[part] > 0:
                 avail[part] -= 1
+                want[full] -= 1
                 out_units.append(full)
             else:
-                deferred.append(full)
+                deferred.append(full & ~x1_bits)
         leftovers = sorted(avail.elements())
         if len(leftovers) != len(deferred):
             raise InvariantViolation("unmatched unit counts differ")
-        for full, new_part in zip(deferred, leftovers):
-            out_units.append((full & ~x1_bits) | _place(new_part, pos_x1))
+        # a unit that some new part turns into a unit of `prefer` picks
+        # first; the others take what is left in sorted order
+        for rest in sorted(deferred, key=lambda r: all(
+                want[r | p] <= 0 for p in leftovers)):
+            new = next((p for p in leftovers if want[rest | p] > 0),
+                       leftovers[0])
+            want[rest | new] -= 1
+            leftovers.remove(new)
+            out_units.append(rest | new)
     return TableVector.from_units(X, out_units)
 
 
@@ -417,8 +427,8 @@ def _case_serial(t: SPTree, u: str, v: str, z: TableVector,
         hold_pole = _labels(z.vertices, set(hold) | {pole})
         for prev, s in zip(seq, seq[1:]):
             keeps = project(prev, poles) == project(s, poles)
-            _append_glued(states, glue_cutsame(states[-1], s,
-                                               hold_pole if keeps else hold))
+            _append_glued(states, glue_cutsame(
+                states[-1], s, hold_pole if keeps else hold, zp))
     if states[-1] != zp:
         _extend(states, glue_swaps(states[-1], zp, X1, X2))
     return states
@@ -437,7 +447,7 @@ def _case_parallel_edge(t: SPTree, edge: SPTree, others: Tuple[SPTree, ...],
     states = [z]
     for seq, hold in ((seq1, X2), (seq2, X1)):
         for s in seq[1:]:
-            _append_glued(states, glue_cutsame(states[-1], s, hold))
+            _append_glued(states, glue_cutsame(states[-1], s, hold, zp))
     if states[-1] != zp:
         _extend(states, glue_swaps(states[-1], zp, X1, X2))
     return states
@@ -753,8 +763,6 @@ def connect_graph(g: Graph, z: TableVector, zp: TableVector,
     for j, p in enumerate(pieces):
         if len(p.edges) > 1:
             trees[j] = block_sp_tree(g.vertices, p.edges)
-            if trees[j] is None:
-                raise NotK4MinorFree("graph contains a K4 minor")
     seq = MoveSequence(g, _connect_pieces(g, pieces, trees, z, zp))
     if verify:
         verify_sequence(seq)

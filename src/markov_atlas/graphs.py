@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
-from .errors import NoSuchPoles, NotSeriesParallel, ParseError
+from .errors import (NoSuchPoles, NotK4MinorFree, NotSeriesParallel,
+                     ParseError)
 
 Edge = Tuple[int, int]
 
@@ -432,14 +433,13 @@ def realize(tree: SPTree, vertex_order: Optional[Sequence[str]] = None) -> Graph
     return Graph(order, edges)
 
 
-def _reduce(edges: Iterable[Edge], keep: Sequence[int] = (),
-            largest_first: bool = False):
+def _reduce(edges: Iterable[Edge], keep: Sequence[int] = ()):
     """Series-parallel reduction of a simple graph, one heap operation
     per step.
 
-    Suppresses the smallest (with `largest_first`, the largest)
-    degree-2 vertex not in `keep` while more than one edge is left; a
-    suppression that makes two parallel edges merges them at once.
+    Suppresses the smallest degree-2 vertex not in `keep` while more
+    than one edge is left; a suppression that makes two parallel edges
+    merges them at once.
     Returns the nodes made, the last one spanning what is left, and the
     number of edges left: 1 iff the graph reduces.  A node is [kind, a,
     b, children, join, smallest vertex, edge count]; a serial node's
@@ -452,12 +452,10 @@ def _reduce(edges: Iterable[Edge], keep: Sequence[int] = (),
         nbr.setdefault(i, {})[j] = nbr.setdefault(j, {})[i] = len(nodes)
         nodes.append(["leaf", i, j, (), None, i, 1])
     left = len(nodes)
-    sign = -1 if largest_first else 1
-    heap = [sign * v for v, ws in nbr.items()
-            if len(ws) == 2 and v not in keep]
+    heap = [v for v, ws in nbr.items() if len(ws) == 2 and v not in keep]
     heapq.heapify(heap)
     while left > 1 and heap:
-        w = sign * heapq.heappop(heap)
+        w = heapq.heappop(heap)
         if len(nbr.get(w, ())) != 2:  # suppressed, or merged down since
             continue
         (e1, a), (e2, b) = sorted((e, x) for x, e in nbr.pop(w).items())
@@ -478,7 +476,7 @@ def _reduce(edges: Iterable[Edge], keep: Sequence[int] = (),
             left -= 1
             for x in (a, b):
                 if len(nbr[x]) == 2 and x not in keep:
-                    heapq.heappush(heap, sign * x)
+                    heapq.heappush(heap, x)
         nbr[a][b] = nbr[b][a] = new
     return nodes, left
 
@@ -541,20 +539,16 @@ def sp_decompose(g: Graph,
     return _tree(nodes, g.vertices, keep or (a, b))
 
 
-def block_sp_tree(vertices: Sequence[str],
-                  edges: Iterable[Edge]) -> Optional[SPTree]:
-    """The series-parallel tree of a block whose edges index into
-    `vertices` (a subset of them may be used), or None if the block
-    has a K4 minor.
-
-    The largest vertices are suppressed first, so they lie deepest.
-    `glue_cutsame` hands a side's new parts to units in sorted order,
-    that is by their largest vertices, which then keeps units paired as
-    in the target far more often (2-4 steps instead of 15-18 on 2x100
-    ladders).
+def block_sp_tree(vertices: Sequence[str], edges: Iterable[Edge]) -> SPTree:
+    """The series-parallel tree of a 2-connected block whose edges
+    index into `vertices` (a subset of them may be used), reduced in
+    the order of `sp_decompose`.  Raises NotK4MinorFree if the block
+    does not reduce to one edge: a block has a K4 minor exactly then.
     """
-    nodes, left = _reduce(edges, largest_first=True)
-    return _tree(nodes, vertices, nodes[-1][1:3]) if left == 1 else None
+    nodes, left = _reduce(edges)
+    if left != 1:
+        raise NotK4MinorFree("graph contains a K4 minor")
+    return _tree(nodes, vertices, nodes[-1][1:3])
 
 
 def is_k4_minor_free(g: Graph) -> bool:

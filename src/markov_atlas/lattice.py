@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (GroundSetMismatch, InconsistentMarginals, NotKernelMove,
@@ -123,11 +122,6 @@ class TableVector:
 
 def restrict_mask(mask: int, positions: Sequence[int]) -> int:
     """Repack the bits at `positions` into a contiguous mask."""
-    if len(positions) > 32:
-        # past a few dozen positions, indexing a string of the bits
-        # beats shifting the whole mask once per position
-        bits = format(mask, "b")[::-1].ljust(max(positions) + 1, "0")
-        return int("".join(itemgetter(*positions)(bits))[::-1], 2)
     out = 0
     for j, i in enumerate(positions):
         if (mask >> i) & 1:

@@ -4,7 +4,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from markov_atlas import (Graph, TableVector, connect_cycle,
                           connect_graph, connect_sp, connect_two_terminal,
@@ -12,11 +11,10 @@ from markov_atlas import (Graph, TableVector, connect_cycle,
                           glue_cutchange, glue_cutsame, glue_swaps,
                           graph_marginals, is_k4_minor_free, parse_graph,
                           project, sp_decompose, verify_sequence)
-from markov_atlas.connector import MoveSequence, _place
+from markov_atlas.connector import MoveSequence
 from markov_atlas.errors import (InvariantViolation, NotK4MinorFree,
                                  NotSeriesParallel, ProjectionMismatch)
 from markov_atlas.fiber import _kernel
-from markov_atlas.lattice import restrict_mask
 
 from helpers import (all_graphs, all_grouped_tables, bfs_connected,
                      ladder_graph, swap_partner)
@@ -28,19 +26,6 @@ def tv(verts, units):
 
 def random_units(rng, nbits, total):
     return [rng.randrange(1 << nbits) for _ in range(total)]
-
-
-# -- mask plumbing -----------------------------------------------------
-
-@given(st.integers(0, 1 << 100), st.lists(st.integers(0, 99), max_size=100,
-                                          unique=True))
-def test_place_inverts_restrict_mask(part, positions):
-    """_place spreads packed bits onto `positions` (from a bit string
-    past 32 positions, by shifts below) and sets no other bit."""
-    part &= (1 << len(positions)) - 1
-    spread = _place(part, positions)
-    assert restrict_mask(spread, positions) == part
-    assert spread & ~sum(1 << p for p in positions) == 0
 
 
 # -- glue_cutsame ------------------------------------------------------
@@ -63,14 +48,30 @@ def cutsame_case(rng, nverts, total):
 
 def test_cutsame_postconditions_randomized():
     rng = random.Random(23)
-    for _ in range(200):
+    for k in range(400):
         verts, x1, x2, z, zbar = cutsame_case(rng, rng.randint(2, 4),
                                               rng.randint(1, 3))
-        zp = glue_cutsame(z, zbar, x2)
+        # every other case steers the hand-off toward a random table
+        prefer = (tv(verts, random_units(rng, len(verts), 3)) if k % 2
+                  else None)
+        zp = glue_cutsame(z, zbar, x2, prefer)
         assert zp.is_nonnegative()
         assert project(zp, x1) == zbar
         assert project(zp, x2) == project(z, x2)
         assert (z - zp).l1() == (project(z, x1) - zbar).l1()
+
+
+def test_cutsame_pairs_new_parts_as_in_prefer():
+    """Released units take the new parts that make them units of
+    `prefer` when they can, and the rest in sorted order."""
+    verts = ("a", "b", "c", "d")
+    z = tv(verts, [0b0000, 0b1000])
+    zbar = tv(("a", "b", "c"), [0b001, 0b010])
+    assert glue_cutsame(z, zbar, ("c", "d")) == tv(verts, [0b0001, 0b1010])
+    prefer = tv(verts, [0b0010, 0b1001])
+    assert glue_cutsame(z, zbar, ("c", "d"), prefer) == prefer
+    with pytest.raises(ProjectionMismatch):
+        glue_cutsame(z, zbar, ("c", "d"), project(prefer, ("a", "b")))
 
 
 def test_cutsame_identity_when_already_matching():

@@ -7,7 +7,7 @@ from markov_atlas import (Graph, TableVector, as_move, canonical_sign,
                           graph_marginals, is_kernel_element, parse_vector,
                           project, vector_from_json, vector_to_json)
 from markov_atlas.errors import (GroundSetMismatch, NotKernelMove, ParseError)
-from markov_atlas.lattice import format_vector, restrict_mask
+from markov_atlas.lattice import format_vector
 
 VERTS = ("a", "b", "c", "d")
 
@@ -84,15 +84,6 @@ def test_project_empty_targets_gives_total():
 def test_project_unknown_vertex():
     with pytest.raises(GroundSetMismatch):
         project(vec([0]), ("z",))
-
-
-@given(st.integers(0, 1 << 100), st.lists(st.integers(0, 99), max_size=100,
-                                          unique=True))
-def test_restrict_mask_matches_bitwise_reference(mask, positions):
-    """Past 32 positions restrict_mask reads a string of the bits; both
-    paths must agree with a plain bit-by-bit repack."""
-    want = sum(((mask >> i) & 1) << j for j, i in enumerate(positions))
-    assert restrict_mask(mask, positions) == want
 
 
 @given(small_vectors())
