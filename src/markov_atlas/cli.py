@@ -8,9 +8,10 @@ machine-readable output on stdout; diagnostics always go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import connector, fiber, sampler, triangulation, width
 from .errors import MarkovAtlasError
@@ -50,6 +51,37 @@ def _load_moves(path: str, g) -> List[Move]:
     return [as_move(parse_vector("\n".join(b)), g) for b in blocks]
 
 
+def _json_chunks(obj) -> Iterator[str]:
+    """The text of `json.dumps(obj, indent=2)` in pieces, from an
+    explicit stack: a long ladder's tree nests deeper than the json
+    module's recursion allows, and its indented text runs to hundreds
+    of megabytes.  Scalars and keys are encoded by `json.dumps`."""
+    stack: List[list] = []  # [items, closing bracket, depth, first?]
+
+    def put(value, depth: int) -> str:
+        if isinstance(value, dict) and value:
+            items = [(json.dumps(k) + ": ", v) for k, v in value.items()]
+            stack.append([iter(items), "}", depth + 1, True])
+            return "{"
+        if isinstance(value, list) and value:
+            stack.append([iter([("", v) for v in value]), "]", depth + 1,
+                          True])
+            return "["
+        return json.dumps(value)
+
+    yield put(obj, 0)
+    while stack:
+        top = stack[-1]
+        item = next(top[0], None)
+        if item is None:
+            stack.pop()
+            yield "\n" + "  " * (top[2] - 1) + top[1]
+            continue
+        yield ("\n" if top[3] else ",\n") + "  " * top[2] + item[0]
+        top[3] = False
+        yield put(item[1], top[2])
+
+
 def _emit(args, obj: dict, text: str):
     if args.json:
         json.dump(obj, sys.stdout, indent=2)
@@ -76,7 +108,9 @@ def _cmd_decompose(args) -> int:
     g = _load_graph(args.graph)
     poles = tuple(args.poles) if args.poles else None
     tree = sp_decompose(g, poles=poles)
-    _emit(args, tree.to_json(), json.dumps(tree.to_json(), indent=2))
+    # --json or not, the output is the tree's JSON
+    sys.stdout.writelines(_json_chunks(tree.to_json()))
+    sys.stdout.write("\n")
     return 0
 
 
@@ -156,7 +190,10 @@ def _cmd_sample(args) -> int:
 
 # -- argument parsing --------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state in
+    it, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="markov-atlas",
         description="Binary graph models: fibers, Markov widths, "

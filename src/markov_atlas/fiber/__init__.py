@@ -15,8 +15,7 @@ from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from ..graphs import Graph
-from ..lattice import (MarginalSet, Move, TableVector, canonical_sign,
-                       graph_marginals)
+from ..lattice import MarginalSet, Move, TableVector, graph_marginals
 from ..limits import Limits, default_limits
 from . import _kernel
 
@@ -91,13 +90,19 @@ def fiber_of(g: Graph, z: TableVector,
     return enumerate_fiber(g, graph_marginals(z, g), limits=limits)
 
 
+def _unit_tables(f: Fiber) -> List[Tuple[int, ...]]:
+    return [tuple(z.units()) for z in f.elements]
+
+
 def fiber_graph(f: Fiber, k: int) -> FiberGraph:
     if k < 1:
         raise ValueError("degree bound must be >= 1")
+    tables = _unit_tables(f)
     adj = []
     for i in range(f.size):
+        ti = tables[i]
         for j in range(i + 1, f.size):
-            if (f.elements[i] - f.elements[j]).l1() <= 2 * k:
+            if _kernel._norm(ti, tables[j]) <= 2 * k:
                 adj.append((i, j))
     return FiberGraph(f, k, tuple(adj))
 
@@ -110,8 +115,7 @@ def fiber_components(f: Fiber, k: int) -> List[List[TableVector]]:
     """
     if k < 1:
         raise ValueError("degree bound must be >= 1")
-    tables = [tuple(z.units()) for z in f.elements]
-    labels = _kernel.component_labels(tables, 2 * k)
+    labels = _kernel.component_labels(_unit_tables(f), 2 * k)
     by_root = {}
     for idx, root in enumerate(labels):
         by_root.setdefault(root, []).append(f.elements[idx])
@@ -120,15 +124,11 @@ def fiber_components(f: Fiber, k: int) -> List[List[TableVector]]:
 
 def extract_moves(f: Fiber, k: int) -> List[Move]:
     """Deduplicated degree-<=k difference vectors between fiber elements,
-    sign-canonicalized (entry at the smallest support mask positive)."""
-    seen = {}
-    for i in range(f.size):
-        for j in range(i + 1, f.size):
-            u = f.elements[i] - f.elements[j]
-            if 0 < u.l1() <= 2 * k:
-                u = canonical_sign(u)
-                seen[u.key()] = u
-    return [Move(seen[key]) for key in sorted(seen)]
+    sign-canonicalized (entry at the smallest support mask positive),
+    in the order of `TableVector.key()`."""
+    vertices = f.graph.vertices
+    return [Move(TableVector(vertices, dict(items)))
+            for items in _kernel.fiber_moves(_unit_tables(f), 2 * k)]
 
 
 def _grouped_tables(g: Graph, total: int, limits: Limits):

@@ -140,6 +140,64 @@ def _norm(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
     return (la - inter) + (lb - inter)
 
 
+def fiber_moves(tables: Sequence[Tuple[int, ...]],
+                max_norm: int) -> List[Tuple[Tuple[int, int], ...]]:
+    """Distinct differences of norm in (0, max_norm] between tables of
+    one size (sorted tuples), as sorted (mask, coefficient) items, in
+    ascending order.
+
+    Each pair's difference is the two one-sided parts of one merge of
+    its tables (the walk of `_norm`).  The parts are equally large, so
+    the merge stops once one part holds more than max_norm // 2 units.
+    The sign makes the coefficient at the smallest mask positive."""
+    half = max_norm // 2
+    seen = set()
+    f = len(tables)
+    for i in range(f):
+        a = tables[i]
+        la = len(a)
+        for j in range(i + 1, f):
+            b = tables[j]
+            lb = len(b)
+            plus: List[int] = []
+            minus: List[int] = []
+            p = q = 0
+            while p < la and q < lb:
+                x, y = a[p], b[q]
+                if x == y:
+                    p += 1
+                    q += 1
+                elif x < y:
+                    plus.append(x)
+                    p += 1
+                else:
+                    minus.append(y)
+                    q += 1
+                    if len(minus) > half:
+                        break
+            else:
+                minus.extend(b[q:])
+                if 0 < len(minus) <= half:
+                    plus.extend(a[p:])
+                    if minus[0] < plus[0]:
+                        plus, minus = minus, plus
+                    seen.add((tuple(plus), tuple(minus)))
+    # equal items are one tuple: thousands of moves share a few dozen
+    shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    moves = []
+    while seen:
+        plus, minus = seen.pop()
+        coeffs: Dict[int, int] = {}
+        for m in plus:
+            coeffs[m] = coeffs.get(m, 0) + 1
+        for m in minus:
+            coeffs[m] = coeffs.get(m, 0) - 1
+        moves.append(tuple([shared.setdefault(item, item)
+                            for item in sorted(coeffs.items())]))
+    moves.sort()
+    return moves
+
+
 def component_labels(tables: Sequence[Tuple[int, ...]],
                      max_norm: int) -> List[int]:
     """Union-find labels of the graph joining tables at L1 distance

@@ -401,22 +401,42 @@ class SPTree:
         return {v for e in self._leaf_poles() for v in e}
 
     def to_json(self) -> dict:
-        obj = {"kind": self.kind, "poles": list(self.poles)}
-        if self.kind == "leaf":
-            return obj
-        if self.kind == "serial":
-            obj["join"] = self.join
-        obj["children"] = [c.to_json() for c in self.children]
-        return obj
+        """Nested dicts: kind, poles, join (serial nodes), children.
+        Built from an explicit stack, so depth is not bounded by the
+        recursion limit."""
+        root: List[dict] = []
+        stack = [(self, root)]
+        while stack:
+            t, siblings = stack.pop()
+            obj = {"kind": t.kind, "poles": list(t.poles)}
+            siblings.append(obj)
+            if t.kind == "leaf":
+                continue
+            if t.kind == "serial":
+                obj["join"] = t.join
+            obj["children"] = []
+            stack.extend((c, obj["children"]) for c in reversed(t.children))
+        return root[0]
 
     @classmethod
     def from_json(cls, obj: dict) -> "SPTree":
-        kind = obj["kind"]
-        poles = tuple(obj["poles"])
-        if kind == "leaf":
-            return cls("leaf", poles)
-        children = tuple(cls.from_json(c) for c in obj["children"])
-        return cls(kind, poles, children, obj.get("join"))
+        """Inverse of `to_json`, built bottom-up from an explicit stack."""
+        built: List["SPTree"] = []
+        stack = [(obj, False)]
+        while stack:
+            o, ready = stack.pop()
+            if o["kind"] == "leaf":
+                built.append(cls("leaf", tuple(o["poles"])))
+            elif not ready:
+                stack.append((o, True))
+                stack.extend((c, False) for c in reversed(o["children"]))
+            else:
+                cut = len(built) - len(o["children"])
+                children = tuple(built[cut:])
+                del built[cut:]
+                built.append(cls(o["kind"], tuple(o["poles"]), children,
+                                 o.get("join")))
+        return built[0]
 
 
 def realize(tree: SPTree, vertex_order: Optional[Sequence[str]] = None) -> Graph:

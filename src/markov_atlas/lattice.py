@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (GroundSetMismatch, InconsistentMarginals, NotKernelMove,
                      ParseError)
@@ -216,15 +216,62 @@ class Move:
         return self.vector.l1() // 2
 
 
+def _kernel_test(g) -> Callable[[TableVector], bool]:
+    """A test of whether a vector over g's vertices has zero total and
+    zero edge marginals, from one packed sum over its entries.  It
+    raises GroundSetMismatch for a vector over other vertices.
+
+    No cell marginal exceeds the L1 norm of the vector in absolute
+    value, so in fields of l1.bit_length() bits every cell is smaller
+    than its field's 2**width.  The packed sum of c * increment(m) is
+    then 0 exactly when every cell is 0: the lowest nonzero cell would
+    leave a nonzero remainder modulo 2**width in its field.  Each
+    labeling's increment (1 in field 4e + cell for the e-th sorted
+    edge) is computed once per width for the life of the test.
+    """
+    edges = sorted(g.edges)
+    increments: Dict[Tuple[int, int], int] = {}
+
+    def test(u: TableVector) -> bool:
+        if u.vertices != g.vertices:
+            raise GroundSetMismatch(f"{u.vertices} vs {g.vertices}")
+        if u.total():
+            return False
+        width = u.l1().bit_length()
+        packed = 0
+        for m, c in u.entries.items():
+            step = increments.get((m, width))
+            if step is None:
+                step = 0
+                for e, (i, j) in enumerate(edges):
+                    cell = (((m >> i) & 1) << 1) | ((m >> j) & 1)
+                    step |= 1 << (width * (4 * e + cell))
+                increments[m, width] = step
+            packed += c * step
+        return packed == 0
+
+    return test
+
+
 def is_kernel_element(u: TableVector, g) -> bool:
-    m = graph_marginals(u, g)
-    return m.total == 0 and all(cells == (0, 0, 0, 0) for _, cells in m.tables)
+    return _kernel_test(g)(u)
+
+
+def as_moves(vectors: Iterable[TableVector], g) -> List[Move]:
+    """Every vector as a move of g, checked in order with one kernel
+    test: the first one over other vertices raises GroundSetMismatch,
+    the first one with nonzero marginals NotKernelMove."""
+    test = _kernel_test(g)
+    moves = []
+    for u in vectors:
+        if not test(u):
+            raise NotKernelMove(f"{u!r} has nonzero marginals")
+        moves.append(Move(u))
+    return moves
 
 
 def as_move(u: TableVector, g) -> Move:
-    if not is_kernel_element(u, g):
-        raise NotKernelMove(f"{u!r} has nonzero marginals")
-    return Move(u)
+    return as_moves((u,), g)[0]
 
 
 def canonical_sign(u: TableVector) -> TableVector:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import GroundSetMismatch
 from .graphs import Graph
-from .lattice import Move, TableVector, as_move
+from .lattice import Move, TableVector, as_moves
 
 RNG_ALGORITHM = "mt19937"
 
@@ -55,13 +55,16 @@ class WalkResult:
         }
 
 
-def _checked_moves(g: Graph, moves: Sequence[Move]) -> List[TableVector]:
-    vecs = []
-    for mv in moves:
-        vec = mv.vector if isinstance(mv, Move) else mv
-        as_move(vec, g)  # raises NotKernelMove on bad input
-        vecs.append(vec)
-    return vecs
+def _checked_moves(g: Graph,
+                   moves: Sequence[Move]) -> List[Tuple[Tuple[int, int], ...]]:
+    """The (mask, coefficient) items of every move, each checked first
+    against g's vertices and then for zero marginals.  Equal items are
+    one tuple: a large fiber has thousands of moves over a few dozen."""
+    vecs = [mv.vector if isinstance(mv, Move) else mv for mv in moves]
+    shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    return [tuple([shared.setdefault(item, item)
+                   for item in mv.vector.entries.items()])
+            for mv in as_moves(vecs, g)]
 
 
 def _steps(g: Graph, moves: Sequence[Move], z0: TableVector,
@@ -73,16 +76,16 @@ def _steps(g: Graph, moves: Sequence[Move], z0: TableVector,
     """
     if not z0.is_nonnegative():
         raise ValueError("initial table must be non-negative")
-    vecs = _checked_moves(g, moves)
-    if not vecs:
+    deltas = _checked_moves(g, moves)
+    if not deltas:
         return
-    if z0.vertices != g.vertices:  # as_move checked the moves against g
+    if z0.vertices != g.vertices:  # as_moves checked the moves against g
         raise GroundSetMismatch(f"{z0.vertices} vs {g.vertices}")
     rng = random.Random(cfg.seed)
     get = counts.get
     for _ in range(cfg.burn_in + cfg.steps):
         # move first, then sign: the draw order fixes the trajectory
-        delta = vecs[rng.randrange(len(vecs))].entries.items()
+        delta = deltas[rng.randrange(len(deltas))]
         sign = -1 if rng.randrange(2) else 1
         # entries off the move's support stay as they are, hence >= 0
         if all(get(m, 0) + sign * c >= 0 for m, c in delta):

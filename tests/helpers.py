@@ -7,7 +7,8 @@ inputs, used to cross-check the package's structured algorithms.
 import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from markov_atlas import Graph, TableVector, fiber_of, graph_marginals
+from markov_atlas import (Fiber, Graph, Move, TableVector, canonical_sign,
+                          fiber_of, graph_marginals)
 from markov_atlas.fiber import _kernel
 
 
@@ -102,6 +103,19 @@ def _norm(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
         else:
             j += 1
     return len(a) + len(b) - 2 * inter
+
+
+def pairwise_moves(f: Fiber, k: int) -> List[Move]:
+    """Degree-<=k moves of a fiber by subtracting every pair of its
+    elements as vectors, sign-canonicalized, sorted by key."""
+    seen = {}
+    for i in range(f.size):
+        for j in range(i + 1, f.size):
+            u = f.elements[i] - f.elements[j]
+            if 0 < u.l1() <= 2 * k:
+                u = canonical_sign(u)
+                seen[u.key()] = u
+    return [Move(seen[key]) for key in sorted(seen)]
 
 
 def mst_bottleneck(tables: List[Tuple[int, ...]]) -> int:

@@ -1,12 +1,19 @@
 """Command-line interface: routing, formats, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from markov_atlas import connector
-from markov_atlas.cli import main
+import markov_atlas
+from markov_atlas import SPTree, connector, parse_graph, sp_decompose
+from markov_atlas.cli import _build_parser, _json_chunks, main
 from markov_atlas.connector import verify_sequence
+
+from helpers import ladder_graph
 
 C5 = "a b\nb c\nc d\nd e\ne a\n"
 C4 = "a b\nb c\nc d\nd a\n"
@@ -75,6 +82,43 @@ def test_decompose(files, capsys):
     obj = json.loads(out)
     assert obj["kind"] == "parallel"
     assert obj["poles"] == ["a", "b"]
+
+
+class _Digest:
+    """A stdout that keeps only the length and SHA-256 of its text."""
+
+    def __init__(self):
+        self.size = 0
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.size += len(text)
+        self.sha.update(text.encode())
+
+    def writelines(self, chunks):
+        for text in chunks:
+            self.write(text)
+
+    def flush(self):
+        pass
+
+
+def test_decompose_long_ladder(files, monkeypatch, default_recursion_limit):
+    """The 2x1000 ladder's tree nests thousands of levels deep.  Its
+    JSON (300 MB indented) prints under the default recursion limit,
+    and the tree read back from it prints the same text."""
+    g = ladder_graph(1000)
+    text = "".join(f"{g.vertices[i]} {g.vertices[j]}\n"
+                   for i, j in sorted(g.edges))
+    out = _Digest()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["decompose", files("ladder.txt", text), "--json"]) == 0
+    assert out.size > 10 ** 8
+    tree = SPTree.from_json(sp_decompose(parse_graph(text)).to_json())
+    again = _Digest()
+    again.writelines(_json_chunks(tree.to_json()))
+    again.write("\n")
+    assert (again.size, again.sha.digest()) == (out.size, out.sha.digest())
 
 
 def test_connect_success(files, capsys):
@@ -164,6 +208,33 @@ def test_sample_reproducible(files, capsys):
     assert obj["final"]["vertices"] == ["a", "b", "c", "d"]
 
 
+# Start tables on C5 (a b c d e), units as bit strings, and walk seeds.
+SAMPLE_C5 = [("00000 1\n11000 1\n01100 1\n10101 1\n", 3),
+             ("10000 2\n01010 1\n00111 2\n11111 1\n", 11),
+             ("11000 1\n01100 1\n00110 1\n00011 1\n10001 1\n"
+              "10100 1\n01010 1\n", 29),
+             ("00000 2\n10100 2\n01010 2\n11111 2\n", 5)]
+SAMPLE_C5_DIGEST = (
+    "d23b3c445b4e8009a55467b986d66065cc07abfa8737ea990c68f3d0120f59e6")
+
+
+def test_sample_output_pinned(files, capsys):
+    """`sample --json` on fixed C5 inputs, at degrees 2 and 4 and with
+    burn-in: any change to the move list, its order or the walk shows
+    here."""
+    graph = files("c5.txt", C5)
+    digest = hashlib.sha256()
+    for k, (body, seed) in enumerate(SAMPLE_C5):
+        vec = files(f"z{k}.vec", "vertices: a b c d e\n" + body)
+        for degree in ("2", "4"):
+            code, out, _ = run(capsys, "sample", graph, vec, "--steps", "400",
+                               "--burn-in", "50", "--seed", str(seed),
+                               "--degree", degree, "--json")
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == SAMPLE_C5_DIGEST
+
+
 def test_sample_with_moves_file(files, capsys):
     moves = ("vertices: a b c d\n0101 2\n1111 2\n0111 -2\n1101 -2\n")
     code, out, _ = run(capsys, "sample", files("c4.txt", C4),
@@ -178,6 +249,42 @@ def test_usage_error_exit_2(files):
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == 2
+
+
+def test_parser_built_once(files, capsys):
+    """Runs share one parser, and one run's options do not leak into
+    the next."""
+    assert _build_parser() is _build_parser()
+    graph, vec = files("c4.txt", C4), files("a.vec", VEC_C4)
+    moves = files("m.vec", "vertices: a b c d\n0101 2\n1111 2\n"
+                           "0111 -2\n1101 -2\n")
+    code, out, _ = run(capsys, "sample", graph, vec, "--steps", "5",
+                       "--seed", "1", "--moves", moves, "--json")
+    assert code == 0
+    args = _build_parser().parse_args(["sample", graph, vec, "--steps", "5",
+                                       "--seed", "1"])
+    assert args.moves is None and args.degree == 4 and not args.json
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", graph, vec, "--steps", "5", "--seed", "1",
+              "--moves", moves, "--degree", "2"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_python_dash_m(files):
+    """`python -m markov_atlas` runs the same command line."""
+    src = os.path.dirname(os.path.dirname(markov_atlas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "markov_atlas", "width", files("c5.txt", C5)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("exact 4 ")
+    done = subprocess.run([sys.executable, "-m", "markov_atlas"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 2
+    assert "usage: markov-atlas" in done.stderr
 
 
 def test_bad_vector_is_domain_error(files, capsys):

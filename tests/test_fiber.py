@@ -16,7 +16,7 @@ from markov_atlas.limits import Limits
 from markov_atlas.fiber import _kernel
 
 from helpers import (all_graphs, all_grouped_tables, mst_bottleneck,
-                     naive_search, rejection_fiber)
+                     naive_search, pairwise_moves, rejection_fiber)
 
 
 def tv(g, units):
@@ -127,6 +127,16 @@ def test_fiber_graph_adjacency_is_symmetric_threshold():
         assert (fib.elements[i] - fib.elements[j]).l1() <= 4
 
 
+def test_fiber_graph_adjacency_matches_vector_differences():
+    g = cycle_graph("abcde")
+    fib = fiber_of(g, tv(g, [0, 1, 2, 8, 10, 11, 15, 21]))
+    for k in (1, 2, 3, 4):
+        expected = tuple(
+            (i, j) for i in range(fib.size) for j in range(i + 1, fib.size)
+            if (fib.elements[i] - fib.elements[j]).l1() <= 2 * k)
+        assert fiber_graph(fib, k).adjacency == expected
+
+
 def test_components_refine_with_degree():
     g = cycle_graph("abcd")
     z = tv(g, [0b0000, 0b0011, 0b1100, 0b1111])
@@ -135,6 +145,27 @@ def test_components_refine_with_degree():
     comp4 = fiber_components(fib, 4)
     assert len(comp4) <= len(comp2)
     assert sum(len(c) for c in comp4) == fib.size
+
+
+K23 = Graph(tuple("abcde"), [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+P5 = Graph(tuple("abcde"), [(i, i + 1) for i in range(4)])
+
+
+@pytest.mark.parametrize("g, units, size", [
+    (cycle_graph("abcd"), [0, 2, 4, 5, 7, 9, 11, 14], 40),
+    (cycle_graph("abcde"), [0, 1, 2, 8, 10, 11, 15, 21], 136),
+    (cycle_graph("abcdef"), [0, 5, 23, 28, 34, 38], 118),
+    (K23, [4, 6, 11, 13, 17, 18, 23, 25], 124),
+    (P5, [3, 6, 8, 16, 29, 29], 262),
+], ids=["C4-t8", "C5-t8", "C6-t6", "K23-t8", "P5-t6"])
+def test_extract_moves_matches_pairwise_oracle(g, units, size):
+    """Same moves, signs and order as subtracting every pair."""
+    fib = fiber_of(g, tv(g, units))
+    assert fib.size == size
+    for k in (1, 2, 4):
+        got = extract_moves(fib, k)
+        want = pairwise_moves(fib, k)
+        assert [m.vector.key() for m in got] == [m.vector.key() for m in want]
 
 
 def test_extract_moves_are_kernel_elements():

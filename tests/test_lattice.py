@@ -159,6 +159,44 @@ def test_degree_2_path_move():
     assert as_move(u, g).degree == 2
 
 
+def test_kernel_test_zero_vector_and_edgeless_graph():
+    assert is_kernel_element(TableVector.zero(VERTS), path_graph())
+    edgeless = Graph(VERTS, [])
+    # without edges only the total has to vanish
+    assert is_kernel_element(vec([1, 2]) - vec([4, 8]), edgeless)
+    assert not is_kernel_element(vec([1, 2]) - vec([4]), edgeless)
+    assert as_move(vec([3]) - vec([12]), edgeless).degree == 1
+
+
+def test_kernel_test_rejects_other_vertex_order():
+    g = Graph(VERTS, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    u = TableVector(("b", "a", "c", "d"), {0b0101: 1, 0b1010: 1,
+                                           0b0111: -1, 0b1000: -1})
+    with pytest.raises(GroundSetMismatch):
+        is_kernel_element(u, g)
+    with pytest.raises(GroundSetMismatch):
+        as_move(u, g)
+
+
+def test_kernel_test_fields_fit_the_l1_norm():
+    """Edge (a, b) with c free: counts of at most 300 put cell marginals
+    (512, -1, -512, 1) on the edge.  Packed in fields sized for the
+    largest count (9 bits), 512 * 2**0 - 1 * 2**9 - 512 * 2**18
+    + 1 * 2**27 is 0; fields sized for the L1 norm (1026) see them."""
+    g = Graph(("a", "b", "c"), [(0, 1)])
+    u = TableVector(g.vertices, {0b000: 300, 0b100: 212, 0b010: -1,
+                                 0b001: -300, 0b101: -212, 0b011: 1})
+    assert graph_marginals(u, g).tables == (((0, 1), (512, -1, -512, 1)),)
+    assert sum(c << (9 * k) for k, c in enumerate((512, -1, -512, 1))) == 0
+    assert u.total() == 0
+    assert not is_kernel_element(u, g)
+    with pytest.raises(NotKernelMove):
+        as_move(u, g)
+    flat = TableVector(g.vertices, {0b000: 300, 0b100: -300,
+                                    0b011: -300, 0b111: 300})
+    assert is_kernel_element(flat, g)
+
+
 def test_canonical_sign():
     u = vec([1]) - vec([2])
     assert canonical_sign(u) == u

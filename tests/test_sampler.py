@@ -42,6 +42,23 @@ def test_nonkernel_move_rejected_at_load():
         random_walk(g, [bad], z0, WalkConfig(steps=1, seed=0))
 
 
+def test_moves_checked_in_order_ground_set_first():
+    """Each move is checked against the graph's vertices, then for zero
+    marginals, in list order, before any step."""
+    g, z0, _, moves = c4_setup([0b0101, 0b0101, 0b1111, 0b1111])
+    bad = TableVector.from_units(g.vertices, [0b0001]) - \
+        TableVector.from_units(g.vertices, [0b0010])
+    other = TableVector(("b", "a", "c", "d"), moves[0].vector.entries)
+    cfg = WalkConfig(steps=1, seed=0)
+    with pytest.raises(NotKernelMove,
+                       match=r"^TableVector\(.*\) has nonzero marginals$"):
+        random_walk(g, moves + [bad, other], z0, cfg)
+    with pytest.raises(GroundSetMismatch,
+                       match=r"^\('b', 'a', 'c', 'd'\) vs "
+                             r"\('a', 'b', 'c', 'd'\)$"):
+        list(walk_states(g, moves + [other, bad], z0, cfg))
+
+
 def test_start_over_other_vertices_rejected():
     g, _, _, moves = c4_setup([0b0101, 0b0101, 0b1111, 0b1111])
     z0 = TableVector.from_units(("b", "a", "c", "d"), [0b0101, 0b1111])
