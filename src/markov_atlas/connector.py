@@ -10,10 +10,16 @@ The construction enumerates no fiber.  It makes one pass over the
 block-cut forest (`graphs.block_cut_forest`).  Each block or isolated
 vertex whose part of the two tables differs gets its own chain; then
 the union of the pieces before piece j is joined to piece j by norm-4
-swaps.  Every step is lifted onto the whole table at the cut vertices:
-each component of the rest of the graph meets the stepped vertices in
-one vertex, so it moves with a released unit that has the same bit
-there, and the lift keeps the step's norm and every edge marginal.
+swaps.
+
+One rule, `_lift`, applies a step on some of the vertices to the whole
+table: across cut vertices, inside a block, and in `glue_cutsame`.  The
+other vertices fall into groups that meet the stepped vertices only at
+their key vertices, and each group moves with a released unit that
+agrees there, so the lift keeps the step's norm and every edge
+marginal.  The hand-off is steered toward the target: units the target
+has keep their part, and a released unit takes first a new part that
+makes it a unit the target still lacks.
 
 Inside a 2-connected block the chain is driven by the block's
 series-parallel tree (`graphs.block_sp_tree`, from the same reduction
@@ -36,6 +42,7 @@ The three gluing primitives (`glue_cutsame`, `glue_swaps`,
 `glue_cutchange`) work over arbitrary overlapping vertex sets and are
 exact: the produced vectors meet their stated norm identities, which
 `verify_sequence` re-checks at every step when requested.
+`glue_cutsame` is the lift of one step with one group.
 """
 
 from __future__ import annotations
@@ -72,6 +79,81 @@ def _place(part_mask: int, positions: Sequence[int]) -> int:
     return out
 
 
+def _part_counts(entries: Dict[int, int], mask: int) -> Dict[int, int]:
+    """Counts of the parts `unit & mask` of a table's units."""
+    out: Dict[int, int] = {}
+    for u, c in entries.items():
+        part = u & mask
+        out[part] = out.get(part, 0) + c
+    return out
+
+
+def _step_parts(before: TableVector, after: TableVector,
+                positions: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The parts that the step before -> after removes and adds, each
+    placed at `positions` and sorted."""
+    gone: List[int] = []
+    new: List[int] = []
+    for m in before.entries.keys() | after.entries.keys():
+        d = after.entries.get(m, 0) - before.entries.get(m, 0)
+        if d:
+            (new if d > 0 else gone).extend([_place(m, positions)] * abs(d))
+    return sorted(gone), sorted(new)
+
+
+def _lift(cur: Dict[int, int], mask: int, gone: Sequence[int],
+          new: Sequence[int], groups: Sequence[Tuple[int, int]],
+          target: Optional[Dict[int, int]]):
+    """Apply to the whole table `cur`, in place, a step that replaces
+    the parts `gone` by the parts `new` (sorted) on the vertices of
+    `mask`, steered toward the table `target`.
+
+    Each group (key mask, group mask) holds vertices outside `mask`
+    whose edges reach `mask` only at the key vertices.  Per gone part
+    the last units in (wanted by `target` first, then ascending) order
+    are released.  In each group a released unit hands its group bits
+    to a new part with the same key bits: first to one that makes its
+    part on `mask | group mask` a part that `target` still lacks,
+    otherwise to the smallest left.  So the lift has the step's norm
+    and keeps every edge marginal that the step keeps.
+    """
+    tgt = target or {}
+
+    def order(u):
+        return tgt.get(u, 0) <= 0, u
+
+    released = []
+    for part in set(gone):
+        released += sorted((u for u, c in cur.items() if u & mask == part
+                            for _ in range(c)), key=order)[-gone.count(part):]
+    released.sort(key=order)
+    for u in released:
+        cur[u] -= 1
+        if not cur[u]:
+            del cur[u]
+    units = list(new)
+    for key, gmask in groups:
+        want = _part_counts(tgt, mask | gmask)
+        for part, c in _part_counts(cur, mask | gmask).items():
+            want[part] = want.get(part, 0) - c
+        for bits in {u & key for u in released} | {q & key for q in new}:
+            src = [u & gmask for u in released if u & key == bits]
+            dst = [i for i, q in enumerate(new) if q & key == bits]
+            if len(src) != len(dst):
+                raise InvariantViolation("a step moved the marginal of "
+                                         "the vertices a group hangs from")
+            src.sort(key=lambda r: all(want.get(r | new[i], 0) <= 0
+                                       for i in dst))
+            for r in src:
+                i = next((i for i in dst if want.get(r | new[i], 0) > 0),
+                         dst[0])
+                want[r | new[i]] = want.get(r | new[i], 0) - 1
+                dst.remove(i)
+                units[i] |= r
+    for u in units:
+        cur[u] = cur.get(u, 0) + 1
+
+
 # ---------------------------------------------------------------------
 # gluing primitives
 
@@ -84,10 +166,9 @@ def glue_cutsame(z: TableVector, zbar: TableVector, x2: Sequence[str],
     z' satisfies project(z', X1) = zbar, project(z', X2) = project(z, X2)
     and ||z - z'|| = ||project(z, X1) - zbar||.
 
-    Units of `prefer` (a table over the ground set of `z`) keep their
-    X1 part first, and a new part goes first to a unit that it turns
-    into a unit of `prefer`, as often as `prefer` has it; the rest take
-    the new parts in sorted order.  The connector passes its target.
+    This is `_lift` of the step project(z, X1) -> zbar with one group,
+    the vertices outside X1 keyed on Y, steered toward `prefer` (a
+    table over the ground set of `z`).  The connector passes its target.
     """
     X = z.vertices
     X1 = zbar.vertices
@@ -101,51 +182,13 @@ def glue_cutsame(z: TableVector, zbar: TableVector, x2: Sequence[str],
         raise ValueError("glue_cutsame needs non-negative inputs")
     if prefer is not None and prefer.vertices != X:
         raise ProjectionMismatch("prefer is not over the ground set of z")
-    want = Counter(prefer.units() if prefer is not None else ())
 
-    # zbar's units are placed at the positions of X1 in X, so parts
-    # compare with masked units of z
-    pos_x1 = _positions(X, X1)
-    x1_bits = _place((1 << len(X1)) - 1, pos_x1)
-    y_bits = _bitmask_of(X, Y)
-    bar_by_y: Dict[int, List[int]] = {}
-    for m in zbar.units():
-        part = _place(m, pos_x1)
-        bar_by_y.setdefault(part & y_bits, []).append(part)
-    z_by_y: Dict[int, List[int]] = {}
-    for m in z.units():
-        z_by_y.setdefault(m & y_bits, []).append(m)
-
-    out_units: List[int] = []
-    for ykey, full_units in sorted(z_by_y.items()):
-        bar_units = bar_by_y.get(ykey, [])
-        if len(bar_units) != len(full_units):
-            raise InvariantViolation("overlap class sizes differ")
-        # keep units whose X1 part already occurs in zbar, units of
-        # `prefer` first
-        avail = Counter(bar_units)
-        deferred: List[int] = []
-        for full in sorted(full_units, key=lambda m: want[m] <= 0):
-            part = full & x1_bits
-            if avail[part] > 0:
-                avail[part] -= 1
-                want[full] -= 1
-                out_units.append(full)
-            else:
-                deferred.append(full & ~x1_bits)
-        leftovers = sorted(avail.elements())
-        if len(leftovers) != len(deferred):
-            raise InvariantViolation("unmatched unit counts differ")
-        # a unit that some new part turns into a unit of `prefer` picks
-        # first; the others take what is left in sorted order
-        for rest in sorted(deferred, key=lambda r: all(
-                want[r | p] <= 0 for p in leftovers)):
-            new = next((p for p in leftovers if want[rest | p] > 0),
-                       leftovers[0])
-            want[rest | new] -= 1
-            leftovers.remove(new)
-            out_units.append(rest | new)
-    return TableVector.from_units(X, out_units)
+    x1_bits = _bitmask_of(X, X1)
+    cur = dict(z.entries)
+    _lift(cur, x1_bits, *_step_parts(project(z, X1), zbar, _positions(X, X1)),
+          [(_bitmask_of(X, Y), ((1 << len(X)) - 1) & ~x1_bits)],
+          prefer.entries if prefer is not None else None)
+    return TableVector(X, cur)
 
 
 def glue_swaps(z: TableVector, zp: TableVector,
@@ -345,9 +388,32 @@ def _extend(states: List[TableVector], more: Sequence[TableVector]):
     states.extend(more[1:])
 
 
-def _append_glued(states: List[TableVector], nxt: TableVector):
-    if nxt != states[-1]:
-        states.append(nxt)
+def _join_sides(z: TableVector, zp: TableVector, x1: Sequence[str],
+                x2: Sequence[str], sides) -> List[TableVector]:
+    """States z .. zp across a node whose sides cover x1 and x2: the
+    steps of each (chain, poles, join) in `sides`, a chain over one
+    side, lifted onto the whole table toward zp, then swaps.  A step
+    that keeps the marginal of its chain's poles keys the other
+    vertices on both poles, so it keeps each pole's marginal with them
+    too; any other step keys them on `join`."""
+    X = z.vertices
+    states = [z]
+    cur = dict(z.entries)
+    for seq, poles, join in sides:
+        pos = _positions(X, seq[0].vertices)
+        mask = _bitmask_of(X, seq[0].vertices)
+        pole_bits, join_bits = _bitmask_of(X, poles), _bitmask_of(X, join)
+        for prev, s in zip(seq, seq[1:]):
+            gone, new = _step_parts(prev, s, pos)
+            keeps = sorted(q & pole_bits for q in gone) == \
+                sorted(q & pole_bits for q in new)
+            _lift(cur, mask, gone, new,
+                  [(pole_bits if keeps else join_bits,
+                    ((1 << len(X)) - 1) & ~mask)], zp.entries)
+            states.append(TableVector(X, cur))
+    if states[-1] != zp:
+        _extend(states, glue_swaps(states[-1], zp, x1, x2))
+    return states
 
 
 def _labels(ground: Sequence[str], keep) -> Tuple[str, ...]:
@@ -418,20 +484,8 @@ def _case_serial(t: SPTree, u: str, v: str, z: TableVector,
     X2 = _labels(z.vertices, c2.vertex_labels())
     seq1 = yield c1, u, w, project(z, X1), project(zp, X1)
     seq2 = yield c2, w, v, project(z, X2), project(zp, X2)
-
-    states = [z]
-    for seq, poles, hold, pole in ((seq1, (u, w), X2, u),
-                                   (seq2, (w, v), X1, v)):
-        # a step that keeps its side's pole marginal also holds the
-        # outer pole, so the (u, v) marginal stays put
-        hold_pole = _labels(z.vertices, set(hold) | {pole})
-        for prev, s in zip(seq, seq[1:]):
-            keeps = project(prev, poles) == project(s, poles)
-            _append_glued(states, glue_cutsame(
-                states[-1], s, hold_pole if keeps else hold, zp))
-    if states[-1] != zp:
-        _extend(states, glue_swaps(states[-1], zp, X1, X2))
-    return states
+    return _join_sides(z, zp, X1, X2, ((seq1, (u, w), (w,)),
+                                       (seq2, (w, v), (w,))))
 
 
 def _case_parallel_edge(t: SPTree, edge: SPTree, others: Tuple[SPTree, ...],
@@ -444,13 +498,8 @@ def _case_parallel_edge(t: SPTree, edge: SPTree, others: Tuple[SPTree, ...],
     X2 = _labels(z.vertices, side2.vertex_labels())
     seq1 = yield side1, u, v, project(z, X1), project(zp, X1)
     seq2 = yield side2, u, v, project(z, X2), project(zp, X2)
-    states = [z]
-    for seq, hold in ((seq1, X2), (seq2, X1)):
-        for s in seq[1:]:
-            _append_glued(states, glue_cutsame(states[-1], s, hold, zp))
-    if states[-1] != zp:
-        _extend(states, glue_swaps(states[-1], zp, X1, X2))
-    return states
+    return _join_sides(z, zp, X1, X2, ((seq1, (u, v), (u, v)),
+                                       (seq2, (u, v), (u, v))))
 
 
 def _case_parallel_no_edge(t: SPTree, u: str, v: str, z: TableVector,
@@ -592,48 +641,6 @@ def _triangle_states(z: TableVector, zp: TableVector) -> List[TableVector]:
 # ---------------------------------------------------------------------
 # one pass over the block-cut forest
 
-def _part_counts(entries: Dict[int, int], mask: int) -> Dict[int, int]:
-    """Counts of the parts `unit & mask` of a table's units."""
-    out: Dict[int, int] = {}
-    for u, c in entries.items():
-        part = u & mask
-        out[part] = out.get(part, 0) + c
-    return out
-
-
-def _lift(cur: Dict[int, int], mask: int, gone: Sequence[int],
-          new: Sequence[int], groups: Sequence[Tuple[int, int]]):
-    """Apply to the whole table `cur`, in place, a step that replaces
-    the parts `gone` by the parts `new` on the vertices of `mask`.
-
-    Units whose part is still wanted stay as they are; one unit per
-    gone part is released.  Each group (key bit, group mask) holds
-    vertices outside `mask` whose edges reach `mask` at the key vertex
-    only, or nowhere for key 0.  Every new part takes each group's bits
-    from a released unit with the same key bit, so the lift has the
-    step's norm and keeps every edge marginal that the step keeps.
-    """
-    released = []
-    for part in gone:
-        u = min(x for x in cur if x & mask == part)
-        released.append(u)
-        cur[u] -= 1
-        if not cur[u]:
-            del cur[u]
-    units = list(new)
-    for key, gmask in groups:
-        for bit in ((0, key) if key else (0,)):
-            src = [u for u in released if u & key == bit]
-            dst = [i for i, q in enumerate(new) if q & key == bit]
-            if len(src) != len(dst):
-                raise InvariantViolation("a step moved the marginal of "
-                                         "a cut vertex")
-            for i, u in zip(dst, src):
-                units[i] |= u & gmask
-    for u in units:
-        cur[u] = cur.get(u, 0) + 1
-
-
 def _groups(pieces: Sequence[Piece], below: Sequence[int],
             heads: Iterable[int], inside: int, rest_key: int,
             full: int) -> List[Tuple[int, int]]:
@@ -660,18 +667,12 @@ def _piece_states(tree: Optional[SPTree], z: TableVector,
         return _connect_two_terminal(tree, *tree.poles, z, zp)
     if len(z.vertices) != 1:
         raise InvariantViolation("distinct tables on a single edge")
-    # isolated vertex: shift units between the two labelings
+    # isolated vertex: move one unit at a time between its labelings
+    d = zp.entries.get(1, 0) - z.entries.get(1, 0)
+    step = TableVector(z.vertices, {0: -1, 1: 1} if d > 0 else {0: 1, 1: -1})
     states = [z]
-    cur = dict(z.entries)
-    while cur != zp.entries:
-        if cur.get(0, 0) > zp.entries.get(0, 0):
-            src, dst = 0, 1
-        else:
-            src, dst = 1, 0
-        cur[src] = cur.get(src, 0) - 1
-        cur[dst] = cur.get(dst, 0) + 1
-        cur = {k: c for k, c in cur.items() if c}
-        states.append(TableVector(z.vertices, cur))
+    for _ in range(abs(d)):
+        states.append(states[-1] + step)
     return states
 
 
@@ -714,12 +715,8 @@ def _connect_pieces(g: Graph, pieces: Sequence[Piece],
         key = 0 if p.attach is None else 1 << p.attach
         groups = _groups(pieces, below, children[j], masks[j], key, full)
         for s, t in zip(chain, chain[1:]):
-            before, after = Counter(s.entries), Counter(t.entries)
-            gone = sorted(_place(m, p.vertices)
-                          for m in (before - after).elements())
-            new = sorted(_place(m, p.vertices)
-                         for m in (after - before).elements())
-            _lift(cur, masks[j], gone, new, groups)
+            _lift(cur, masks[j], *_step_parts(s, t, p.vertices), groups,
+                  zp.entries)
             states.append(TableVector(g.vertices, cur))
 
     union = 0
@@ -733,7 +730,8 @@ def _connect_pieces(g: Graph, pieces: Sequence[Piece],
             groups = _groups(pieces, below, range(j + 1, hung), joined, 0,
                              full)
             for a, e, c, f in _swaps(have, want, union, masks[j]):
-                _lift(cur, joined, (a, e), (c, f), groups)
+                _lift(cur, joined, sorted((a, e)), sorted((c, f)), groups,
+                      zp.entries)
                 states.append(TableVector(g.vertices, cur))
         union = joined
     if states[-1] != zp:
@@ -805,10 +803,9 @@ def connect_sp(tree: SPTree, z: TableVector, zp: TableVector,
 
 def connect_cycle(g: Graph, z: TableVector,
                   zp: TableVector) -> MoveSequence:
-    """Chain z .. zp on a cycle, steps of norm <= 8 (degree 4), built by
-    the two-terminal recursion down to K3, whose fibers are segments
-    along a single kernel move."""
+    """Chain z .. zp on a cycle, steps of norm <= 8 (degree 4): the
+    chain of `connect_graph`, whose two-terminal recursion goes down
+    to K3, whose fibers are segments along a single kernel move."""
     if not g.is_cycle():
         raise ValueError("graph is not a cycle")
-    _validate_pair(g, z, zp)
-    return MoveSequence(g, _piece_states(sp_decompose(g), z, zp))
+    return connect_graph(g, z, zp)

@@ -8,9 +8,10 @@ subgraph) keeps its vertices in the parent's order.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from .errors import (NoSuchPoles, NotK4MinorFree, NotSeriesParallel,
                      ParseError)
@@ -393,6 +394,25 @@ class SPTree:
                 out.append(t.poles)
             stack.extend(t.children)
         return out
+
+    def _shape(self) -> Iterator[tuple]:
+        """Kind, poles, join and child count of every node, parents
+        before children (which determines the tree), from an explicit
+        stack."""
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            yield t.kind, t.poles, t.join, len(t.children)
+            stack.extend(t.children)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a == b for a, b in itertools.zip_longest(
+            self._shape(), other._shape()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._shape()))
 
     def realize_edges(self) -> Set[Tuple[str, str]]:
         return {(a, b) if a <= b else (b, a) for a, b in self._leaf_poles()}

@@ -285,12 +285,24 @@ def canonical_sign(u: TableVector) -> TableVector:
 
 # -- text / JSON formats ----------------------------------------------
 
+def _bits(mask: int, n: int) -> str:
+    """A labeling of n vertices as a bit string, vertex 0 first."""
+    return format(mask, f"0{n}b")[::-1] if n else ""
+
+
+def _mask(bits: str, n: int, line=None) -> int:
+    """Inverse of `_bits`; raises ParseError unless `bits` has n binary
+    digits."""
+    if len(bits) != n or set(bits) - {"0", "1"}:
+        raise ParseError(f"bitstring must have {n} binary digits", line)
+    return int(bits[::-1], 2) if n else 0
+
+
 def format_vector(z: TableVector) -> str:
     n = len(z.vertices)
     lines = ["vertices: " + " ".join(z.vertices)]
     for mask in sorted(z.entries):
-        bits = "".join(str((mask >> i) & 1) for i in range(n))
-        lines.append(f"{bits} {z.entries[mask]}")
+        lines.append(f"{_bits(mask, n)} {z.entries[mask]}")
     return "\n".join(lines) + "\n"
 
 
@@ -312,13 +324,7 @@ def parse_vector(text: str) -> TableVector:
         if len(parts) != 2:
             raise ParseError("expected '<bits> <count>'", lineno)
         bits, count = parts
-        if len(bits) != len(vertices) or set(bits) - {"0", "1"}:
-            raise ParseError(
-                f"bitstring must have {len(vertices)} binary digits", lineno)
-        mask = 0
-        for i, b in enumerate(bits):
-            if b == "1":
-                mask |= 1 << i
+        mask = _mask(bits, len(vertices), lineno)
         try:
             entries[mask] = entries.get(mask, 0) + int(count)
         except ValueError:
@@ -332,10 +338,7 @@ def vector_to_json(z: TableVector) -> dict:
     n = len(z.vertices)
     return {
         "vertices": list(z.vertices),
-        "entries": {
-            "".join(str((m >> i) & 1) for i in range(n)): c
-            for m, c in sorted(z.entries.items())
-        },
+        "entries": {_bits(m, n): c for m, c in sorted(z.entries.items())},
     }
 
 
@@ -343,9 +346,6 @@ def vector_from_json(obj: dict) -> TableVector:
     vertices = tuple(obj["vertices"])
     entries: Dict[int, int] = {}
     for bits, c in obj["entries"].items():
-        mask = 0
-        for i, b in enumerate(bits):
-            if b == "1":
-                mask |= 1 << i
+        mask = _mask(bits, len(vertices))
         entries[mask] = entries.get(mask, 0) + int(c)
     return TableVector(vertices, entries)

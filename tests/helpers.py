@@ -5,10 +5,11 @@ inputs, used to cross-check the package's structured algorithms.
 """
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from markov_atlas import (Fiber, Graph, Move, TableVector, canonical_sign,
-                          fiber_of, graph_marginals)
+                          fiber_of, graph_marginals, project)
 from markov_atlas.fiber import _kernel
 
 
@@ -290,3 +291,119 @@ def all_trees(n: int) -> List[Graph]:
     """One representative per isomorphism class of n-vertex trees."""
     return [g for g in nonisomorphic_graphs(n)
             if g.is_forest() and g.is_connected()]
+
+
+def _spread(m: int, ground: Sequence[str], sub: Sequence[str]) -> int:
+    """The labeling m of `sub` placed at the positions of `sub` in
+    `ground`."""
+    at = {v: i for i, v in enumerate(ground)}
+    return sum(1 << at[v] for j, v in enumerate(sub) if (m >> j) & 1)
+
+
+def cutsame_oracle(z: TableVector, zbar: TableVector, x2: Sequence[str],
+                   prefer: Optional[TableVector] = None) -> TableVector:
+    """`glue_cutsame` as a matching loop of its own, per overlap class:
+    units keep their X1 part while zbar has it, units of `prefer` first
+    and then in ascending order; a released unit takes first a new part
+    that turns it into a unit `prefer` still lacks, otherwise the
+    smallest part left.  Inputs are assumed valid."""
+    X = z.vertices
+    X1 = zbar.vertices
+    x2set = set(x2)
+    Y = tuple(v for v in X1 if v in x2set)
+    want = Counter(prefer.units() if prefer is not None else ())
+
+    x1_bits = _spread((1 << len(X1)) - 1, X, X1)
+    y_bits = _spread((1 << len(Y)) - 1, X, Y)
+    bar_by_y: Dict[int, List[int]] = {}
+    for m in zbar.units():
+        part = _spread(m, X, X1)
+        bar_by_y.setdefault(part & y_bits, []).append(part)
+    z_by_y: Dict[int, List[int]] = {}
+    for m in z.units():
+        z_by_y.setdefault(m & y_bits, []).append(m)
+
+    out_units: List[int] = []
+    for ykey, full_units in sorted(z_by_y.items()):
+        avail = Counter(bar_by_y.get(ykey, []))
+        deferred: List[int] = []
+        for full in sorted(full_units, key=lambda m: want[m] <= 0):
+            part = full & x1_bits
+            if avail[part] > 0:
+                avail[part] -= 1
+                want[full] -= 1
+                out_units.append(full)
+            else:
+                deferred.append(full & ~x1_bits)
+        leftovers = sorted(avail.elements())
+        for rest in sorted(deferred, key=lambda r: all(
+                want[r | p] <= 0 for p in leftovers)):
+            new = next((p for p in leftovers if want[rest | p] > 0),
+                       leftovers[0])
+            want[rest | new] -= 1
+            leftovers.remove(new)
+            out_units.append(rest | new)
+    return TableVector.from_units(X, out_units)
+
+
+def cutsame_cases(rng, count: int):
+    """`count` random valid glue_cutsame inputs (z, zbar, x2, prefer):
+    2-6 vertices, X1 and X2 random covering sets that overlap in any
+    number of vertices, X1 listed in a random order, and `prefer` absent,
+    a random table or a table that the glue can reach."""
+    for k in range(count):
+        n = rng.randint(2, 6)
+        verts = tuple(chr(97 + i) for i in range(n))
+        side = [rng.randrange(3) for _ in verts]  # 0: X1 only, 1: X2 only
+        x1 = [v for v, s in zip(verts, side) if s != 1]
+        x2 = tuple(v for v, s in zip(verts, side) if s != 0)
+        rng.shuffle(x1)
+        x1 = tuple(x1)
+        y = [v for v in x1 if v in x2]
+        total = rng.randint(1, 5)
+        z = TableVector.from_units(
+            verts, [rng.randrange(1 << n) for _ in range(total)])
+        # zbar: each unit's X1 part redrawn off the overlap, so that
+        # zbar agrees with z on Y
+        ypos = [x1.index(v) for v in y]
+        zbar_units = []
+        for m in project(z, x1).units():
+            fresh = rng.randrange(1 << len(x1))
+            for p in ypos:
+                fresh = (fresh & ~(1 << p)) | (m & (1 << p))
+            zbar_units.append(fresh)
+        zbar = TableVector.from_units(x1, zbar_units)
+        kind = k % 3
+        if kind == 0:
+            prefer = None
+        elif kind == 1:
+            prefer = TableVector.from_units(
+                verts, [rng.randrange(1 << n) for _ in range(total)])
+        else:
+            # a random pairing of zbar's parts with z's X2 parts per
+            # overlap class: a table the glue can reach
+            prefer = _random_join(rng, z, zbar, x2)
+        yield z, zbar, x2, prefer
+
+
+def _random_join(rng, z: TableVector, zbar: TableVector,
+                 x2: Sequence[str]) -> TableVector:
+    """A table over z's vertices with X1 projection zbar and X2
+    projection that of z: zbar's units and z's X2 parts, paired at
+    random within each class of equal overlap bits."""
+    X = z.vertices
+    X1 = zbar.vertices
+    y = [v for v in X1 if v in set(x2)]
+    ybits = _spread((1 << len(y)) - 1, X, y)
+    sides: Dict[int, Tuple[List[int], List[int]]] = {}
+    for m in zbar.units():
+        a = _spread(m, X, X1)
+        sides.setdefault(a & ybits, ([], []))[0].append(a)
+    for m in project(z, x2).units():
+        b = _spread(m, X, x2)
+        sides.setdefault(b & ybits, ([], []))[1].append(b)
+    units = []
+    for ones, twos in sides.values():
+        rng.shuffle(twos)
+        units += [a | b for a, b in zip(ones, twos)]
+    return TableVector.from_units(X, units)

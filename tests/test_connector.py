@@ -10,14 +10,16 @@ from markov_atlas import (Graph, TableVector, connect_cycle,
                           cut_vertices, cycle_graph, complete_graph,
                           glue_cutchange, glue_cutsame, glue_swaps,
                           graph_marginals, is_k4_minor_free, parse_graph,
-                          project, sp_decompose, verify_sequence)
+                          parse_vector, project, sp_decompose,
+                          verify_sequence)
 from markov_atlas.connector import MoveSequence
 from markov_atlas.errors import (InvariantViolation, NotK4MinorFree,
                                  NotSeriesParallel, ProjectionMismatch)
 from markov_atlas.fiber import _kernel
 
 from helpers import (all_graphs, all_grouped_tables, bfs_connected,
-                     ladder_graph, swap_partner)
+                     cutsame_cases, cutsame_oracle, ladder_graph,
+                     swap_partner)
 
 
 def tv(verts, units):
@@ -72,6 +74,16 @@ def test_cutsame_pairs_new_parts_as_in_prefer():
     assert glue_cutsame(z, zbar, ("c", "d"), prefer) == prefer
     with pytest.raises(ProjectionMismatch):
         glue_cutsame(z, zbar, ("c", "d"), project(prefer, ("a", "b")))
+
+
+def test_cutsame_matches_oracle():
+    """glue_cutsame is one steered lift; it returns the table of the
+    per-class matching loop it replaced, with overlaps of any size and
+    `prefer` absent, random or reachable."""
+    rng = random.Random(8)
+    for z, zbar, x2, prefer in cutsame_cases(rng, 20000):
+        assert glue_cutsame(z, zbar, x2, prefer) == \
+            cutsame_oracle(z, zbar, x2, prefer)
 
 
 def test_cutsame_identity_when_already_matching():
@@ -402,6 +414,37 @@ def test_connect_lifts_steps_that_move_several_cut_vertices():
                                    for a, b in zip(seq.states,
                                                    seq.states[1:]))
         assert pairs >= 30 and joint_moves > 0, repr(g)
+
+
+STEERED_PAIRS = [
+    # a 15-vertex tree at total 4 (an unsteered hand-off takes 2 steps;
+    # one step is the lower bound)
+    ("ab bc bd ce cf eg eh ei ej ik il jm kn lo",
+     ["101000001101001", "000011001101101", "010010011011101",
+      "010111101110111"],
+     ["101000001101001", "010010011101101", "000011001011101",
+      "010111101110111"], 1),
+    # a 13-vertex cactus of triangles at total 5 (unsteered: 5 steps)
+    ("ab ac bd ce de df dg fh fi gi fj fk jk fl hl hm",
+     ["0101001001000", "1101010110100", "0100001110100", "1010100011001",
+      "1111001111011"],
+     ["1111001001000", "1101010110100", "1010101110100", "0100000011001",
+      "0101001111011"], 2),
+]
+
+
+@pytest.mark.parametrize("edges,units,target,most", STEERED_PAIRS)
+def test_connect_steers_toward_the_target(edges, units, target, most):
+    """Pairs from the benchmark's connect op lists on which the
+    block-cut pass, handing released units toward the target, keeps
+    the chain short."""
+    g = parse_graph("".join(f"{e[0]} {e[1]}\n" for e in edges.split()))
+    header = "vertices: " + " ".join(g.vertices) + "\n"
+    z, zp = (parse_vector(header + "".join(f"{b} 1\n" for b in bits))
+             for bits in (units, target))
+    seq = connect_graph(g, z, zp, verify=True)
+    assert seq.states[0] == z and seq.states[-1] == zp
+    assert seq.length <= most
 
 
 def test_connect_long_path_within_recursion_limit(default_recursion_limit):

@@ -249,6 +249,23 @@ def test_sp_decompose_deep_inputs(make, default_recursion_limit):
     assert is_k4_minor_free(g)
 
 
+def test_sp_tree_equality_and_hash_deep(default_recursion_limit):
+    """Trees compare and hash from an explicit stack: the 2x1000
+    ladder's tree, thousands of levels deep, under the default
+    recursion limit."""
+    a, b = sp_decompose(ladder_graph(1000)), sp_decompose(ladder_graph(1000))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != sp_decompose(ladder_graph(999))
+    leaf = SPTree("leaf", ("a", "b"))
+    assert leaf == SPTree("leaf", ("a", "b")) != SPTree("leaf", ("b", "a"))
+    assert leaf != ("leaf", ("a", "b"))
+    serial = SPTree("serial", ("a", "c"),
+                    (leaf, SPTree("leaf", ("b", "c"))), "b")
+    assert serial != SPTree("serial", ("a", "c"), serial.children, "c")
+    assert serial != SPTree("parallel", ("a", "c"), serial.children, "b")
+
+
 def test_sp_decompose_all_small_sp_graphs():
     """Reduction succeeds exactly on the 2-connected K4-minor-free
     blocks, and the realized graph always matches."""

@@ -216,6 +216,18 @@ def test_vector_json_roundtrip():
     assert vector_from_json(vector_to_json(z)) == z
 
 
+def test_vector_from_json_rejects_bad_bitstrings():
+    """A bit string of the wrong length, or with characters other than
+    0 and 1, is a ParseError, as in the text format; zero vertices
+    have the one labeling ""."""
+    for bits in ("1x", "1", "100", "1_0", " 1"):
+        with pytest.raises(ParseError):
+            vector_from_json({"vertices": ["a", "b"], "entries": {bits: 1}})
+    zero = TableVector((), {0: 2})
+    assert vector_to_json(zero) == {"vertices": [], "entries": {"": 2}}
+    assert vector_from_json(vector_to_json(zero)) == zero
+
+
 def test_parse_vector_reports_line():
     with pytest.raises(ParseError) as err:
         parse_vector("vertices: a b\n01 1\n0x 2\n")
