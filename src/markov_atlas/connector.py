@@ -12,6 +12,12 @@ vertex whose part of the two tables differs gets its own chain; then
 the union of the pieces before piece j is joined to piece j by norm-4
 swaps.
 
+Every table inside the connector is a {labeling: count} dict in the
+coordinates of the whole graph.  A sub-problem on some of the vertices
+works on the parts `unit & mask` of the units, where `mask` holds the
+bits of those vertices, and a step of its chain is the difference of
+two such dicts: nothing is projected or repacked between levels.
+
 One rule, `_lift`, applies a step on some of the vertices to the whole
 table: across cut vertices, inside a block, and in `glue_cutsame`.  The
 other vertices fall into groups that meet the stepped vertices only at
@@ -24,14 +30,14 @@ makes it a unit the target still lacks.
 Inside a 2-connected block the chain is driven by the block's
 series-parallel tree (`graphs.block_sp_tree`, from the same reduction
 that decides the K4 test): a serial node splits the tables at its join,
-a parallel node between its children, each side projected onto the
-vertices of its subtree, and the cases run from a work stack rather
-than by Python recursion.  A pole edge with one serial child closes a
-ring, which is re-poled at one of its parallel nodes or, when it is a
-cycle, split into two paths.  The base case is the triangle K3: the
-binary K3 model is the 2x2x2 no-three-way-interaction model, whose
-lattice kernel is spanned by one degree-4 move, so each K3 fiber is a
-segment walked one move at a time.
+a parallel node between its children, each side taking the part of the
+tables on the vertices of its subtree, and the cases run from a work
+stack rather than by Python recursion.  A pole edge with one serial
+child closes a ring, which is re-poled at one of its parallel nodes or,
+when it is a cycle, split into two paths.  The base case is the
+triangle K3: the binary K3 model is the 2x2x2 no-three-way-interaction
+model, whose lattice kernel is spanned by one degree-4 move, so each K3
+fiber is a segment walked one move at a time.
 
 For a piece with poles (u, v) the produced sequence additionally
 guarantees: whenever a step changes the joint (u, v) marginal, that
@@ -42,7 +48,8 @@ The three gluing primitives (`glue_cutsame`, `glue_swaps`,
 `glue_cutchange`) work over arbitrary overlapping vertex sets and are
 exact: the produced vectors meet their stated norm identities, which
 `verify_sequence` re-checks at every step when requested.
-`glue_cutsame` is the lift of one step with one group.
+`glue_cutsame` is the lift of one step with one group; the connector
+runs the cores of the other two on its own tables.
 """
 
 from __future__ import annotations
@@ -54,56 +61,60 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import InvariantViolation, ProjectionMismatch
 from .graphs import (Graph, Piece, SPTree, block_cut_forest, block_sp_tree,
                      realize, sp_decompose)
-from .lattice import (TableVector, graph_marginals, label_index, project,
-                      restrict_mask, vector_to_json)
+from .lattice import TableVector, graph_marginals, project, vector_to_json
+
+Counts = Dict[int, int]  # labeling -> count, over one ground set's bits
 
 
 # ---------------------------------------------------------------------
-# mask plumbing
+# tables as counts over the bits of one ground set
 
-def _positions(ground: Sequence[str], sub: Sequence[str]) -> List[int]:
-    at = label_index(tuple(ground))
-    return [at[v] for v in sub]
-
-
-def _bitmask_of(ground: Sequence[str], sub: Sequence[str]) -> int:
-    return _place((1 << len(sub)) - 1, _positions(ground, sub))
+def _bit_of(vertices: Sequence[str]) -> Dict[str, int]:
+    """The bit of each vertex in labelings over `vertices`."""
+    return {v: 1 << i for i, v in enumerate(vertices)}
 
 
-def _place(part_mask: int, positions: Sequence[int]) -> int:
-    """Inverse of restrict_mask: spread packed bits back onto `positions`."""
-    out = 0
-    for j, p in enumerate(positions):
-        if (part_mask >> j) & 1:
-            out |= 1 << p
-    return out
+def _mask(bit: Dict[str, int], labels: Iterable[str]) -> int:
+    return sum(bit[v] for v in set(labels))
 
 
-def _part_counts(entries: Dict[int, int], mask: int) -> Dict[int, int]:
+def _embed(x: TableVector, bit: Dict[str, int]) -> Counts:
+    """The counts of `x`, each labeling's bits moved to the bits that
+    `bit` gives their vertices."""
+    bits = [bit[v] for v in x.vertices]
+    return {sum(b for j, b in enumerate(bits) if m >> j & 1): c
+            for m, c in x.entries.items()}
+
+
+def _part_counts(entries: Counts, mask: int) -> Counts:
     """Counts of the parts `unit & mask` of a table's units."""
-    out: Dict[int, int] = {}
+    out: Counts = {}
     for u, c in entries.items():
         part = u & mask
         out[part] = out.get(part, 0) + c
     return out
 
 
-def _step_parts(before: TableVector, after: TableVector,
-                positions: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """The parts that the step before -> after removes and adds, each
-    placed at `positions` and sorted."""
+def _dist(a: Counts, b: Counts) -> int:
+    """The L1 norm of a - b."""
+    return sum(abs(a.get(m, 0) - b.get(m, 0)) for m in a.keys() | b.keys())
+
+
+def _step_parts(before: Counts, after: Counts) -> Tuple[List[int], List[int]]:
+    """The labelings that the step before -> after removes and adds,
+    each sorted."""
     gone: List[int] = []
     new: List[int] = []
-    for m in before.entries.keys() | after.entries.keys():
-        d = after.entries.get(m, 0) - before.entries.get(m, 0)
+    for m in before.keys() | after.keys():
+        d = after.get(m, 0) - before.get(m, 0)
         if d:
-            (new if d > 0 else gone).extend([_place(m, positions)] * abs(d))
+            (new if d > 0 else gone).extend([m] * abs(d))
     return sorted(gone), sorted(new)
 
 
-def _lift(cur: Dict[int, int], mask: int, gone: Sequence[int],
+def _lift(cur: Counts, mask: int, gone: Sequence[int],
           new: Sequence[int], groups: Sequence[Tuple[int, int]],
-          target: Optional[Dict[int, int]]):
+          target: Optional[Counts]):
     """Apply to the whole table `cur`, in place, a step that replaces
     the parts `gone` by the parts `new` (sorted) on the vertices of
     `mask`, steered toward the table `target`.
@@ -168,7 +179,7 @@ def glue_cutsame(z: TableVector, zbar: TableVector, x2: Sequence[str],
 
     This is `_lift` of the step project(z, X1) -> zbar with one group,
     the vertices outside X1 keyed on Y, steered toward `prefer` (a
-    table over the ground set of `z`).  The connector passes its target.
+    table over the ground set of `z`).
     """
     X = z.vertices
     X1 = zbar.vertices
@@ -183,10 +194,12 @@ def glue_cutsame(z: TableVector, zbar: TableVector, x2: Sequence[str],
     if prefer is not None and prefer.vertices != X:
         raise ProjectionMismatch("prefer is not over the ground set of z")
 
-    x1_bits = _bitmask_of(X, X1)
+    bit = _bit_of(X)
+    x1_bits = _mask(bit, X1)
     cur = dict(z.entries)
-    _lift(cur, x1_bits, *_step_parts(project(z, X1), zbar, _positions(X, X1)),
-          [(_bitmask_of(X, Y), ((1 << len(X)) - 1) & ~x1_bits)],
+    _lift(cur, x1_bits, *_step_parts(_part_counts(cur, x1_bits),
+                                     _embed(zbar, bit)),
+          [(_mask(bit, Y), ((1 << len(X)) - 1) & ~x1_bits)],
           prefer.entries if prefer is not None else None)
     return TableVector(X, cur)
 
@@ -203,21 +216,27 @@ def glue_swaps(z: TableVector, zp: TableVector,
         raise ProjectionMismatch("ground sets differ")
     if set(x1) | set(x2) != set(X):
         raise ProjectionMismatch("X1 and X2 do not cover the ground set")
-    if project(z, tuple(x1)) != project(zp, tuple(x1)) or \
-       project(z, tuple(x2)) != project(zp, tuple(x2)):
-        raise ProjectionMismatch("side projections differ")
-    if not (z.is_nonnegative() and zp.is_nonnegative()):
-        raise ValueError("glue_swaps needs non-negative inputs")
+    bit = _bit_of(X)
+    return [TableVector(X, s) for s in _swap_states(
+        z.entries, zp.entries, _mask(bit, x1), _mask(bit, x2))]
 
-    cur = dict(z.entries)
+
+def _swap_states(z: Counts, zp: Counts, m1: int, m2: int) -> List[Counts]:
+    """`glue_swaps` on counts over the bits of one ground set, the sides
+    on the bits of `m1` and `m2`."""
+    if _dist(_part_counts(z, m1), _part_counts(zp, m1)) or \
+       _dist(_part_counts(z, m2), _part_counts(zp, m2)):
+        raise ProjectionMismatch("side projections differ")
+    if any(c < 0 for x in (z, zp) for c in x.values()):
+        raise ValueError("glue_swaps needs non-negative inputs")
+    cur = dict(z)
     states = [z]
-    for _ in _swaps(cur, zp.entries, _bitmask_of(X, x1), _bitmask_of(X, x2)):
-        states.append(TableVector(X, cur))
+    for _ in _swaps(cur, zp, m1, m2):
+        states.append(dict(cur))
     return states
 
 
-def _swaps(cur: Dict[int, int], tgt: Dict[int, int], m1bits: int,
-           m2bits: int):
+def _swaps(cur: Counts, tgt: Counts, m1bits: int, m2bits: int):
     """Take the counts `cur` to `tgt` (equal projections on the bits of
     `m1bits` and of `m2bits`, which cover every bit used) by norm-4
     swaps.  Applies each swap to `cur` in place, then yields it as the
@@ -259,53 +278,47 @@ def glue_cutchange(z1: TableVector, z1p: TableVector,
     X = tuple(x_order)
     if set(X) != set(X1) | set(X2):
         raise ProjectionMismatch("x_order does not cover X1 | X2")
-    Y = tuple(v for v in X1 if v in set(X2))
-    if project(z1, Y) != project(z2, Y) or project(z1p, Y) != project(z2p, Y):
+    bit = _bit_of(X)
+    z, zp = _cutchange(*(_embed(x, bit) for x in (z1, z1p, z2, z2p)),
+                       _mask(bit, X1), _mask(bit, X2))
+    return TableVector(X, z), TableVector(X, zp)
+
+
+def _cutchange(z1: Counts, z1p: Counts, z2: Counts, z2p: Counts,
+               m1: int, m2: int) -> Tuple[Counts, Counts]:
+    """`glue_cutchange` on counts over the bits of one ground set, the
+    sides on the bits of `m1` and `m2`: within each overlap class the
+    sorted units of the two sides are paired in order."""
+    y = m1 & m2
+    if _dist(_part_counts(z1, y), _part_counts(z2, y)) or \
+       _dist(_part_counts(z1p, y), _part_counts(z2p, y)):
         raise ProjectionMismatch("sides disagree on the overlap")
-    d1 = (z1 - z1p).l1()
-    dy = (project(z1, Y) - project(z1p, Y)).l1()
-    d2 = (z2 - z2p).l1()
+    d1 = _dist(z1, z1p)
+    dy = _dist(_part_counts(z1, y), _part_counts(z1p, y))
+    d2 = _dist(z2, z2p)
     if not (dy == d1 == d2):
         raise ProjectionMismatch(
             f"tight-norm condition fails: overlap {dy}, sides {d1}, {d2}")
-    for v in (z1, z1p, z2, z2p):
-        if not v.is_nonnegative():
-            raise ValueError("glue_cutchange needs non-negative inputs")
+    if any(c < 0 for x in (z1, z1p, z2, z2p) for c in x.values()):
+        raise ValueError("glue_cutchange needs non-negative inputs")
 
-    pos_y1 = _positions(X1, Y)
-    pos_y2 = _positions(X2, Y)
-    pos_x1 = _positions(X, X1)
-    pos_x2 = _positions(X, X2)
-
-    def lift_pairs(units1: List[int], units2: List[int]) -> List[int]:
+    def lift_pairs(units1: Counter, units2: Counter) -> List[int]:
         by_y1: Dict[int, List[int]] = {}
-        for m in sorted(units1):
-            by_y1.setdefault(restrict_mask(m, pos_y1), []).append(m)
         by_y2: Dict[int, List[int]] = {}
-        for m in sorted(units2):
-            by_y2.setdefault(restrict_mask(m, pos_y2), []).append(m)
-        if sorted((k, len(v)) for k, v in by_y1.items()) != \
-           sorted((k, len(v)) for k, v in by_y2.items()):
+        for by_y, units in ((by_y1, units1), (by_y2, units2)):
+            for m in sorted(units.elements()):
+                by_y.setdefault(m & y, []).append(m)
+        if {k: len(v) for k, v in by_y1.items()} != \
+           {k: len(v) for k, v in by_y2.items()}:
             raise InvariantViolation("overlap class sizes differ in lift")
-        out = []
-        for ykey, ms1 in sorted(by_y1.items()):
-            for m1, m2 in zip(ms1, by_y2[ykey]):
-                out.append(_place(m1, pos_x1) | _place(m2, pos_x2))
-        return out
+        return [a | b for key, ms1 in sorted(by_y1.items())
+                for a, b in zip(ms1, by_y2[key])]
 
-    c1 = Counter(z1.units())
-    c1p = Counter(z1p.units())
-    c2 = Counter(z2.units())
-    c2p = Counter(z2p.units())
-    common = lift_pairs(sorted((c1 & c1p).elements()),
-                        sorted((c2 & c2p).elements()))
-    plus = lift_pairs(sorted((c1 - c1p).elements()),
-                      sorted((c2 - c2p).elements()))
-    minus = lift_pairs(sorted((c1p - c1).elements()),
-                       sorted((c2p - c2).elements()))
-    z = TableVector.from_units(X, common + plus)
-    zp = TableVector.from_units(X, common + minus)
-    return z, zp
+    c1, c1p, c2, c2p = map(Counter, (z1, z1p, z2, z2p))
+    common = lift_pairs(c1 & c1p, c2 & c2p)
+    plus = lift_pairs(c1 - c1p, c2 - c2p)
+    minus = lift_pairs(c1p - c1, c2p - c2)
+    return dict(Counter(common + plus)), dict(Counter(common + minus))
 
 
 # ---------------------------------------------------------------------
@@ -382,63 +395,58 @@ def verify_sequence(seq: MoveSequence, max_norm: int = 8) -> dict:
 # ---------------------------------------------------------------------
 # recursion over a series-parallel tree
 
-def _extend(states: List[TableVector], more: Sequence[TableVector]):
+def _extend(states: List[Counts], more: Sequence[Counts]):
     if more[0] != states[-1]:
         raise InvariantViolation("sequence junction mismatch")
     states.extend(more[1:])
 
 
-def _join_sides(z: TableVector, zp: TableVector, x1: Sequence[str],
-                x2: Sequence[str], sides) -> List[TableVector]:
-    """States z .. zp across a node whose sides cover x1 and x2: the
-    steps of each (chain, poles, join) in `sides`, a chain over one
-    side, lifted onto the whole table toward zp, then swaps.  A step
-    that keeps the marginal of its chain's poles keys the other
-    vertices on both poles, so it keeps each pole's marginal with them
-    too; any other step keys them on `join`."""
-    X = z.vertices
+def _join_sides(z: Counts, zp: Counts, m1: int, m2: int,
+                sides) -> List[Counts]:
+    """States z .. zp across a node whose sides have the vertex masks
+    m1 and m2: the steps of each (chain, pole mask, join mask) in
+    `sides`, a chain on the first side and then one on the second,
+    lifted onto the whole table toward zp, then swaps.  A step that
+    keeps the marginal of its chain's poles keys the other vertices on
+    both poles, so it keeps each pole's marginal with them too; any
+    other step keys them on the join."""
     states = [z]
-    cur = dict(z.entries)
-    for seq, poles, join in sides:
-        pos = _positions(X, seq[0].vertices)
-        mask = _bitmask_of(X, seq[0].vertices)
-        pole_bits, join_bits = _bitmask_of(X, poles), _bitmask_of(X, join)
+    cur = dict(z)
+    for mask, (seq, pole_bits, join_bits) in zip((m1, m2), sides):
         for prev, s in zip(seq, seq[1:]):
-            gone, new = _step_parts(prev, s, pos)
+            gone, new = _step_parts(prev, s)
             keeps = sorted(q & pole_bits for q in gone) == \
                 sorted(q & pole_bits for q in new)
             _lift(cur, mask, gone, new,
-                  [(pole_bits if keeps else join_bits,
-                    ((1 << len(X)) - 1) & ~mask)], zp.entries)
-            states.append(TableVector(X, cur))
-    if states[-1] != zp:
-        _extend(states, glue_swaps(states[-1], zp, x1, x2))
+                  [(pole_bits if keeps else join_bits, (m1 | m2) & ~mask)],
+                  zp)
+            states.append(dict(cur))
+    if cur != zp:
+        _extend(states, _swap_states(states[-1], zp, m1, m2))
     return states
 
 
-def _labels(ground: Sequence[str], keep) -> Tuple[str, ...]:
-    """The labels in `keep`, in ground-set order."""
-    return tuple(x for x in ground if x in keep)
+def _uv_cells(x: Counts, ubit: int, vbit: int) -> Tuple[int, ...]:
+    """The (u, v) marginal of `x`, u's value in the low bit."""
+    cells = [0, 0, 0, 0]
+    for m, c in x.items():
+        cells[bool(m & ubit) + 2 * bool(m & vbit)] += c
+    return tuple(cells)
 
 
-def _uv_cells(x: TableVector, ulab: str, vlab: str) -> Tuple[int, ...]:
-    p = project(x, (ulab, vlab))
-    return tuple(p.entries.get(m, 0) for m in range(4))
-
-
-def _connect_two_terminal(tree: SPTree, u: str, v: str, z: TableVector,
-                          zp: TableVector) -> List[TableVector]:
+def _connect_two_terminal(bit: Dict[str, int], tree: SPTree, u: str, v: str,
+                          z: Counts, zp: Counts) -> List[Counts]:
     """States z .. zp with step norms <= 8 and the pole discipline for
     (u, v), on the graph of `tree` with poles u and v.  Assumes equal
-    marginals and non-negative inputs over the tree's vertices in
-    ground-set order.
+    marginals and non-negative inputs, counts over the bits that `bit`
+    gives the labels, with every unit inside the tree's vertices.
 
     Each case is a generator that yields its sub-problems (tree, poles,
     tables) and is sent their chains; this loop runs them from an
     explicit stack, so the tree's depth is not bounded by the
     interpreter's recursion limit.
     """
-    stack = [_case(tree, u, v, z, zp)]
+    stack = [_case(bit, tree, u, v, z, zp)]
     chain = None
     while stack:
         try:
@@ -447,12 +455,13 @@ def _connect_two_terminal(tree: SPTree, u: str, v: str, z: TableVector,
             stack.pop()
             chain = done.value
         else:
-            stack.append(_case(*request))
+            stack.append(_case(bit, *request))
             chain = None
     return chain
 
 
-def _case(t: SPTree, u: str, v: str, z: TableVector, zp: TableVector):
+def _case(bit: Dict[str, int], t: SPTree, u: str, v: str, z: Counts,
+          zp: Counts):
     """Dispatch on the node kind.  Children may list their poles in
     either order; a parallel node has at most one leaf child, and none
     of its children is parallel."""
@@ -462,67 +471,69 @@ def _case(t: SPTree, u: str, v: str, z: TableVector, zp: TableVector):
         # a single edge pins the table; unequal endpoints cannot happen
         raise InvariantViolation("distinct tables on a single edge")
     if t.kind == "serial":
-        return (yield from _case_serial(t, u, v, z, zp))
+        return (yield from _case_serial(bit, t, u, v, z, zp))
     edge = next((c for c in t.children if c.kind == "leaf"), None)
     others = tuple(c for c in t.children if c is not edge)
     if edge is None:
-        return (yield from _case_parallel_no_edge(t, u, v, z, zp))
+        return (yield from _case_parallel_no_edge(bit, t, u, v, z, zp))
     if len(others) >= 2:
-        return (yield from _case_parallel_edge(t, edge, others, u, v, z, zp))
-    return (yield from _case_ring(edge, others[0], u, v, z, zp))
+        return (yield from _case_parallel_edge(bit, t, edge, others, u, v,
+                                               z, zp))
+    return (yield from _case_ring(bit, edge, others[0], u, v, z, zp))
 
 
-def _case_serial(t: SPTree, u: str, v: str, z: TableVector,
-                 zp: TableVector):
+def _case_serial(bit: Dict[str, int], t: SPTree, u: str, v: str, z: Counts,
+                 zp: Counts):
     """Split at the join w between the poles; walk the u side, then
     the v side, then finish with swaps."""
     c1, c2 = t.children
     if u not in c1.poles:
         c1, c2 = c2, c1
     w = t.join
-    X1 = _labels(z.vertices, c1.vertex_labels())
-    X2 = _labels(z.vertices, c2.vertex_labels())
-    seq1 = yield c1, u, w, project(z, X1), project(zp, X1)
-    seq2 = yield c2, w, v, project(z, X2), project(zp, X2)
-    return _join_sides(z, zp, X1, X2, ((seq1, (u, w), (w,)),
-                                       (seq2, (w, v), (w,))))
+    m1 = _mask(bit, c1.vertex_labels())
+    m2 = _mask(bit, c2.vertex_labels())
+    seq1 = yield c1, u, w, _part_counts(z, m1), _part_counts(zp, m1)
+    seq2 = yield c2, w, v, _part_counts(z, m2), _part_counts(zp, m2)
+    return _join_sides(z, zp, m1, m2, ((seq1, bit[u] | bit[w], bit[w]),
+                                       (seq2, bit[w] | bit[v], bit[w])))
 
 
-def _case_parallel_edge(t: SPTree, edge: SPTree, others: Tuple[SPTree, ...],
-                        u: str, v: str, z: TableVector, zp: TableVector):
+def _case_parallel_edge(bit: Dict[str, int], t: SPTree, edge: SPTree,
+                        others: Tuple[SPTree, ...], u: str, v: str,
+                        z: Counts, zp: Counts):
     """Pole edge present and at least two other children: both sides
     keep a copy of the pole edge, so the pole marginal never moves."""
     side1 = SPTree("parallel", t.poles, (edge, others[0]))
     side2 = SPTree("parallel", t.poles, (edge,) + others[1:])
-    X1 = _labels(z.vertices, others[0].vertex_labels())
-    X2 = _labels(z.vertices, side2.vertex_labels())
-    seq1 = yield side1, u, v, project(z, X1), project(zp, X1)
-    seq2 = yield side2, u, v, project(z, X2), project(zp, X2)
-    return _join_sides(z, zp, X1, X2, ((seq1, (u, v), (u, v)),
-                                       (seq2, (u, v), (u, v))))
+    m1 = _mask(bit, others[0].vertex_labels())
+    m2 = _mask(bit, side2.vertex_labels())
+    seq1 = yield side1, u, v, _part_counts(z, m1), _part_counts(zp, m1)
+    seq2 = yield side2, u, v, _part_counts(z, m2), _part_counts(zp, m2)
+    uv = bit[u] | bit[v]
+    return _join_sides(z, zp, m1, m2, ((seq1, uv, uv), (seq2, uv, uv)))
 
 
-def _case_parallel_no_edge(t: SPTree, u: str, v: str, z: TableVector,
-                           zp: TableVector):
+def _case_parallel_no_edge(bit: Dict[str, int], t: SPTree, u: str, v: str,
+                           z: Counts, zp: Counts):
     """Poles not adjacent: either the pole marginal already agrees (add
     a virtual pole edge as a leaf and reuse the edge case), or
     interpolate it one norm-4 exchange at a time and connect within
     each plateau."""
     plus = SPTree("parallel", t.poles,
                   (SPTree("leaf", t.poles),) + t.children)
-    if project(z, (u, v)) == project(zp, (u, v)):
+    if _part_counts(z, bit[u] | bit[v]) == _part_counts(zp, bit[u] | bit[v]):
         return (yield plus, u, v, z, zp)
 
     first, rest = t.children[0], t.children[1:]
     side2 = rest[0] if len(rest) == 1 else SPTree("parallel", t.poles, rest)
-    X1 = _labels(z.vertices, first.vertex_labels())
-    X2 = _labels(z.vertices, side2.vertex_labels())
-    seq1 = yield first, u, v, project(z, X1), project(zp, X1)
-    seq2 = yield side2, u, v, project(z, X2), project(zp, X2)
+    m1 = _mask(bit, first.vertex_labels())
+    m2 = _mask(bit, side2.vertex_labels())
+    seq1 = yield first, u, v, _part_counts(z, m1), _part_counts(zp, m1)
+    seq2 = yield side2, u, v, _part_counts(z, m2), _part_counts(zp, m2)
 
     # pole-marginal line: t0 + r*sign*(e00 + e11 - e01 - e10)
-    t0 = _uv_cells(z, u, v)
-    t1 = _uv_cells(zp, u, v)
+    t0 = _uv_cells(z, bit[u], bit[v])
+    t1 = _uv_cells(zp, bit[u], bit[v])
     c = t1[0] - t0[0]
     if c == 0 or tuple(t1[i] - t0[i] for i in range(4)) != \
             (c, -c, -c, c):
@@ -531,15 +542,15 @@ def _case_parallel_no_edge(t: SPTree, u: str, v: str, z: TableVector,
     m = abs(c)
     sign = 1 if c > 0 else -1
 
-    def scoord(x: TableVector) -> int:
-        cells = _uv_cells(x, u, v)
+    def scoord(x: Counts) -> int:
+        cells = _uv_cells(x, bit[u], bit[v])
         s = sign * (cells[0] - t0[0])
         if cells != (t0[0] + sign * s, t0[1] - sign * s,
                      t0[2] - sign * s, t0[3] + sign * s):
             raise InvariantViolation("pole marginal left the exchange line")
         return s
 
-    def crossings(seq: List[TableVector]) -> List[int]:
+    def crossings(seq: List[Counts]) -> List[int]:
         svals = [scoord(x) for x in seq]
         ks = []
         k_prev = 0
@@ -558,9 +569,8 @@ def _case_parallel_no_edge(t: SPTree, u: str, v: str, z: TableVector,
     states = [z]
     cur = z
     for r in range(1, m + 1):
-        a_r, b_r = glue_cutchange(seq1[ks1[r - 1] - 1], seq1[ks1[r - 1]],
-                                  seq2[ks2[r - 1] - 1], seq2[ks2[r - 1]],
-                                  z.vertices)
+        a_r, b_r = _cutchange(seq1[ks1[r - 1] - 1], seq1[ks1[r - 1]],
+                              seq2[ks2[r - 1] - 1], seq2[ks2[r - 1]], m1, m2)
         _extend(states, (yield plus, u, v, cur, a_r))
         states.append(b_r)
         cur = b_r
@@ -579,8 +589,8 @@ def _chain(pieces: Sequence[Tuple[SPTree, str, str]]) -> SPTree:
     return pieces[0][0]
 
 
-def _case_ring(edge: SPTree, ring: SPTree, u: str, v: str, z: TableVector,
-               zp: TableVector):
+def _case_ring(bit: Dict[str, int], edge: SPTree, ring: SPTree, u: str,
+               v: str, z: Counts, zp: Counts):
     """The pole edge and one serial child close a ring of blobs, each a
     leaf or a parallel node.  A ring of leaves is a cycle: K3 is the
     base case, and a longer cycle splits at u and the vertex halfway
@@ -608,7 +618,7 @@ def _case_ring(edge: SPTree, ring: SPTree, u: str, v: str, z: TableVector,
         return (yield (SPTree("parallel", (x, y), blob.children + (rest,)),
                        x, y, z, zp))
     if len(blobs) == 2:
-        return _triangle_states(z, zp)
+        return _triangle_states(z, zp, (bit[u], bit[blobs[0][2]], bit[v]))
     cyc = [u] + [q for _, _, q in blobs]
     h = len(cyc) // 2
     halves = tuple(_chain([(SPTree("leaf", (a, b)), a, b)
@@ -618,21 +628,35 @@ def _case_ring(edge: SPTree, ring: SPTree, u: str, v: str, z: TableVector,
                    cyc[0], cyc[h], z, zp))
 
 
-def _triangle_states(z: TableVector, zp: TableVector) -> List[TableVector]:
-    """Walk a K3 fiber, steps of norm exactly 8.
+def _walk(z: Counts, step: Counts, times: int) -> List[Counts]:
+    """The states z, z + step, ..., z + times * step."""
+    states = [z]
+    for _ in range(times):
+        cur = dict(states[-1])
+        for m, c in step.items():
+            cur[m] = cur.get(m, 0) + c
+            if not cur[m]:
+                del cur[m]
+        states.append(cur)
+    return states
+
+
+def _triangle_states(z: Counts, zp: Counts,
+                     bits: Sequence[int]) -> List[Counts]:
+    """Walk a K3 fiber on the vertices of `bits`, steps of norm
+    exactly 8.
 
     The binary K3 model is the 2x2x2 no-three-way-interaction model,
     whose lattice kernel is spanned by one move: +1 on the labelings of
     even popcount, -1 on the odd ones.  So every fiber is a segment
     z + t*move, and every state on it is non-negative by convexity.
     """
-    move = TableVector(z.vertices, {m: 1 - 2 * (bin(m).count("1") % 2)
-                                    for m in range(8)})
-    t = zp.entries.get(0, 0) - z.entries.get(0, 0)
-    step = move if t > 0 else -move
-    states = [z]
-    for _ in range(abs(t)):
-        states.append(states[-1] + step)
+    move = {0: 1}
+    for b in bits:
+        move.update({m | b: -c for m, c in move.items()})
+    t = zp.get(0, 0) - z.get(0, 0)
+    states = _walk(z, {m: c if t > 0 else -c for m, c in move.items()},
+                   abs(t))
     if states[-1] != zp:
         raise InvariantViolation("K3 tables differ off the kernel move")
     return states
@@ -659,26 +683,23 @@ def _groups(pieces: Sequence[Piece], below: Sequence[int],
     return [(key, m & ~inside) for key, m in by_key.items()]
 
 
-def _piece_states(tree: Optional[SPTree], z: TableVector,
-                  zp: TableVector) -> List[TableVector]:
-    """States z .. zp on one piece: a block of two or more edges, given
-    by its series-parallel tree, or an isolated vertex (tree None)."""
+def _piece_states(bit: Dict[str, int], tree: Optional[SPTree], mask: int,
+                  z: Counts, zp: Counts) -> List[Counts]:
+    """States z .. zp on one piece with the vertex mask `mask`: a block
+    of two or more edges, given by its series-parallel tree, or an
+    isolated vertex (tree None)."""
     if tree is not None:
-        return _connect_two_terminal(tree, *tree.poles, z, zp)
-    if len(z.vertices) != 1:
+        return _connect_two_terminal(bit, tree, *tree.poles, z, zp)
+    if mask & (mask - 1):
         raise InvariantViolation("distinct tables on a single edge")
     # isolated vertex: move one unit at a time between its labelings
-    d = zp.entries.get(1, 0) - z.entries.get(1, 0)
-    step = TableVector(z.vertices, {0: -1, 1: 1} if d > 0 else {0: 1, 1: -1})
-    states = [z]
-    for _ in range(abs(d)):
-        states.append(states[-1] + step)
-    return states
+    d = zp.get(mask, 0) - z.get(mask, 0)
+    return _walk(z, {0: -1, mask: 1} if d > 0 else {0: 1, mask: -1}, abs(d))
 
 
 def _connect_pieces(g: Graph, pieces: Sequence[Piece],
-                    trees: Dict[int, SPTree], z: TableVector,
-                    zp: TableVector) -> List[TableVector]:
+                    trees: Dict[int, SPTree], z: Counts,
+                    zp: Counts) -> List[Counts]:
     """States z .. zp over the pieces of `block_cut_forest(g)`, with
     the series-parallel tree of each piece j of two or more edges in
     `trees[j]`.
@@ -692,6 +713,7 @@ def _connect_pieces(g: Graph, pieces: Sequence[Piece],
     """
     if z == zp:
         return [z]
+    bit = _bit_of(g.vertices)
     full = (1 << g.n) - 1
     masks = [sum(1 << v for v in p.vertices) for p in pieces]
     children: List[List[int]] = [[] for _ in pieces]
@@ -702,22 +724,19 @@ def _connect_pieces(g: Graph, pieces: Sequence[Piece],
     for j in reversed(range(len(pieces))):
         if pieces[j].parent is not None:
             below[pieces[j].parent] |= below[j]
-    cur = dict(z.entries)
+    cur = dict(z)
     states = [z]
 
     for j, p in enumerate(pieces):
-        if _part_counts(z.entries, masks[j]) == \
-                _part_counts(zp.entries, masks[j]):
+        part, target = _part_counts(z, masks[j]), _part_counts(zp, masks[j])
+        if part == target:
             continue
-        labels = tuple(g.vertices[v] for v in p.vertices)
-        chain = _piece_states(trees.get(j), project(z, labels),
-                              project(zp, labels))
+        chain = _piece_states(bit, trees.get(j), masks[j], part, target)
         key = 0 if p.attach is None else 1 << p.attach
         groups = _groups(pieces, below, children[j], masks[j], key, full)
         for s, t in zip(chain, chain[1:]):
-            _lift(cur, masks[j], *_step_parts(s, t, p.vertices), groups,
-                  zp.entries)
-            states.append(TableVector(g.vertices, cur))
+            _lift(cur, masks[j], *_step_parts(s, t), groups, zp)
+            states.append(dict(cur))
 
     union = 0
     hung = 0  # pieces j+1 .. hung-1 hang from pieces 0 .. j (BFS order)
@@ -725,14 +744,14 @@ def _connect_pieces(g: Graph, pieces: Sequence[Piece],
         joined = union | masks[j]
         hung = max(hung, j + 1, *(c + 1 for c in children[j]))
         have = _part_counts(cur, joined)
-        want = _part_counts(zp.entries, joined)
+        want = _part_counts(zp, joined)
         if have != want:
             groups = _groups(pieces, below, range(j + 1, hung), joined, 0,
                              full)
             for a, e, c, f in _swaps(have, want, union, masks[j]):
                 _lift(cur, joined, sorted((a, e)), sorted((c, f)), groups,
-                      zp.entries)
-                states.append(TableVector(g.vertices, cur))
+                      zp)
+                states.append(dict(cur))
         union = joined
     if states[-1] != zp:
         raise InvariantViolation("block-cut pass ended off the target")
@@ -761,7 +780,8 @@ def connect_graph(g: Graph, z: TableVector, zp: TableVector,
     for j, p in enumerate(pieces):
         if len(p.edges) > 1:
             trees[j] = block_sp_tree(g.vertices, p.edges)
-    seq = MoveSequence(g, _connect_pieces(g, pieces, trees, z, zp))
+    states = _connect_pieces(g, pieces, trees, z.entries, zp.entries)
+    seq = MoveSequence(g, [TableVector(g.vertices, s) for s in states])
     if verify:
         verify_sequence(seq)
     return seq
@@ -794,7 +814,9 @@ def connect_sp(tree: SPTree, z: TableVector, zp: TableVector,
     if g.vertices != z.vertices:
         raise ProjectionMismatch("tree does not span the table's vertices")
     _validate_pair(g, z, zp)
-    seq = MoveSequence(g, _connect_two_terminal(tree, *tree.poles, z, zp),
+    states = _connect_two_terminal(_bit_of(z.vertices), tree, *tree.poles,
+                                   z.entries, zp.entries)
+    seq = MoveSequence(g, [TableVector(z.vertices, s) for s in states],
                        poles=tree.poles)
     if verify:
         verify_sequence(seq)

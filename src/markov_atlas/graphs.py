@@ -54,6 +54,10 @@ class Graph:
         return len(self.edges)
 
     def index(self, label: str) -> int:
+        """The position of `label`; a ValueError names a label that is
+        not a vertex."""
+        if label not in self.vertices:
+            raise ValueError(f"{label!r} is not a vertex of the graph")
         return self.vertices.index(label)
 
     def adj(self) -> Dict[int, Set[int]]:

@@ -10,7 +10,6 @@ of vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (GroundSetMismatch, InconsistentMarginals, NotKernelMove,
@@ -129,14 +128,6 @@ def restrict_mask(mask: int, positions: Sequence[int]) -> int:
     return out
 
 
-@lru_cache(maxsize=16)
-def label_index(vertices: Tuple[str, ...]) -> Dict[str, int]:
-    """Position of each label in an ordered vertex set.  Cached, so the
-    dict is shared: callers must not change it.  The connector asks for
-    the same few large vertex sets many times."""
-    return {v: i for i, v in enumerate(vertices)}
-
-
 def project(z: TableVector, targets: Sequence[str]) -> TableVector:
     """Linear projection restricting every labeling to `targets`.
 
@@ -144,7 +135,7 @@ def project(z: TableVector, targets: Sequence[str]) -> TableVector:
     vertex order is exactly `targets`.  An empty target set yields a
     vector over zero vertices whose single entry is the signed total.
     """
-    at = label_index(z.vertices)
+    at = {v: i for i, v in enumerate(z.vertices)}
     try:
         positions = [at[v] for v in targets]
     except KeyError as exc:

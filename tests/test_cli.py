@@ -84,6 +84,13 @@ def test_decompose(files, capsys):
     assert obj["poles"] == ["a", "b"]
 
 
+def test_decompose_unknown_pole(files, capsys):
+    code, out, err = run(capsys, "decompose", files("theta.txt", THETA),
+                         "--poles", "a", "z")
+    assert code == 1 and out == ""
+    assert err == "error: 'z' is not a vertex of the graph\n"
+
+
 class _Digest:
     """A stdout that keeps only the length and SHA-256 of its text."""
 

@@ -1,6 +1,8 @@
 """Gluing primitives and the degree-4 connector."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -19,7 +21,7 @@ from markov_atlas.fiber import _kernel
 
 from helpers import (all_graphs, all_grouped_tables, bfs_connected,
                      cutsame_cases, cutsame_oracle, ladder_graph,
-                     swap_partner)
+                     random_sp_block, swap_partner)
 
 
 def tv(verts, units):
@@ -473,16 +475,17 @@ def test_connect_large_random_tree(default_recursion_limit):
 
 
 def test_connect_long_ladder_within_recursion_limit(default_recursion_limit):
-    """A 2x300 ladder is one 2-connected block whose series-parallel
-    tree is about 900 levels deep; the connector walks it from a work
-    stack."""
-    g = ladder_graph(300)
-    rng = random.Random(300)
-    z = tv(g.vertices, random_units(rng, g.n, 4))
-    zp = swap_partner(g, z, rng, tries=100)
-    assert zp != z
-    seq = connect_graph(g, z, zp, verify=True)
-    assert seq.states[0] == z and seq.states[-1] == zp
+    """2x300 and 2x1000 ladders are single 2-connected blocks whose
+    series-parallel trees are about 900 and 3,000 levels deep; the
+    connector walks them from a work stack."""
+    for k in (300, 1000):
+        g = ladder_graph(k)
+        rng = random.Random(k)
+        z = tv(g.vertices, random_units(rng, g.n, 4))
+        zp = swap_partner(g, z, rng, tries=100)
+        assert zp != z
+        seq = connect_graph(g, z, zp, verify=True)
+        assert seq.states[0] == z and seq.states[-1] == zp
 
 
 def test_connect_forest_steps_stay_small():
@@ -514,6 +517,58 @@ def test_connect_trivial_pair():
     z = tv(g.vertices, [0b0101, 0b0000])
     seq = connect_graph(g, z, z)
     assert seq.length == 0
+
+
+def pinned_connect_inputs():
+    """(name, graph, z, zp, poles) on which the connector reaches every
+    case: the block-cut pass (path, tree, forest), the isolated-vertex
+    walk, the K3 walk, the cycle split (C7), the ring re-pole (ladder),
+    a cactus, the cut-change crossing (theta pairs whose pole marginal
+    moves), a random series-parallel block, and `connect_two_terminal`
+    with given poles (poles not None)."""
+    def edges(text):
+        return parse_graph("".join(f"{e[0]} {e[1]}\n" for e in text.split()))
+
+    theta = edges("ac cb ad db ae eb")
+    rng = random.Random(2024)
+    for name, g, total in (
+            ("isolated", Graph("abcde", [(1, 3), (3, 4)]), 3),
+            ("c3", cycle_graph("abc"), 4), ("theta", theta, 3)):
+        for z, zp in fiber_pairs(g, total, rng, max_pairs=4):
+            yield name, g, z, zp, None
+    for z, zp in fiber_pairs(theta, 3, rng, max_pairs=6):
+        yield "theta-poles", theta, z, zp, ("a", "b")
+    for name, g, total, poles in (
+            ("path", Graph("abcdef", [(i, i + 1) for i in range(5)]), 4,
+             None),
+            ("tree", edges("ab bc bd ce cf eg eh ei ej"), 5, None),
+            ("forest", Graph("abcdefgh", [(0, 2), (2, 5), (2, 6), (1, 3),
+                                          (3, 7), (4, 7)]), 4, None),
+            ("c7", cycle_graph("abcdefg"), 4, None),
+            ("ladder", ladder_graph(6), 4, None),
+            ("cactus", edges("ab ac bd ce de df dg fh fi gi fj fk jk fl hl "
+                             "hm"), 5, None),
+            ("sp", random_sp_block(12, random.Random(12)), 4, None),
+            ("ladder-poles", ladder_graph(5), 4, ("v0", "v5"))):
+        for _ in range(3):
+            z = tv(g.vertices, random_units(rng, g.n, total))
+            yield name, g, z, swap_partner(g, z, rng, tries=20 * g.n), poles
+
+
+CONNECT_DIGEST = (
+    "18616fe675221e1cbe491924ebb854119ebec4519fa82b7075f3344bb7281530")
+
+
+def test_connect_output_pinned():
+    """The JSON that `connect --json` prints, on fixed inputs that reach
+    every connector case, and the same JSON from `connect_two_terminal`
+    with given poles: any change to a chain shows here."""
+    digest = hashlib.sha256()
+    for _, g, z, zp, poles in pinned_connect_inputs():
+        seq = (connect_graph(g, z, zp, verify=True) if poles is None else
+               connect_two_terminal(g, *poles, z, zp, verify=True))
+        digest.update((json.dumps(seq.to_json(), indent=2) + "\n").encode())
+    assert digest.hexdigest() == CONNECT_DIGEST
 
 
 # -- two-terminal pole discipline --------------------------------------

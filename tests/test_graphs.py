@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
-from markov_atlas import (Graph, SPTree, blocks, bridges, complete_graph,
-                          cut_vertices, cycle_graph, find_parallel3_poles,
+from markov_atlas import (Graph, SPTree, TableVector, blocks, bridges,
+                          complete_graph, connect_two_terminal, cut_vertices,
+                          cycle_graph, find_parallel3_poles,
                           is_k4_minor_free, parse_graph, realize,
                           sp_decompose)
 from markov_atlas.errors import NoSuchPoles, NotSeriesParallel, ParseError
@@ -207,6 +208,17 @@ def test_sp_decompose_respects_requested_poles():
     tree = sp_decompose(g, poles=("b", "d"))
     assert tree.poles == ("b", "d")
     assert realize(tree, g.vertices) == g
+
+
+def test_pole_that_is_not_a_vertex():
+    """A pole label missing from the graph is named in a ValueError,
+    by the decomposition and by the two-terminal connector."""
+    g = cycle_graph("abcd")
+    with pytest.raises(ValueError, match="^'z' is not a vertex of the graph$"):
+        sp_decompose(g, poles=("a", "z"))
+    z = TableVector.from_units(g.vertices, [0b0101])
+    with pytest.raises(ValueError, match="^'y' is not a vertex of the graph$"):
+        connect_two_terminal(g, "y", "b", z, z)
 
 
 # sha256 over (poles, to_json()) of every decomposition below, as the
