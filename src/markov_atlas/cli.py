@@ -63,7 +63,7 @@ def _json_chunks(obj) -> Iterator[str]:
             items = [(json.dumps(k) + ": ", v) for k, v in value.items()]
             stack.append([iter(items), "}", depth + 1, True])
             return "{"
-        if isinstance(value, list) and value:
+        if isinstance(value, (list, tuple)) and value:
             stack.append([iter([("", v) for v in value]), "]", depth + 1,
                           True])
             return "["

@@ -32,9 +32,13 @@ series-parallel tree (`graphs.block_sp_tree`, from the same reduction
 that decides the K4 test): a serial node splits the tables at its join,
 a parallel node between its children, each side taking the part of the
 tables on the vertices of its subtree, and the cases run from a work
-stack rather than by Python recursion.  A pole edge with one serial
-child closes a ring, which is re-poled at one of its parallel nodes or,
-when it is a cycle, split into two paths.  The base case is the
+stack rather than by Python recursion.  The tree is converted once,
+where the connector receives it, into nodes in the same bits (`_Node`):
+each holds its pole bits, its join bit and the mask of its subtree's
+vertices, so no case walks a subtree, and the nodes that the cases
+build for their sub-problems carry masks too.  A pole edge with one
+serial child closes a ring, which is re-poled at one of its parallel
+nodes or, when it is a cycle, split into two paths.  The base case is the
 triangle K3: the binary K3 model is the 2x2x2 no-three-way-interaction
 model, whose lattice kernel is spanned by one degree-4 move, so each K3
 fiber is a segment walked one move at a time.
@@ -434,19 +438,53 @@ def _uv_cells(x: Counts, ubit: int, vbit: int) -> Tuple[int, ...]:
     return tuple(cells)
 
 
-def _connect_two_terminal(bit: Dict[str, int], tree: SPTree, u: str, v: str,
-                          z: Counts, zp: Counts) -> List[Counts]:
-    """States z .. zp with step norms <= 8 and the pole discipline for
-    (u, v), on the graph of `tree` with poles u and v.  Assumes equal
-    marginals and non-negative inputs, counts over the bits that `bit`
-    gives the labels, with every unit inside the tree's vertices.
+class _Node:
+    """A node of a series-parallel tree in the bits of the connector's
+    tables: its kind, pole bits `u` and `v`, children, the `join` bit of
+    a serial node (0 otherwise), and `mask`, the bits of its vertices:
+    a leaf's two pole bits, or the OR of its children's masks."""
 
-    Each case is a generator that yields its sub-problems (tree, poles,
-    tables) and is sent their chains; this loop runs them from an
+    __slots__ = ("kind", "u", "v", "children", "join", "mask")
+
+    def __init__(self, kind: str, u: int, v: int,
+                 children: Tuple["_Node", ...] = (), join: int = 0):
+        self.kind, self.u, self.v = kind, u, v
+        self.children, self.join = children, join
+        mask = 0
+        for c in children:
+            mask |= c.mask
+        self.mask = mask or u | v
+
+
+def _nodes(tree: SPTree, bit: Dict[str, int]) -> _Node:
+    """`tree` as nodes over the bits that `bit` gives its labels, with
+    the tree's child order and pole orientation, built in one walk
+    (`SPTree._shape` read backwards, children before their parent).
+    Only serial nodes look up a join, so one without a join fails
+    here."""
+    built: List[_Node] = []
+    for kind, (p, q), w, count in reversed(list(tree._shape())):
+        cut = len(built) - count
+        children = tuple(built[cut:])
+        del built[cut:]
+        built.append(_Node(kind, bit[p], bit[q], children,
+                           bit[w] if kind == "serial" else 0))
+    return built[0]
+
+
+def _connect_two_terminal(tree: _Node, z: Counts,
+                          zp: Counts) -> List[Counts]:
+    """States z .. zp with step norms <= 8 and the pole discipline for
+    the tree's poles, on the graph of `tree`.  Assumes equal marginals
+    and non-negative inputs, counts over the bits of the tree's nodes,
+    with every unit inside `tree.mask`.
+
+    Each case is a generator that yields its sub-problems (node, pole
+    bits, tables) and is sent their chains; this loop runs them from an
     explicit stack, so the tree's depth is not bounded by the
     interpreter's recursion limit.
     """
-    stack = [_case(bit, tree, u, v, z, zp)]
+    stack = [_case(tree, tree.u, tree.v, z, zp)]
     chain = None
     while stack:
         try:
@@ -455,85 +493,76 @@ def _connect_two_terminal(bit: Dict[str, int], tree: SPTree, u: str, v: str,
             stack.pop()
             chain = done.value
         else:
-            stack.append(_case(bit, *request))
+            stack.append(_case(*request))
             chain = None
     return chain
 
 
-def _case(bit: Dict[str, int], t: SPTree, u: str, v: str, z: Counts,
-          zp: Counts):
-    """Dispatch on the node kind.  Children may list their poles in
-    either order; a parallel node has at most one leaf child, and none
-    of its children is parallel."""
+def _case(t: _Node, u: int, v: int, z: Counts, zp: Counts):
+    """Dispatch on the node kind, the poles u and v given as bits.
+    Children may list their poles in either order; a parallel node has
+    at most one leaf child, and none of its children is parallel."""
     if z == zp:
         return [z]
     if t.kind == "leaf":
         # a single edge pins the table; unequal endpoints cannot happen
         raise InvariantViolation("distinct tables on a single edge")
     if t.kind == "serial":
-        return (yield from _case_serial(bit, t, u, v, z, zp))
+        return (yield from _case_serial(t, u, v, z, zp))
     edge = next((c for c in t.children if c.kind == "leaf"), None)
     others = tuple(c for c in t.children if c is not edge)
     if edge is None:
-        return (yield from _case_parallel_no_edge(bit, t, u, v, z, zp))
+        return (yield from _case_parallel_no_edge(t, u, v, z, zp))
     if len(others) >= 2:
-        return (yield from _case_parallel_edge(bit, t, edge, others, u, v,
-                                               z, zp))
-    return (yield from _case_ring(bit, edge, others[0], u, v, z, zp))
+        return (yield from _case_parallel_edge(t, edge, others, u, v, z, zp))
+    return (yield from _case_ring(edge, others[0], u, v, z, zp))
 
 
-def _case_serial(bit: Dict[str, int], t: SPTree, u: str, v: str, z: Counts,
-                 zp: Counts):
+def _case_serial(t: _Node, u: int, v: int, z: Counts, zp: Counts):
     """Split at the join w between the poles; walk the u side, then
     the v side, then finish with swaps."""
     c1, c2 = t.children
-    if u not in c1.poles:
+    if u not in (c1.u, c1.v):
         c1, c2 = c2, c1
     w = t.join
-    m1 = _mask(bit, c1.vertex_labels())
-    m2 = _mask(bit, c2.vertex_labels())
-    seq1 = yield c1, u, w, _part_counts(z, m1), _part_counts(zp, m1)
-    seq2 = yield c2, w, v, _part_counts(z, m2), _part_counts(zp, m2)
-    return _join_sides(z, zp, m1, m2, ((seq1, bit[u] | bit[w], bit[w]),
-                                       (seq2, bit[w] | bit[v], bit[w])))
+    seq1 = yield c1, u, w, _part_counts(z, c1.mask), _part_counts(zp, c1.mask)
+    seq2 = yield c2, w, v, _part_counts(z, c2.mask), _part_counts(zp, c2.mask)
+    return _join_sides(z, zp, c1.mask, c2.mask,
+                       ((seq1, u | w, w), (seq2, w | v, w)))
 
 
-def _case_parallel_edge(bit: Dict[str, int], t: SPTree, edge: SPTree,
-                        others: Tuple[SPTree, ...], u: str, v: str,
-                        z: Counts, zp: Counts):
+def _case_parallel_edge(t: _Node, edge: _Node, others: Tuple[_Node, ...],
+                        u: int, v: int, z: Counts, zp: Counts):
     """Pole edge present and at least two other children: both sides
     keep a copy of the pole edge, so the pole marginal never moves."""
-    side1 = SPTree("parallel", t.poles, (edge, others[0]))
-    side2 = SPTree("parallel", t.poles, (edge,) + others[1:])
-    m1 = _mask(bit, others[0].vertex_labels())
-    m2 = _mask(bit, side2.vertex_labels())
+    side1 = _Node("parallel", t.u, t.v, (edge, others[0]))
+    side2 = _Node("parallel", t.u, t.v, (edge,) + others[1:])
+    m1, m2 = others[0].mask, side2.mask
     seq1 = yield side1, u, v, _part_counts(z, m1), _part_counts(zp, m1)
     seq2 = yield side2, u, v, _part_counts(z, m2), _part_counts(zp, m2)
-    uv = bit[u] | bit[v]
+    uv = u | v
     return _join_sides(z, zp, m1, m2, ((seq1, uv, uv), (seq2, uv, uv)))
 
 
-def _case_parallel_no_edge(bit: Dict[str, int], t: SPTree, u: str, v: str,
-                           z: Counts, zp: Counts):
+def _case_parallel_no_edge(t: _Node, u: int, v: int, z: Counts, zp: Counts):
     """Poles not adjacent: either the pole marginal already agrees (add
     a virtual pole edge as a leaf and reuse the edge case), or
     interpolate it one norm-4 exchange at a time and connect within
     each plateau."""
-    plus = SPTree("parallel", t.poles,
-                  (SPTree("leaf", t.poles),) + t.children)
-    if _part_counts(z, bit[u] | bit[v]) == _part_counts(zp, bit[u] | bit[v]):
+    plus = _Node("parallel", t.u, t.v,
+                 (_Node("leaf", t.u, t.v),) + t.children)
+    if _part_counts(z, u | v) == _part_counts(zp, u | v):
         return (yield plus, u, v, z, zp)
 
     first, rest = t.children[0], t.children[1:]
-    side2 = rest[0] if len(rest) == 1 else SPTree("parallel", t.poles, rest)
-    m1 = _mask(bit, first.vertex_labels())
-    m2 = _mask(bit, side2.vertex_labels())
+    side2 = rest[0] if len(rest) == 1 else _Node("parallel", t.u, t.v, rest)
+    m1, m2 = first.mask, side2.mask
     seq1 = yield first, u, v, _part_counts(z, m1), _part_counts(zp, m1)
     seq2 = yield side2, u, v, _part_counts(z, m2), _part_counts(zp, m2)
 
     # pole-marginal line: t0 + r*sign*(e00 + e11 - e01 - e10)
-    t0 = _uv_cells(z, bit[u], bit[v])
-    t1 = _uv_cells(zp, bit[u], bit[v])
+    t0 = _uv_cells(z, u, v)
+    t1 = _uv_cells(zp, u, v)
     c = t1[0] - t0[0]
     if c == 0 or tuple(t1[i] - t0[i] for i in range(4)) != \
             (c, -c, -c, c):
@@ -543,7 +572,7 @@ def _case_parallel_no_edge(bit: Dict[str, int], t: SPTree, u: str, v: str,
     sign = 1 if c > 0 else -1
 
     def scoord(x: Counts) -> int:
-        cells = _uv_cells(x, bit[u], bit[v])
+        cells = _uv_cells(x, u, v)
         s = sign * (cells[0] - t0[0])
         if cells != (t0[0] + sign * s, t0[1] - sign * s,
                      t0[2] - sign * s, t0[3] + sign * s):
@@ -578,19 +607,19 @@ def _case_parallel_no_edge(bit: Dict[str, int], t: SPTree, u: str, v: str,
     return states
 
 
-def _chain(pieces: Sequence[Tuple[SPTree, str, str]]) -> SPTree:
-    """A serial tree through pieces (tree, p, q), each q the next p,
+def _chain(pieces: Sequence[Tuple[_Node, int, int]]) -> _Node:
+    """A serial node through pieces (node, p, q), each q the next p,
     joined pairwise so that its depth is logarithmic."""
     while len(pieces) > 1:
-        joined = [(SPTree("serial", (p, q), (t1, t2), w), p, q)
+        joined = [(_Node("serial", p, q, (t1, t2), w), p, q)
                   for (t1, p, w), (t2, _, q) in zip(pieces[::2],
                                                     pieces[1::2])]
         pieces = joined + list(pieces[len(joined) * 2:])
     return pieces[0][0]
 
 
-def _case_ring(bit: Dict[str, int], edge: SPTree, ring: SPTree, u: str,
-               v: str, z: Counts, zp: Counts):
+def _case_ring(edge: _Node, ring: _Node, u: int, v: int, z: Counts,
+               zp: Counts):
     """The pole edge and one serial child close a ring of blobs, each a
     leaf or a parallel node.  A ring of leaves is a cycle: K3 is the
     base case, and a longer cycle splits at u and the vertex halfway
@@ -600,7 +629,7 @@ def _case_ring(bit: Dict[str, int], edge: SPTree, ring: SPTree, u: str,
     children gain the rest of the ring as one more child.  The caller's
     poles are an edge, whose marginal never moves, so their discipline
     holds for free."""
-    blobs = []  # (tree, p, q) from u to v
+    blobs = []  # (node, p, q) from u to v
     stack = [(ring, u, v)]
     while stack:
         t, p, q = stack.pop()
@@ -608,23 +637,23 @@ def _case_ring(bit: Dict[str, int], edge: SPTree, ring: SPTree, u: str,
             blobs.append((t, p, q))
             continue
         c1, c2 = t.children
-        if p not in c1.poles:
+        if p not in (c1.u, c1.v):
             c1, c2 = c2, c1
         stack += [(c2, t.join, q), (c1, p, t.join)]
     i = next((k for k, b in enumerate(blobs) if b[0].kind != "leaf"), None)
     if i is not None:
         blob, x, y = blobs[i]
         rest = _chain(blobs[i + 1:] + [(edge, v, u)] + blobs[:i])
-        return (yield (SPTree("parallel", (x, y), blob.children + (rest,)),
+        return (yield (_Node("parallel", x, y, blob.children + (rest,)),
                        x, y, z, zp))
     if len(blobs) == 2:
-        return _triangle_states(z, zp, (bit[u], bit[blobs[0][2]], bit[v]))
+        return _triangle_states(z, zp, (u, blobs[0][2], v))
     cyc = [u] + [q for _, _, q in blobs]
     h = len(cyc) // 2
-    halves = tuple(_chain([(SPTree("leaf", (a, b)), a, b)
+    halves = tuple(_chain([(_Node("leaf", a, b), a, b)
                            for a, b in zip(path, path[1:])])
                    for path in (cyc[:h + 1], cyc[h:] + cyc[:1]))
-    return (yield (SPTree("parallel", (cyc[0], cyc[h]), halves),
+    return (yield (_Node("parallel", cyc[0], cyc[h], halves),
                    cyc[0], cyc[h], z, zp))
 
 
@@ -683,13 +712,13 @@ def _groups(pieces: Sequence[Piece], below: Sequence[int],
     return [(key, m & ~inside) for key, m in by_key.items()]
 
 
-def _piece_states(bit: Dict[str, int], tree: Optional[SPTree], mask: int,
-                  z: Counts, zp: Counts) -> List[Counts]:
+def _piece_states(tree: Optional[_Node], mask: int, z: Counts,
+                  zp: Counts) -> List[Counts]:
     """States z .. zp on one piece with the vertex mask `mask`: a block
     of two or more edges, given by its series-parallel tree, or an
     isolated vertex (tree None)."""
     if tree is not None:
-        return _connect_two_terminal(bit, tree, *tree.poles, z, zp)
+        return _connect_two_terminal(tree, z, zp)
     if mask & (mask - 1):
         raise InvariantViolation("distinct tables on a single edge")
     # isolated vertex: move one unit at a time between its labelings
@@ -698,7 +727,7 @@ def _piece_states(bit: Dict[str, int], tree: Optional[SPTree], mask: int,
 
 
 def _connect_pieces(g: Graph, pieces: Sequence[Piece],
-                    trees: Dict[int, SPTree], z: Counts,
+                    trees: Dict[int, _Node], z: Counts,
                     zp: Counts) -> List[Counts]:
     """States z .. zp over the pieces of `block_cut_forest(g)`, with
     the series-parallel tree of each piece j of two or more edges in
@@ -713,7 +742,6 @@ def _connect_pieces(g: Graph, pieces: Sequence[Piece],
     """
     if z == zp:
         return [z]
-    bit = _bit_of(g.vertices)
     full = (1 << g.n) - 1
     masks = [sum(1 << v for v in p.vertices) for p in pieces]
     children: List[List[int]] = [[] for _ in pieces]
@@ -731,7 +759,7 @@ def _connect_pieces(g: Graph, pieces: Sequence[Piece],
         part, target = _part_counts(z, masks[j]), _part_counts(zp, masks[j])
         if part == target:
             continue
-        chain = _piece_states(bit, trees.get(j), masks[j], part, target)
+        chain = _piece_states(trees.get(j), masks[j], part, target)
         key = 0 if p.attach is None else 1 << p.attach
         groups = _groups(pieces, below, children[j], masks[j], key, full)
         for s, t in zip(chain, chain[1:]):
@@ -776,10 +804,9 @@ def connect_graph(g: Graph, z: TableVector, zp: TableVector,
     a K4 minor.  Raises NotK4MinorFree otherwise."""
     _validate_pair(g, z, zp)
     pieces = block_cut_forest(g)
-    trees = {}
-    for j, p in enumerate(pieces):
-        if len(p.edges) > 1:
-            trees[j] = block_sp_tree(g.vertices, p.edges)
+    bit = _bit_of(g.vertices)
+    trees = {j: _nodes(block_sp_tree(g.vertices, p.edges), bit)
+             for j, p in enumerate(pieces) if len(p.edges) > 1}
     states = _connect_pieces(g, pieces, trees, z.entries, zp.entries)
     seq = MoveSequence(g, [TableVector(g.vertices, s) for s in states])
     if verify:
@@ -814,7 +841,7 @@ def connect_sp(tree: SPTree, z: TableVector, zp: TableVector,
     if g.vertices != z.vertices:
         raise ProjectionMismatch("tree does not span the table's vertices")
     _validate_pair(g, z, zp)
-    states = _connect_two_terminal(_bit_of(z.vertices), tree, *tree.poles,
+    states = _connect_two_terminal(_nodes(tree, _bit_of(z.vertices)),
                                    z.entries, zp.entries)
     seq = MoveSequence(g, [TableVector(z.vertices, s) for s in states],
                        poles=tree.poles)

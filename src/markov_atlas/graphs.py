@@ -382,6 +382,12 @@ class SPTree:
     Leaves carry an edge; serial nodes have exactly two children glued
     at `join`; parallel nodes have two or more children sharing both
     poles.  Vertices are stored as labels of the realized graph.
+
+    One walk, `_shape`, visits the nodes from an explicit stack; it
+    drives `==`, `hash` and `realize`, and the connector builds its own
+    nodes, in the bits of its tables, from it.  `to_json` and
+    `from_json` also run from explicit stacks, so no method is bounded
+    by the recursion limit.
     """
 
     kind: str  # "leaf" | "serial" | "parallel"
@@ -389,20 +395,11 @@ class SPTree:
     children: Tuple["SPTree", ...] = ()
     join: Optional[str] = None
 
-    def _leaf_poles(self) -> List[Tuple[str, str]]:
-        """The poles of every leaf, from an explicit stack."""
-        out, stack = [], [self]
-        while stack:
-            t = stack.pop()
-            if t.kind == "leaf":
-                out.append(t.poles)
-            stack.extend(t.children)
-        return out
-
     def _shape(self) -> Iterator[tuple]:
-        """Kind, poles, join and child count of every node, parents
-        before children (which determines the tree), from an explicit
-        stack."""
+        """Kind, poles, join and child count of every node in pre-order,
+        last child first, from an explicit stack.  This determines the
+        tree: read backwards, each node follows its children, first
+        child first."""
         stack = [self]
         while stack:
             t = stack.pop()
@@ -417,12 +414,6 @@ class SPTree:
 
     def __hash__(self) -> int:
         return hash(tuple(self._shape()))
-
-    def realize_edges(self) -> Set[Tuple[str, str]]:
-        return {(a, b) if a <= b else (b, a) for a, b in self._leaf_poles()}
-
-    def vertex_labels(self) -> Set[str]:
-        return {v for e in self._leaf_poles() for v in e}
 
     def to_json(self) -> dict:
         """Nested dicts: kind, poles, join (serial nodes), children.
@@ -464,8 +455,10 @@ class SPTree:
 
 
 def realize(tree: SPTree, vertex_order: Optional[Sequence[str]] = None) -> Graph:
-    """Graph realized by a decomposition tree."""
-    labels = tree.vertex_labels()
+    """Graph realized by a decomposition tree: the edges of its leaves."""
+    edges = {(a, b) if a <= b else (b, a)
+             for kind, (a, b), _, _ in tree._shape() if kind == "leaf"}
+    labels = {v for e in edges for v in e}
     if vertex_order is None:
         order = sorted(labels)
     else:
@@ -473,8 +466,7 @@ def realize(tree: SPTree, vertex_order: Optional[Sequence[str]] = None) -> Graph
         if set(order) != labels:
             raise ValueError("vertex_order does not cover the tree")
     index = {v: i for i, v in enumerate(order)}
-    edges = [(index[a], index[b]) for a, b in tree.realize_edges()]
-    return Graph(order, edges)
+    return Graph(order, [(index[a], index[b]) for a, b in edges])
 
 
 def _reduce(edges: Iterable[Edge], keep: Sequence[int] = ()):

@@ -124,17 +124,11 @@ def double_wheel(cycle_len: int) -> Triangulation:
 
 def is_clean(t: Triangulation) -> bool:
     """True iff every triangle of the skeleton is a face."""
-    es = t.edge_set
-    adj: Dict[int, Set[int]] = {i: set() for i in range(t.n)}
-    for i, j in es:
-        adj[i].add(j)
-        adj[j].add(i)
+    g = t.skeleton()
+    adj = g.adj()
     face_set = set(t.faces)
-    for (i, j) in es:
-        for k in adj[i] & adj[j]:
-            if tuple(sorted((i, j, k))) not in face_set:
-                return False
-    return True
+    return all(tuple(sorted((i, j, k))) in face_set
+               for i, j in g.edges for k in adj[i] & adj[j])
 
 
 @dataclass(frozen=True)
@@ -218,13 +212,10 @@ def _clique_masks(t: Triangulation) -> List[int]:
     supported on such masks: a support labeling with two set bits off
     the skeleton would charge an empty (1,1) marginal cell.
     """
-    es = t.edge_set
-    adj: Dict[int, Set[int]] = {i: set() for i in range(t.n)}
-    for i, j in es:
-        adj[i].add(j)
-        adj[j].add(i)
+    g = t.skeleton()
+    adj = g.adj()
     masks = [0] + [1 << i for i in range(t.n)]
-    for (i, j) in sorted(es):
+    for i, j in sorted(g.edges):
         masks.append((1 << i) | (1 << j))
         for k in sorted(adj[i] & adj[j]):
             if k > j:

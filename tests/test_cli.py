@@ -128,6 +128,19 @@ def test_decompose_long_ladder(files, monkeypatch, default_recursion_limit):
     assert (again.size, again.sha.digest()) == (out.size, out.sha.digest())
 
 
+def test_json_chunks_match_json_dumps():
+    """The chunked writer gives the text of `json.dumps(indent=2)` on
+    nested dicts, lists and tuples, empty containers and scalars, and
+    on a chain's JSON, whose edges are tuples."""
+    g = parse_graph(C4)
+    z, zp = (markov_atlas.parse_vector(v) for v in (VEC_C4, VEC_C4_B))
+    for obj in ({"a": [1, (2, 3), {"b": ()}], "c": {}, "d": [[]], "e": None},
+                (1, [2, ("x", 3.5)], {"k": (True, False)}),
+                [], (), {}, "text", 7, -1.25, None, False,
+                connector.connect_graph(g, z, zp).to_json()):
+        assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
+
+
 def test_connect_success(files, capsys):
     code, out, _ = run(capsys, "connect", files("c4.txt", C4),
                        files("a.vec", VEC_C4), files("b.vec", VEC_C4_B),

@@ -7,12 +7,12 @@ import random
 
 import pytest
 
-from markov_atlas import (Graph, TableVector, connect_cycle,
+from markov_atlas import (Graph, SPTree, TableVector, connect_cycle,
                           connect_graph, connect_sp, connect_two_terminal,
                           cut_vertices, cycle_graph, complete_graph,
                           glue_cutchange, glue_cutsame, glue_swaps,
                           graph_marginals, is_k4_minor_free, parse_graph,
-                          parse_vector, project, sp_decompose,
+                          parse_vector, project, realize, sp_decompose,
                           verify_sequence)
 from markov_atlas.connector import MoveSequence
 from markov_atlas.errors import (InvariantViolation, NotK4MinorFree,
@@ -569,6 +569,55 @@ def test_connect_output_pinned():
                connect_two_terminal(g, *poles, z, zp, verify=True))
         digest.update((json.dumps(seq.to_json(), indent=2) + "\n").encode())
     assert digest.hexdigest() == CONNECT_DIGEST
+
+
+def mirrored(tree):
+    """`tree` with every node's poles swapped and its children reversed,
+    rebuilt through `SPTree.from_json`."""
+    obj = tree.to_json()
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        node["poles"].reverse()
+        node.get("children", []).reverse()
+        stack.extend(node.get("children", []))
+    return SPTree.from_json(obj)
+
+
+MIRRORED_DIGEST = (
+    "7fc97b87436b5217ea6ee545c0373527b1df127772d59137a821326c606269d8")
+
+
+def mirrored_inputs():
+    """(graph, canonical tree, mirrored tree, z, zp) on a theta with a
+    pole edge, a 2x5 ladder and a random series-parallel block, three
+    pairs each: the canonical tree is `sp_decompose`'s."""
+    theta = parse_graph("a b\na c\nc e\ne b\na d\nd f\nf b\n")
+    rng = random.Random(44)
+    for g, poles in ((theta, ("a", "b")), (ladder_graph(5), ("v0", "v5")),
+                     (random_sp_block(12, random.Random(12)), None)):
+        tree = sp_decompose(g, poles)
+        for _ in range(3):
+            z = tv(g.vertices, random_units(rng, g.n, 5))
+            yield (g, tree, mirrored(tree), z,
+                   swap_partner(g, z, rng, tries=50 * g.n))
+
+
+def test_connect_sp_mirrored_trees_pinned():
+    """`connect_sp` on trees that `sp_decompose` never returns: every
+    node mirrored, poles swapped and children reversed.  The connector
+    keeps a tree's child order and pole orientation, and on some of
+    these pairs a mirrored tree gives another chain than the canonical
+    one, so a conversion that reorders a tree shows here."""
+    digest = hashlib.sha256()
+    differ = 0
+    for g, tree, mirror, z, zp in mirrored_inputs():
+        assert mirror != tree and realize(mirror, g.vertices) == g
+        seq = connect_sp(mirror, z, zp, verify=True)
+        assert seq.poles == mirror.poles
+        differ += seq.states != connect_sp(tree, z, zp).states
+        digest.update((json.dumps(seq.to_json(), indent=2) + "\n").encode())
+    assert differ and digest.hexdigest() == MIRRORED_DIGEST
 
 
 # -- two-terminal pole discipline --------------------------------------

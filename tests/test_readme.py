@@ -1,0 +1,15 @@
+"""The README's library example runs as written."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})
+        assert capsys.readouterr().out
