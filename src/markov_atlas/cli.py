@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional
 from . import connector, fiber, sampler, triangulation, width
 from .errors import MarkovAtlasError
 from .graphs import parse_graph, sp_decompose
-from .lattice import (Move, as_move, format_vector, parse_vector,
+from .lattice import (Move, as_moves, format_vector, parse_vector,
                       vector_to_json)
 
 
@@ -48,19 +48,34 @@ def _load_moves(path: str, g) -> List[Move]:
             blocks[-1].append(raw)
     if not blocks:
         raise MarkovAtlasError(f"no move vectors found in {path}")
-    return [as_move(parse_vector("\n".join(b)), g) for b in blocks]
+    # one kernel test for the file; each block is parsed just before
+    # its check, so errors come block by block
+    return as_moves((parse_vector("\n".join(b)) for b in blocks), g)
+
+
+def _json_key(key) -> str:
+    """A dict key as `json.dumps` writes it: str, int, float, bool and
+    None keys become strings, other keys raise TypeError."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
 
 
 def _json_chunks(obj) -> Iterator[str]:
     """The text of `json.dumps(obj, indent=2)` in pieces, from an
     explicit stack: a long ladder's tree nests deeper than the json
     module's recursion allows, and its indented text runs to hundreds
-    of megabytes.  Scalars and keys are encoded by `json.dumps`."""
+    of megabytes.  Scalars and keys are encoded by `json.dumps`; keys
+    that are not strings are first turned into the text json gives
+    them (1 -> "1", True -> "true", None -> "null")."""
     stack: List[list] = []  # [items, closing bracket, depth, first?]
 
     def put(value, depth: int) -> str:
         if isinstance(value, dict) and value:
-            items = [(json.dumps(k) + ": ", v) for k, v in value.items()]
+            items = [(_json_key(k) + ": ", v) for k, v in value.items()]
             stack.append([iter(items), "}", depth + 1, True])
             return "{"
         if isinstance(value, (list, tuple)) and value:

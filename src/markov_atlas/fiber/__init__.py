@@ -127,7 +127,7 @@ def extract_moves(f: Fiber, k: int) -> List[Move]:
     sign-canonicalized (entry at the smallest support mask positive),
     in the order of `TableVector.key()`."""
     vertices = f.graph.vertices
-    return [Move(TableVector(vertices, dict(items)))
+    return [Move(TableVector(vertices, dict(items)), items)
             for items in _kernel.fiber_moves(_unit_tables(f), 2 * k)]
 
 

@@ -435,23 +435,69 @@ class SPTree:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SPTree":
-        """Inverse of `to_json`, built bottom-up from an explicit stack."""
-        built: List["SPTree"] = []
-        stack = [(obj, False)]
+        """Inverse of `to_json`, built bottom-up from an explicit stack.
+
+        Raises ParseError naming the first malformed node (`root`,
+        `root.children[1]`, ...): an unknown kind, missing poles or
+        children, a serial node without a join or without exactly two
+        children, or a pole or join that is not a vertex of the node's
+        leaves.  Each node's vertex set grows from its largest child's,
+        so the check stays O(n log n) on deep trees.
+        """
+        built: List[Tuple["SPTree", set]] = []  # node, its leaves' vertices
+        # (json node, path, ready); a path is None or (parent path, index)
+        stack: List[tuple] = [(obj, None, False)]
         while stack:
-            o, ready = stack.pop()
-            if o["kind"] == "leaf":
-                built.append(cls("leaf", tuple(o["poles"])))
-            elif not ready:
-                stack.append((o, True))
-                stack.extend((c, False) for c in reversed(o["children"]))
-            else:
+            o, path, ready = stack.pop()
+            if ready:
                 cut = len(built) - len(o["children"])
-                children = tuple(built[cut:])
+                parts = built[cut:]
                 del built[cut:]
-                built.append(cls(o["kind"], tuple(o["poles"]), children,
-                                 o.get("join")))
-        return built[0]
+                labels = max((v for _, v in parts), key=len, default=set())
+                for _, v in parts:
+                    if v is not labels:
+                        labels |= v
+                for label in (*o["poles"], o.get("join")):
+                    if label is not None and label not in labels:
+                        raise ParseError(f"{_node_name(path)}: {label!r} is "
+                                         "not a vertex of its leaves")
+                built.append((cls(o["kind"], tuple(o["poles"]),
+                                  tuple(t for t, _ in parts), o.get("join")),
+                              labels))
+                continue
+            kind = o.get("kind") if isinstance(o, dict) else None
+            if kind not in ("leaf", "serial", "parallel"):
+                raise ParseError(f"{_node_name(path)}: unknown kind {kind!r}")
+            poles = o.get("poles")
+            if not isinstance(poles, (list, tuple)) or len(poles) != 2:
+                raise ParseError(f"{_node_name(path)}: needs two poles")
+            if kind == "leaf":
+                built.append((cls("leaf", tuple(poles)), set(poles)))
+                continue
+            children = o.get("children")
+            if not isinstance(children, (list, tuple)):
+                raise ParseError(f"{_node_name(path)}: {kind} node without "
+                                 "children")
+            if kind == "serial" and len(children) != 2:
+                raise ParseError(f"{_node_name(path)}: serial node with "
+                                 f"{len(children)} children, not 2")
+            if kind == "serial" and o.get("join") is None:
+                raise ParseError(f"{_node_name(path)}: serial node without "
+                                 "a join")
+            stack.append((o, path, True))
+            stack.extend((children[i], (path, i), False)
+                         for i in reversed(range(len(children))))
+        return built[0][0]
+
+
+def _node_name(path) -> str:
+    """A tree node's place in the JSON, like `root.children[1]`, from a
+    `from_json` path: None for the root, else (parent path, index)."""
+    steps = []
+    while path is not None:
+        path, i = path
+        steps.append(f".children[{i}]")
+    return "root" + "".join(reversed(steps))
 
 
 def realize(tree: SPTree, vertex_order: Optional[Sequence[str]] = None) -> Graph:

@@ -9,8 +9,9 @@ of vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .errors import (GroundSetMismatch, InconsistentMarginals, NotKernelMove,
                      ParseError)
@@ -201,6 +202,11 @@ class Move:
     """A kernel element of the marginal map: all edge tables vanish."""
 
     vector: TableVector
+    # the vector's (mask, coefficient) items in ascending mask order, as
+    # `fiber.extract_moves` has them shared between moves; the sampler
+    # walks them instead of rebuilding them
+    _items: Optional[Tuple[Tuple[int, int], ...]] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def degree(self) -> int:
@@ -221,23 +227,28 @@ def _kernel_test(g) -> Callable[[TableVector], bool]:
     edge) is computed once per width for the life of the test.
     """
     edges = sorted(g.edges)
-    increments: Dict[Tuple[int, int], int] = {}
+    # per width, each labeling's increment
+    increments: Dict[int, Dict[int, int]] = {}
 
     def test(u: TableVector) -> bool:
         if u.vertices != g.vertices:
             raise GroundSetMismatch(f"{u.vertices} vs {g.vertices}")
-        if u.total():
+        values = u.entries.values()
+        if sum(values):
             return False
-        width = u.l1().bit_length()
+        width = sum(map(abs, values)).bit_length()
+        row = increments.get(width)
+        if row is None:
+            row = increments[width] = {}
         packed = 0
         for m, c in u.entries.items():
-            step = increments.get((m, width))
+            step = row.get(m)
             if step is None:
                 step = 0
                 for e, (i, j) in enumerate(edges):
                     cell = (((m >> i) & 1) << 1) | ((m >> j) & 1)
                     step |= 1 << (width * (4 * e + cell))
-                increments[m, width] = step
+                row[m] = step
             packed += c * step
         return packed == 0
 
@@ -248,17 +259,22 @@ def is_kernel_element(u: TableVector, g) -> bool:
     return _kernel_test(g)(u)
 
 
-def as_moves(vectors: Iterable[TableVector], g) -> List[Move]:
-    """Every vector as a move of g, checked in order with one kernel
-    test: the first one over other vertices raises GroundSetMismatch,
-    the first one with nonzero marginals NotKernelMove."""
+def _kernel_checked(vectors: Iterable[TableVector],
+                    g) -> Iterator[TableVector]:
+    """Every vector, checked in order with one kernel test: the first
+    one over other vertices raises GroundSetMismatch, the first one
+    with nonzero marginals NotKernelMove."""
     test = _kernel_test(g)
-    moves = []
     for u in vectors:
         if not test(u):
             raise NotKernelMove(f"{u!r} has nonzero marginals")
-        moves.append(Move(u))
-    return moves
+        yield u
+
+
+def as_moves(vectors: Iterable[TableVector], g) -> List[Move]:
+    """Every vector as a move of g, checked as `_kernel_checked` checks
+    them."""
+    return [Move(u) for u in _kernel_checked(vectors, g)]
 
 
 def as_move(u: TableVector, g) -> Move:

@@ -4,6 +4,12 @@ The walk is lazy Metropolis with a symmetric proposal: at each step pick
 a (move, sign) pair uniformly and apply it iff the result stays
 non-negative, otherwise stay put.  The uniform distribution on the
 reachable set is stationary for this chain.
+
+The draws come from the seeded Mersenne Twister's `getrandbits`, taken
+as `randrange` takes them: for n moves, n.bit_length() bits, drawn
+again while the value is >= n; then two bits for the sign, drawn again
+while >= 2.  The trajectories are those of `randrange(n)` and
+`randrange(2)`, drawn without their per-call overhead.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import GroundSetMismatch
 from .graphs import Graph
-from .lattice import Move, TableVector, as_moves
+from .lattice import Move, TableVector, _kernel_checked
 
 RNG_ALGORITHM = "mt19937"
 
@@ -57,14 +63,15 @@ class WalkResult:
 
 def _checked_moves(g: Graph,
                    moves: Sequence[Move]) -> List[Tuple[Tuple[int, int], ...]]:
-    """The (mask, coefficient) items of every move, each checked first
-    against g's vertices and then for zero marginals.  Equal items are
-    one tuple: a large fiber has thousands of moves over a few dozen."""
-    vecs = [mv.vector if isinstance(mv, Move) else mv for mv in moves]
-    shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    return [tuple([shared.setdefault(item, item)
-                   for item in mv.vector.entries.items()])
-            for mv in as_moves(vecs, g)]
+    """The (mask, coefficient) items of every move, each move checked
+    once, in order, as `as_moves` checks it: first against g's vertices,
+    then for zero marginals.  A move from `extract_moves` hands over
+    its items as the kernel made them, equal items one tuple: a large
+    fiber has thousands of moves over a few dozen."""
+    moves = [mv if isinstance(mv, Move) else Move(mv) for mv in moves]
+    checked = _kernel_checked([mv.vector for mv in moves], g)
+    return [mv._items or tuple(u.entries.items())
+            for mv, u in zip(moves, checked)]
 
 
 def _steps(g: Graph, moves: Sequence[Move], z0: TableVector,
@@ -79,25 +86,49 @@ def _steps(g: Graph, moves: Sequence[Move], z0: TableVector,
     deltas = _checked_moves(g, moves)
     if not deltas:
         return
-    if z0.vertices != g.vertices:  # as_moves checked the moves against g
+    if z0.vertices != g.vertices:  # the moves were checked against g
         raise GroundSetMismatch(f"{z0.vertices} vs {g.vertices}")
-    rng = random.Random(cfg.seed)
+    bits = random.Random(cfg.seed).getrandbits
+    n = len(deltas)
+    k = n.bit_length()
     get = counts.get
     for _ in range(cfg.burn_in + cfg.steps):
-        # move first, then sign: the draw order fixes the trajectory
-        delta = deltas[rng.randrange(len(deltas))]
-        sign = -1 if rng.randrange(2) else 1
-        # entries off the move's support stay as they are, hence >= 0
-        if all(get(m, 0) + sign * c >= 0 for m, c in delta):
+        # the move, then the sign, each drawn as randrange(n) and
+        # randrange(2) draw them: the draw order fixes the trajectory
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        sign = bits(2)
+        while sign >= 2:
+            sign = bits(2)
+        delta = deltas[r]
+        # only the cells the signed move lowers can go negative
+        if sign:  # subtract the move
             for m, c in delta:
-                left = get(m, 0) + sign * c
-                if left:
-                    counts[m] = left
-                else:
-                    del counts[m]
-            yield True
-        else:
-            yield False
+                if c > 0 and get(m, 0) < c:
+                    yield False
+                    break
+            else:
+                for m, c in delta:
+                    left = get(m, 0) - c
+                    if left:
+                        counts[m] = left
+                    else:
+                        del counts[m]
+                yield True
+        else:  # add the move
+            for m, c in delta:
+                if c < 0 and get(m, 0) < -c:
+                    yield False
+                    break
+            else:
+                for m, c in delta:
+                    left = get(m, 0) + c
+                    if left:
+                        counts[m] = left
+                    else:
+                        del counts[m]
+                yield True
 
 
 def walk_states(g: Graph, moves: Sequence[Move], z0: TableVector,

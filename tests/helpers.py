@@ -5,6 +5,7 @@ inputs, used to cross-check the package's structured algorithms.
 """
 
 import itertools
+import random
 from collections import Counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -186,6 +187,33 @@ def bfs_connected(g: Graph, z: TableVector, zp: TableVector,
                     nxt.append(b)
         frontier = nxt
     return dist.get(zp)
+
+
+def oracle_walk(moves: Sequence, z0: TableVector, seed: int,
+                steps: int) -> Iterator[TableVector]:
+    """The state after each of `steps` walk steps (burn-in included)
+    from the walk as it first stood: `random.Random(seed).randrange`
+    draws the move and then the sign, and `all()` over the whole
+    signed move decides acceptance.  `moves` are Moves or
+    TableVectors; nothing is checked."""
+    deltas = [tuple((mv.vector if isinstance(mv, Move) else mv)
+                    .entries.items()) for mv in moves]
+    rng = random.Random(seed)
+    counts = dict(z0.entries)
+    get = counts.get
+    state = z0
+    for _ in range(steps):
+        delta = deltas[rng.randrange(len(deltas))]
+        sign = -1 if rng.randrange(2) else 1
+        if all(get(m, 0) + sign * c >= 0 for m, c in delta):
+            for m, c in delta:
+                left = get(m, 0) + sign * c
+                if left:
+                    counts[m] = left
+                else:
+                    del counts[m]
+            state = TableVector(z0.vertices, counts)
+        yield state
 
 
 def swap_partner(g: Graph, z: TableVector, rng, tries: int) -> TableVector:

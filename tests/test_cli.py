@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import markov_atlas
-from markov_atlas import SPTree, connector, parse_graph, sp_decompose
+from markov_atlas import (SPTree, connector, lattice, parse_graph,
+                          sp_decompose)
 from markov_atlas.cli import _build_parser, _json_chunks, main
 from markov_atlas.connector import verify_sequence
 
@@ -130,15 +131,23 @@ def test_decompose_long_ladder(files, monkeypatch, default_recursion_limit):
 
 def test_json_chunks_match_json_dumps():
     """The chunked writer gives the text of `json.dumps(indent=2)` on
-    nested dicts, lists and tuples, empty containers and scalars, and
-    on a chain's JSON, whose edges are tuples."""
+    nested dicts, lists and tuples, empty containers and scalars, keys
+    of every type json takes (one dict per type: 1 and True are one
+    key), and on a chain's JSON, whose edges are tuples."""
     g = parse_graph(C4)
     z, zp = (markov_atlas.parse_vector(v) for v in (VEC_C4, VEC_C4_B))
     for obj in ({"a": [1, (2, 3), {"b": ()}], "c": {}, "d": [[]], "e": None},
                 (1, [2, ("x", 3.5)], {"k": (True, False)}),
                 [], (), {}, "text", 7, -1.25, None, False,
+                {1: 2, -30: [3]}, {2.5: 1, -0.5: {}}, {True: 1}, {False: 0},
+                {None: None}, {"s": {7: {True: [{None: 1.0}]}}},
                 connector.connect_graph(g, z, zp).to_json()):
         assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
+
+
+def test_json_chunks_rejects_other_keys():
+    with pytest.raises(TypeError, match="not tuple"):
+        "".join(_json_chunks({(1, 2): 3}))
 
 
 def test_connect_success(files, capsys):
@@ -263,6 +272,48 @@ def test_sample_with_moves_file(files, capsys):
                        "--json")
     assert code == 0
     assert json.loads(out)["proposed"] == 50
+
+
+MOVE_C4 = "vertices: a b c d\n0101 2\n1111 2\n0111 -2\n1101 -2\n"
+NOT_KERNEL_C4 = "vertices: a b c d\n0101 1\n0111 -1\n"
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ((MOVE_C4, NOT_KERNEL_C4),
+     "error: TableVector(e[1010] + -1*e[1110]) has nonzero marginals\n"),
+    ((MOVE_C4, "vertices: a b c d\n011 1\n"),
+     "error: line 2: bitstring must have 4 binary digits\n"),
+    ((MOVE_C4, "vertices: a b c\n010 1\n"),
+     "error: ('a', 'b', 'c') vs ('a', 'b', 'c', 'd')\n"),
+    # a bad first block is reported before a malformed second one
+    ((NOT_KERNEL_C4, "vertices: a b c d\n011 1\n"),
+     "error: TableVector(e[1010] + -1*e[1110]) has nonzero marginals\n"),
+], ids=["kernel", "parse", "vertices", "first-block-first"])
+def test_sample_moves_file_bad_block(files, capsys, blocks, message):
+    """A moves file is parsed and checked block by block, in order: the
+    first bad block's error is the one reported."""
+    code, out, err = run(capsys, "sample", files("c4.txt", C4),
+                         files("a.vec", VEC_C4), "--steps", "5",
+                         "--seed", "1", "--moves",
+                         files("m.vec", "".join(blocks)))
+    assert (code, out, err) == (1, "", message)
+
+
+def test_sample_moves_file_one_kernel_test(files, capsys, monkeypatch):
+    """One kernel test loads the moves file and one more checks the
+    moves for the walk, whatever the number of blocks."""
+    made = []
+    real = lattice._kernel_test
+
+    def counted(g):
+        made.append(g)
+        return real(g)
+
+    monkeypatch.setattr(lattice, "_kernel_test", counted)
+    code, _, _ = run(capsys, "sample", files("c4.txt", C4),
+                     files("a.vec", VEC_C4), "--steps", "5", "--seed", "1",
+                     "--moves", files("m.vec", MOVE_C4 * 3))
+    assert code == 0 and len(made) == 2
 
 
 def test_usage_error_exit_2(files):

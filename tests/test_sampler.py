@@ -1,5 +1,7 @@
 """Fiber random walk: conservation, determinism, ergodicity."""
 
+import random
+
 import pytest
 
 from markov_atlas import (Graph, TableVector, cycle_graph, extract_moves,
@@ -7,6 +9,8 @@ from markov_atlas import (Graph, TableVector, cycle_graph, extract_moves,
                           walk_states)
 from markov_atlas.errors import GroundSetMismatch, NotKernelMove
 from markov_atlas.sampler import RNG_ALGORITHM, WalkConfig, visit_counts
+
+from helpers import oracle_walk
 
 
 def c4_setup(total_units):
@@ -122,3 +126,71 @@ def test_config_validation():
         WalkConfig(steps=0)
     with pytest.raises(ValueError):
         WalkConfig(steps=1, burn_in=-1)
+
+
+# C6 as the cycle a-b-d-f-e-c, at total 6 (88 tables, 1,212 moves);
+# P5 at total 6 (7,117 moves); K2,3 at total 8 (779 moves)
+ORACLE_CASES = {
+    "C6-t6": (Graph(tuple("abcdef"),
+                    [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)]),
+              [20, 21, 29, 48, 50, 63], 1212),
+    "P5-t6": (Graph(tuple("abcde"), [(i, i + 1) for i in range(4)]),
+              [3, 6, 8, 16, 29, 29], 7117),
+    "K23-t8": (Graph(tuple("abcde"),
+                     [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+               [4, 6, 11, 13, 17, 18, 23, 25], 779),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_walk_matches_randrange_oracle(case):
+    """State by state, burn-in included, the walk is the walk that
+    drew with `randrange` and tested the whole move with `all()`; so is
+    `random_walk`'s end state and acceptance count."""
+    g, units, size = ORACLE_CASES[case]
+    z0 = TableVector.from_units(g.vertices, units)
+    moves = extract_moves(fiber_of(g, z0), 4)
+    assert len(moves) == size
+    for seed in (0, 1, 7, 2024):
+        cfg = WalkConfig(steps=1500, burn_in=200, seed=seed)
+        want = list(oracle_walk(moves, z0, seed, 1700))
+        assert list(walk_states(g, moves, z0, cfg)) == want
+        res = random_walk(g, moves, z0, cfg)
+        assert res.state == want[-1]
+        assert res.accepted == sum(
+            a != b for a, b in zip([z0] + want, want))
+
+
+def test_one_move_walk_matches_randrange_oracle():
+    """With one move, each step still draws randrange(1) and then the
+    sign; the vector form of the move walks the same way."""
+    g, z0, _, moves = c4_setup([0b0101, 0b0101, 0b1111, 0b1111])
+    for one in (moves[:1], [moves[0].vector]):
+        for seed in (3, 4, 5):
+            cfg = WalkConfig(steps=300, burn_in=40, seed=seed)
+            want = list(oracle_walk(one, z0, seed, 340))
+            assert len(set(want)) > 1
+            assert list(walk_states(g, one, z0, cfg)) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257,
+                               7117])
+def test_getrandbits_draws_are_randrange(n):
+    """The walk's draws: k = n.bit_length() bits, redrawn while >= n, for
+    the move, then 2 bits, redrawn while >= 2, for the sign.  Interleaved
+    so, they are the draws of randrange(n) and randrange(2)."""
+    for seed in (0, 1, 99):
+        ref = random.Random(seed)
+        want = [(ref.randrange(n), ref.randrange(2)) for _ in range(400)]
+        bits = random.Random(seed).getrandbits
+        k = n.bit_length()
+        got = []
+        for _ in range(400):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            sign = bits(2)
+            while sign >= 2:
+                sign = bits(2)
+            got.append((r, sign))
+        assert got == want
