@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional
 from . import connector, fiber, sampler, triangulation, width
 from .errors import MarkovAtlasError
 from .graphs import parse_graph, sp_decompose
-from .lattice import (Move, as_moves, format_vector, parse_vector,
+from .lattice import (TableVector, format_vector, parse_vector,
                       vector_to_json)
 
 
@@ -36,9 +36,11 @@ def _load_vector(path: str):
     return parse_vector(_read(path))
 
 
-def _load_moves(path: str, g) -> List[Move]:
+def _load_moves(path: str) -> Iterator[TableVector]:
     """A moves file is a concatenation of vector blocks, each starting
-    with its own 'vertices:' header."""
+    with its own 'vertices:' header.  The blocks are parsed lazily, so
+    the walk, which checks each vector as it reads it, reports errors
+    block by block with its one kernel test."""
     blocks: List[List[str]] = []
     for raw in _read(path).splitlines():
         stripped = raw.split("#", 1)[0].strip()
@@ -48,9 +50,7 @@ def _load_moves(path: str, g) -> List[Move]:
             blocks[-1].append(raw)
     if not blocks:
         raise MarkovAtlasError(f"no move vectors found in {path}")
-    # one kernel test for the file; each block is parsed just before
-    # its check, so errors come block by block
-    return as_moves((parse_vector("\n".join(b)) for b in blocks), g)
+    return (parse_vector("\n".join(b)) for b in blocks)
 
 
 def _json_key(key) -> str:
@@ -156,6 +156,8 @@ def _cmd_certify(args) -> int:
     if args.verify_fiber:
         text += (", fiber verified"
                  if report.fiber_verified else ", fiber NOT verified")
+        if report.skip_reason:
+            text += f": {report.skip_reason}"
     _emit(args, obj, text)
     return 0 if (not args.verify_fiber or report.fiber_verified) else 1
 
@@ -189,7 +191,7 @@ def _cmd_sample(args) -> int:
     g = _load_graph(args.graph)
     z0 = _load_vector(args.vec)
     if args.moves:
-        moves = _load_moves(args.moves, g)
+        moves = _load_moves(args.moves)
     else:
         fib = fiber.fiber_of(g, z0)
         moves = fiber.extract_moves(fib, args.degree)

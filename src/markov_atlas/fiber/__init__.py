@@ -5,18 +5,24 @@ tables sharing those marginals.  Enumeration is exhaustive (depth-first
 placement of units with per-edge budget pruning) and either returns the
 whole fiber or raises `ResourceLimitError` — never a truncated result.
 
-The enumeration and analysis loops live in `markov_atlas.fiber._kernel`.
+The enumeration and analysis loops live in `markov_atlas.fiber._kernel`,
+and the layer speaks its format: a fiber holds the kernel's tables
+(sorted tuples of unit labelings), a move the kernel's sorted
+(mask, coefficient) items.  Vectors are built only when asked for.
+The caps come from `default_limits()`, read at the two entry points
+`enumerate_fiber` and `search_width`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from ..graphs import Graph
 from ..lattice import MarginalSet, Move, TableVector, graph_marginals
-from ..limits import Limits, default_limits
+from ..limits import default_limits
 from . import _kernel
 
 KERNEL_ID = _kernel.KERNEL_ID
@@ -24,15 +30,24 @@ KERNEL_ID = _kernel.KERNEL_ID
 
 @dataclass(frozen=True)
 class Fiber:
-    """Exhaustive fiber of a marginal set."""
+    """Exhaustive fiber of a marginal set: its tables as the kernel
+    gives them, sorted tuples of unit labelings in lexicographic
+    order."""
 
     graph: Graph
     marginals: MarginalSet
-    elements: Tuple[TableVector, ...]
+    tables: Tuple[Tuple[int, ...], ...]
+
+    @cached_property
+    def elements(self) -> Tuple[TableVector, ...]:
+        """The tables as vectors, in the same order, built on first
+        use."""
+        return tuple(TableVector.from_units(self.graph.vertices, t)
+                     for t in self.tables)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.tables)
 
 
 @dataclass(frozen=True)
@@ -55,20 +70,15 @@ def _budgets(g: Graph, m: MarginalSet) -> List[int]:
     return budgets
 
 
-def _tables_to_elements(g: Graph, tables) -> Tuple[TableVector, ...]:
-    return tuple(TableVector.from_units(g.vertices, t) for t in tables)
-
-
 def enumerate_fiber(g: Graph, m: MarginalSet,
-                    candidates: Optional[Sequence[int]] = None,
-                    limits: Optional[Limits] = None) -> Fiber:
+                    candidates: Optional[Sequence[int]] = None) -> Fiber:
     """Every non-negative table over V(g) whose marginals equal `m`.
 
     `candidates` optionally restricts the support labelings considered;
     it must be a superset of every feasible support (callers use it only
     with provably sufficient sets).
     """
-    limits = limits or default_limits()
+    limits = default_limits()
     if m.vertices != g.vertices:
         raise ValueError("marginals were taken over a different vertex order")
     m.validate()
@@ -81,30 +91,26 @@ def enumerate_fiber(g: Graph, m: MarginalSet,
     except _kernel.CapExceeded:
         raise limits.exceeded(
             "max_fiber", f"the fiber of total {m.total}") from None
-    return Fiber(g, m, _tables_to_elements(g, tables))
+    return Fiber(g, m, tuple(tables))
 
 
-def fiber_of(g: Graph, z: TableVector,
-             limits: Optional[Limits] = None) -> Fiber:
+def fiber_of(g: Graph, z: TableVector) -> Fiber:
     """Fiber through a given non-negative table."""
-    return enumerate_fiber(g, graph_marginals(z, g), limits=limits)
+    return enumerate_fiber(g, graph_marginals(z, g))
 
 
-def _unit_tables(f: Fiber) -> List[Tuple[int, ...]]:
-    return [tuple(z.units()) for z in f.elements]
+def _check_degree(k: int):
+    if k < 1:
+        raise ValueError("degree bound must be >= 1")
 
 
 def fiber_graph(f: Fiber, k: int) -> FiberGraph:
-    if k < 1:
-        raise ValueError("degree bound must be >= 1")
-    tables = _unit_tables(f)
-    adj = []
-    for i in range(f.size):
-        ti = tables[i]
-        for j in range(i + 1, f.size):
-            if _kernel._norm(ti, tables[j]) <= 2 * k:
-                adj.append((i, j))
-    return FiberGraph(f, k, tuple(adj))
+    _check_degree(k)
+    tables = f.tables
+    return FiberGraph(f, k, tuple(
+        (i, j) for i, ti in enumerate(tables)
+        for j in range(i + 1, len(tables))
+        if _kernel._norm(ti, tables[j]) <= 2 * k))
 
 
 def fiber_components(f: Fiber, k: int) -> List[List[TableVector]]:
@@ -113,9 +119,8 @@ def fiber_components(f: Fiber, k: int) -> List[List[TableVector]]:
     Intermediate states of any component path are fiber elements and
     hence non-negative by construction.
     """
-    if k < 1:
-        raise ValueError("degree bound must be >= 1")
-    labels = _kernel.component_labels(_unit_tables(f), 2 * k)
+    _check_degree(k)
+    labels = _kernel.component_labels(f.tables, 2 * k)
     by_root = {}
     for idx, root in enumerate(labels):
         by_root.setdefault(root, []).append(f.elements[idx])
@@ -123,22 +128,14 @@ def fiber_components(f: Fiber, k: int) -> List[List[TableVector]]:
 
 
 def extract_moves(f: Fiber, k: int) -> List[Move]:
-    """Deduplicated degree-<=k difference vectors between fiber elements,
-    sign-canonicalized (entry at the smallest support mask positive),
-    in the order of `TableVector.key()`."""
+    """Deduplicated degree-<=k differences between fiber tables as
+    moves, sign-canonicalized (entry at the smallest support mask
+    positive), in the order of `TableVector.key()`.  Each move keeps
+    the kernel's items; no vector is built."""
+    _check_degree(k)
     vertices = f.graph.vertices
-    return [Move(TableVector(vertices, dict(items)), items)
-            for items in _kernel.fiber_moves(_unit_tables(f), 2 * k)]
-
-
-def _grouped_tables(g: Graph, total: int, limits: Limits):
-    cells = 1 << g.n
-    count = comb(cells + total - 1, total)
-    if limits.max_fiber and count > limits.max_fiber:
-        raise limits.exceeded(
-            "max_fiber",
-            f"C({cells}+{total - 1}, {total}) = {count} tables")
-    return _kernel.group_tables(g.n, _sorted_edges(g), total)
+    return [Move(vertices, items)
+            for items in _kernel.fiber_moves(f.tables, 2 * k)]
 
 
 def _flips(g: Graph):
@@ -170,16 +167,12 @@ def _witness(g: Graph, k: int, groups, split_keys):
                        for mask, perm in _flips(g) for key in split_keys)
     tables = sorted(tuple(sorted(m ^ mask for m in t)) for t in groups[key])
     labels = _kernel.component_labels(tables, 2 * k)
-    roots = sorted(set(labels))
-    elements = _tables_to_elements(g, tables)
-    fib = Fiber(g, graph_marginals(elements[0], g), elements)
-    za = elements[labels.index(roots[0])]
-    zb = elements[labels.index(roots[1])]
-    return fib, (za, zb)
+    za, zb = (TableVector.from_units(g.vertices, tables[labels.index(r)])
+              for r in sorted(set(labels))[:2])
+    return Fiber(g, graph_marginals(za, g), tuple(tables)), (za, zb)
 
 
-def search_width(g: Graph, max_total: int, k: Optional[int] = None,
-                 limits: Optional[Limits] = None):
+def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     """Fiber search over every total up to max_total, in one pass.
 
     Returns `(degrees, witness)`.  `degrees[t - 1]` is the smallest
@@ -192,14 +185,21 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None,
     Vertex flips map fibers to fibers and keep L1 distances, so one
     fiber per flip orbit is analysed (see `_kernel.group_tables`).
     """
-    limits = limits or default_limits()
+    limits = default_limits()
     limits.check_vertices(g.n)
     limits.check_total(max_total)
+    edges = _sorted_edges(g)
+    cells = 1 << g.n
     degrees: List[int] = []
     best = 1
     witness = None
     for total in range(1, max_total + 1):
-        groups = _grouped_tables(g, total, limits)
+        count = comb(cells + total - 1, total)
+        if limits.max_fiber and count > limits.max_fiber:
+            raise limits.exceeded(
+                "max_fiber",
+                f"C({cells}+{total - 1}, {total}) = {count} tables")
+        groups = _kernel.group_tables(g.n, edges, total)
         split_keys = []
         for key, tables in groups.items():
             b = _kernel.bottleneck_norm(tables)
@@ -212,19 +212,17 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None,
     return degrees, witness
 
 
-def min_connecting_degree(g: Graph, max_total: int,
-                          limits: Optional[Limits] = None) -> int:
+def min_connecting_degree(g: Graph, max_total: int) -> int:
     """Smallest k such that every fiber of a table with total <= max_total
     is connected by moves of degree <= k.
 
     This is a lower-bound estimator of the graph's Markov width: larger
     totals can only increase it.
     """
-    return max(search_width(g, max_total, limits=limits)[0], default=1)
+    return max(search_width(g, max_total)[0], default=1)
 
 
-def witness_disconnected_fiber(g: Graph, k: int, max_total: int,
-                               limits: Optional[Limits] = None):
+def witness_disconnected_fiber(g: Graph, k: int, max_total: int):
     """A fiber (total <= max_total) split by degree-<=k moves, with one
     representative per side, or None if every such fiber is connected."""
-    return search_width(g, max_total, k, limits=limits)[1]
+    return search_width(g, max_total, k)[1]

@@ -9,9 +9,8 @@ of vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import (GroundSetMismatch, InconsistentMarginals, NotKernelMove,
                      ParseError)
@@ -199,26 +198,33 @@ def graph_marginals(z: TableVector, g) -> MarginalSet:
 
 @dataclass(frozen=True)
 class Move:
-    """A kernel element of the marginal map: all edge tables vanish."""
+    """A kernel element of the marginal map: all edge tables vanish.
 
-    vector: TableVector
-    # the vector's (mask, coefficient) items in ascending mask order, as
-    # `fiber.extract_moves` has them shared between moves; the sampler
-    # walks them instead of rebuilding them
-    _items: Optional[Tuple[Tuple[int, int], ...]] = field(
-        default=None, compare=False, repr=False)
+    `items` are its nonzero (mask, coefficient) pairs in ascending mask
+    order, as `fiber.extract_moves` takes them from the enumeration
+    kernel; the walk applies them as they are.  Built from a vector
+    only by the kernel check (`as_moves`, `as_move`, or the sampler's
+    check of the vectors it is given)."""
+
+    vertices: Tuple[str, ...]
+    items: Tuple[Tuple[int, int], ...]
+
+    @property
+    def vector(self) -> TableVector:
+        return TableVector(self.vertices, dict(self.items))
 
     @property
     def degree(self) -> int:
-        return self.vector.l1() // 2
+        return sum(abs(c) for _, c in self.items) // 2
 
 
-def _kernel_test(g) -> Callable[[TableVector], bool]:
-    """A test of whether a vector over g's vertices has zero total and
-    zero edge marginals, from one packed sum over its entries.  It
-    raises GroundSetMismatch for a vector over other vertices.
+def _kernel_test(g) -> Callable[..., bool]:
+    """A test of whether (mask, coefficient) items over `vertices` have
+    zero total and zero edge marginals on g, from one packed sum over
+    the items.  It raises GroundSetMismatch for items over other
+    vertices than g's.
 
-    No cell marginal exceeds the L1 norm of the vector in absolute
+    No cell marginal exceeds the L1 norm of the items in absolute
     value, so in fields of l1.bit_length() bits every cell is smaller
     than its field's 2**width.  The packed sum of c * increment(m) is
     then 0 exactly when every cell is 0: the lowest nonzero cell would
@@ -230,18 +236,21 @@ def _kernel_test(g) -> Callable[[TableVector], bool]:
     # per width, each labeling's increment
     increments: Dict[int, Dict[int, int]] = {}
 
-    def test(u: TableVector) -> bool:
-        if u.vertices != g.vertices:
-            raise GroundSetMismatch(f"{u.vertices} vs {g.vertices}")
-        values = u.entries.values()
-        if sum(values):
+    def test(vertices: Sequence[str], items) -> bool:
+        if vertices != g.vertices:
+            raise GroundSetMismatch(f"{vertices} vs {g.vertices}")
+        total = l1 = 0
+        for _, c in items:
+            total += c
+            l1 += c if c > 0 else -c
+        if total:
             return False
-        width = sum(map(abs, values)).bit_length()
+        width = l1.bit_length()
         row = increments.get(width)
         if row is None:
             row = increments[width] = {}
         packed = 0
-        for m, c in u.entries.items():
+        for m, c in items:
             step = row.get(m)
             if step is None:
                 step = 0
@@ -256,25 +265,27 @@ def _kernel_test(g) -> Callable[[TableVector], bool]:
 
 
 def is_kernel_element(u: TableVector, g) -> bool:
-    return _kernel_test(g)(u)
+    return _kernel_test(g)(u.vertices, u.entries.items())
 
 
-def _kernel_checked(vectors: Iterable[TableVector],
-                    g) -> Iterator[TableVector]:
-    """Every vector, checked in order with one kernel test: the first
-    one over other vertices raises GroundSetMismatch, the first one
-    with nonzero marginals NotKernelMove."""
+def _kernel_checked(moves: Iterable, g) -> Iterator[Move]:
+    """Every Move or TableVector as a Move of g, checked in order with
+    one kernel test: the first one over other vertices raises
+    GroundSetMismatch, the first one with nonzero marginals
+    NotKernelMove."""
     test = _kernel_test(g)
-    for u in vectors:
-        if not test(u):
-            raise NotKernelMove(f"{u!r} has nonzero marginals")
-        yield u
+    for mv in moves:
+        if not isinstance(mv, Move):
+            mv = Move(mv.vertices, tuple(sorted(mv.entries.items())))
+        if not test(mv.vertices, mv.items):
+            raise NotKernelMove(f"{mv.vector!r} has nonzero marginals")
+        yield mv
 
 
 def as_moves(vectors: Iterable[TableVector], g) -> List[Move]:
     """Every vector as a move of g, checked as `_kernel_checked` checks
     them."""
-    return [Move(u) for u in _kernel_checked(vectors, g)]
+    return list(_kernel_checked(vectors, g))
 
 
 def as_move(u: TableVector, g) -> Move:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .errors import GroundSetMismatch
 from .graphs import Graph
@@ -62,19 +62,17 @@ class WalkResult:
 
 
 def _checked_moves(g: Graph,
-                   moves: Sequence[Move]) -> List[Tuple[Tuple[int, int], ...]]:
-    """The (mask, coefficient) items of every move, each move checked
-    once, in order, as `as_moves` checks it: first against g's vertices,
-    then for zero marginals.  A move from `extract_moves` hands over
-    its items as the kernel made them, equal items one tuple: a large
-    fiber has thousands of moves over a few dozen."""
-    moves = [mv if isinstance(mv, Move) else Move(mv) for mv in moves]
-    checked = _kernel_checked([mv.vector for mv in moves], g)
-    return [mv._items or tuple(u.entries.items())
-            for mv, u in zip(moves, checked)]
+                   moves: Iterable) -> List[Tuple[Tuple[int, int], ...]]:
+    """The (mask, coefficient) items of every move, Move or TableVector,
+    each checked once, in order, as `as_moves` checks it: first against
+    g's vertices, then for zero marginals.  `moves` may be lazy; it is
+    read once.  A Move from `extract_moves` hands over its items as the
+    kernel made them, equal items one tuple: a large fiber has
+    thousands of moves over a few dozen."""
+    return [mv.items for mv in _kernel_checked(moves, g)]
 
 
-def _steps(g: Graph, moves: Sequence[Move], z0: TableVector,
+def _steps(g: Graph, moves: Iterable[Move], z0: TableVector,
            cfg: WalkConfig, counts: Dict[int, int]) -> Iterator[bool]:
     """Walk `counts`, a mutable copy of z0's entries, in place and yield
     after every step whether its proposal was accepted.
@@ -131,7 +129,7 @@ def _steps(g: Graph, moves: Sequence[Move], z0: TableVector,
                 yield True
 
 
-def walk_states(g: Graph, moves: Sequence[Move], z0: TableVector,
+def walk_states(g: Graph, moves: Iterable[Move], z0: TableVector,
                 cfg: WalkConfig) -> Iterator[TableVector]:
     """Yield the state after every step (burn-in steps included).
 
@@ -146,7 +144,7 @@ def walk_states(g: Graph, moves: Sequence[Move], z0: TableVector,
         yield state
 
 
-def random_walk(g: Graph, moves: Sequence[Move], z0: TableVector,
+def random_walk(g: Graph, moves: Iterable[Move], z0: TableVector,
                 cfg: WalkConfig) -> WalkResult:
     """Run the walk and return the final state with acceptance metadata."""
     counts = dict(z0.entries)
@@ -158,7 +156,7 @@ def random_walk(g: Graph, moves: Sequence[Move], z0: TableVector,
                       proposed)
 
 
-def visit_counts(g: Graph, moves: Sequence[Move], z0: TableVector,
+def visit_counts(g: Graph, moves: Iterable[Move], z0: TableVector,
                  cfg: WalkConfig) -> Dict[tuple, int]:
     """Histogram of post-burn-in states, keyed by TableVector.key()."""
     counts: Dict[tuple, int] = {}

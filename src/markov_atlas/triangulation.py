@@ -20,7 +20,6 @@ from .errors import (InvalidTriangulation, NotTwoFaceColorable, ParseError,
                      ResourceLimitError)
 from .graphs import Graph, complete_graph
 from .lattice import TableVector, graph_marginals
-from .limits import Limits, default_limits
 from . import fiber as fiber_mod
 
 Face = Tuple[int, int, int]
@@ -250,8 +249,7 @@ class CertificateReport:
 
 
 def certify_lower_bound(t: Triangulation, verify_fiber: bool = False,
-                        restrict_support: bool = True,
-                        limits: Optional[Limits] = None) -> CertificateReport:
+                        restrict_support: bool = True) -> CertificateReport:
     """Check cleanness and 2-face-colorability; on success the bound
     max_i m_i/3, over the components of the dual graph with m_i edges
     each (m/3 for a connected dual), applies to the complete graph over
@@ -264,7 +262,6 @@ def certify_lower_bound(t: Triangulation, verify_fiber: bool = False,
     the skeleton (a provably sufficient set); `restrict_support=False`
     forces the blind search for cross-checking.
     """
-    limits = limits or default_limits()
     t.validate()
     clean = is_clean(t)
     try:
@@ -289,7 +286,7 @@ def certify_lower_bound(t: Triangulation, verify_fiber: bool = False,
     candidates = _clique_masks(t) if restrict_support else None
     try:
         fib = fiber_mod.enumerate_fiber(kn, graph_marginals(zr, kn),
-                                        candidates=candidates, limits=limits)
+                                        candidates=candidates)
     except ResourceLimitError as exc:
         report.skip_reason = str(exc)
         return report

@@ -13,7 +13,6 @@ from typing import List, Optional, Set, Tuple
 
 from .errors import InvariantViolation, NotTwoFaceColorable
 from .graphs import Graph, is_k4_minor_free
-from .limits import Limits, default_limits
 from . import fiber as fiber_mod
 from . import triangulation as tri_mod
 
@@ -107,8 +106,8 @@ class WidthReport:
         return out
 
 
-def classify_width(g: Graph, evidence_max_total: Optional[int] = None,
-                   limits: Optional[Limits] = None) -> WidthReport:
+def classify_width(g: Graph,
+                   evidence_max_total: Optional[int] = None) -> WidthReport:
     """Structural width classification, optionally refined by fiber
     search evidence up to a table total."""
     if g.is_forest():
@@ -120,7 +119,7 @@ def classify_width(g: Graph, evidence_max_total: Optional[int] = None,
                              k4_minor=find_k4_minor(g))
     if evidence_max_total:
         report.search_degree = fiber_mod.min_connecting_degree(
-            g, evidence_max_total, limits=limits or default_limits())
+            g, evidence_max_total)
         report.search_max_total = evidence_max_total
     return report
 
@@ -138,8 +137,7 @@ class KnBoundReport:
 
 def kn_lower_bound_report(n: int,
                           triangulation: Optional[tri_mod.Triangulation] = None,
-                          verify_fiber: bool = False,
-                          limits: Optional[Limits] = None) -> KnBoundReport:
+                          verify_fiber: bool = False) -> KnBoundReport:
     """Certified lower bound on the Markov width of the complete graph
     on n vertices.
 
@@ -159,8 +157,7 @@ def kn_lower_bound_report(n: int,
         raise ValueError(
             f"triangulation has {triangulation.n} vertices, expected {n}")
     cert = tri_mod.certify_lower_bound(triangulation,
-                                       verify_fiber=verify_fiber,
-                                       limits=limits)
+                                       verify_fiber=verify_fiber)
     if not cert.colorable:
         raise NotTwoFaceColorable(
             "triangulation is not 2-face-colorable; no bound certified")

@@ -12,6 +12,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from markov_atlas import (Fiber, Graph, Move, TableVector, canonical_sign,
                           fiber_of, graph_marginals, project)
 from markov_atlas.fiber import _kernel
+from markov_atlas.lattice import as_moves
 
 
 def brute_has_k4_minor(g: Graph) -> bool:
@@ -117,7 +118,7 @@ def pairwise_moves(f: Fiber, k: int) -> List[Move]:
             if 0 < u.l1() <= 2 * k:
                 u = canonical_sign(u)
                 seen[u.key()] = u
-    return [Move(seen[key]) for key in sorted(seen)]
+    return as_moves([seen[key] for key in sorted(seen)], f.graph)
 
 
 def mst_bottleneck(tables: List[Tuple[int, ...]]) -> int:

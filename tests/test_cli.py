@@ -9,8 +9,8 @@ import sys
 import pytest
 
 import markov_atlas
-from markov_atlas import (SPTree, connector, lattice, parse_graph,
-                          sp_decompose)
+from markov_atlas import (SPTree, connector, extract_moves, fiber_of,
+                          lattice, parse_graph, sp_decompose)
 from markov_atlas.cli import _build_parser, _json_chunks, main
 from markov_atlas.connector import verify_sequence
 
@@ -210,6 +210,17 @@ def test_certify(files, capsys):
     assert obj["euler"] == 2
 
 
+def test_certify_text_says_why_fiber_skipped(files, capsys, monkeypatch):
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=1")
+    code, out, _ = run(capsys, "certify", files("oct.tri", OCTA),
+                       "--verify-fiber")
+    assert code == 1
+    assert out == (
+        "bound 4 for the complete graph on 6 vertices, fiber NOT verified: "
+        "the fiber of total 4 exceeds the cap max_fiber = 1; "
+        "raise it with MARKOV_ATLAS_LIMITS=\"max_fiber=...\"\n")
+
+
 def test_certify_tetrahedron_fails(files, capsys):
     tetra = "a b c\na b d\na c d\nb c d\n"
     code, out, _ = run(capsys, "certify", files("t.tri", tetra))
@@ -300,8 +311,8 @@ def test_sample_moves_file_bad_block(files, capsys, blocks, message):
 
 
 def test_sample_moves_file_one_kernel_test(files, capsys, monkeypatch):
-    """One kernel test loads the moves file and one more checks the
-    moves for the walk, whatever the number of blocks."""
+    """The walk checks the moves file's blocks as it reads them, with
+    one kernel test whatever the number of blocks."""
     made = []
     real = lattice._kernel_test
 
@@ -313,7 +324,55 @@ def test_sample_moves_file_one_kernel_test(files, capsys, monkeypatch):
     code, _, _ = run(capsys, "sample", files("c4.txt", C4),
                      files("a.vec", VEC_C4), "--steps", "5", "--seed", "1",
                      "--moves", files("m.vec", MOVE_C4 * 3))
-    assert code == 0 and len(made) == 2
+    assert code == 0 and len(made) == 1
+
+
+@pytest.mark.parametrize("source", ["degree", "moves"])
+def test_sample_checks_each_move_once(files, capsys, monkeypatch, source):
+    """Extracted or read from a file, every move is kernel-tested
+    exactly once before the walk."""
+    calls = []
+    real = lattice._kernel_test
+
+    def counted(g):
+        test = real(g)
+
+        def counting(*args):
+            calls.append(args)
+            return test(*args)
+        return counting
+
+    monkeypatch.setattr(lattice, "_kernel_test", counted)
+    g = parse_graph(C4)
+    if source == "moves":
+        extra, want = ("--moves", files("m.vec", MOVE_C4 * 3)), 3
+    else:
+        z0 = lattice.parse_vector(VEC_C4)
+        extra, want = (), len(extract_moves(fiber_of(g, z0), 4))
+    code, _, _ = run(capsys, "sample", files("c4.txt", C4),
+                     files("a.vec", VEC_C4), "--steps", "5", "--seed", "1",
+                     *extra)
+    assert code == 0 and want > 1 and len(calls) == want
+
+
+def test_sample_negative_start_reported_before_moves_file(files, capsys):
+    """The moves file is read by the walk, after the start table's
+    check, so a negative start table is the error reported."""
+    code, out, err = run(capsys, "sample", files("c4.txt", C4),
+                         files("a.vec", "vertices: a b c d\n0101 -1\n"),
+                         "--steps", "5", "--seed", "1", "--moves",
+                         files("m.vec", NOT_KERNEL_C4))
+    assert (code, out, err) == (
+        1, "", "error: initial table must be non-negative\n")
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_sample_degree_below_one_rejected(files, capsys, degree):
+    code, out, err = run(capsys, "sample", files("c4.txt", C4),
+                         files("a.vec", VEC_C4), "--steps", "5",
+                         "--seed", "1", "--degree", degree)
+    assert (code, out, err) == (
+        1, "", "error: degree bound must be >= 1\n")
 
 
 def test_usage_error_exit_2(files):

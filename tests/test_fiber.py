@@ -12,7 +12,6 @@ from markov_atlas import (Graph, TableVector, cycle_graph, enumerate_fiber,
                           witness_disconnected_fiber)
 from markov_atlas.errors import ResourceLimitError
 from markov_atlas.lattice import MarginalSet
-from markov_atlas.limits import Limits
 from markov_atlas.fiber import _kernel
 
 from helpers import (all_graphs, all_grouped_tables, mst_bottleneck,
@@ -84,12 +83,12 @@ def test_inconsistent_marginals_rejected():
         enumerate_fiber(g, bad)
 
 
-def test_fiber_cap_raises():
+def test_fiber_cap_raises(monkeypatch):
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=10")
     g = Graph(("a", "b", "c", "d"), [])
     z = tv(g, [0] * 5)
     with pytest.raises(ResourceLimitError, match="max_fiber"):
-        enumerate_fiber(g, graph_marginals(z, g),
-                        limits=Limits(max_fiber=10))
+        enumerate_fiber(g, graph_marginals(z, g))
 
 
 def test_table_count_cap_raises_before_enumerating(monkeypatch):
@@ -97,10 +96,11 @@ def test_table_count_cap_raises_before_enumerating(monkeypatch):
         raise AssertionError("tables enumerated past the cap")
 
     monkeypatch.setattr(_kernel, "group_tables", enumerate_nothing)
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=10")
     # four vertices have 16 labelings, so total 1 already has 16 tables
     g = Graph(("a", "b", "c", "d"), [])
     with pytest.raises(ResourceLimitError, match="max_fiber") as exc:
-        min_connecting_degree(g, 8, limits=Limits(max_fiber=10))
+        min_connecting_degree(g, 8)
     assert "C(16+0, 1) = 16 tables" in str(exc.value)
     assert "MARKOV_ATLAS_LIMITS" in str(exc.value)
 
@@ -166,6 +166,44 @@ def test_extract_moves_matches_pairwise_oracle(g, units, size):
         got = extract_moves(fib, k)
         want = pairwise_moves(fib, k)
         assert [m.vector.key() for m in got] == [m.vector.key() for m in want]
+
+
+def test_extract_moves_build_no_vectors(monkeypatch):
+    """Moves keep the kernel's items: extracting the 7,117 moves of P5
+    at total 6 builds no TableVector."""
+    fib = fiber_of(P5, tv(P5, [3, 6, 8, 16, 29, 29]))
+    built = []
+    real = TableVector.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        real(self, *args)
+
+    monkeypatch.setattr(TableVector, "__init__", counted)
+    moves = extract_moves(fib, 4)
+    assert len(moves) == 7117 and not built
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_degree_bound_below_one_rejected(k):
+    fib = fiber_of(P5, tv(P5, [3, 6, 8, 16, 29, 29]))
+    for analyse in (extract_moves, fiber_graph, fiber_components):
+        with pytest.raises(ValueError, match="degree bound must be >= 1"):
+            analyse(fib, k)
+
+
+def test_fiber_tables_are_the_kernels():
+    """A fiber holds the kernel's tables; its vectors are those tables,
+    in the same order, built on first use."""
+    g = cycle_graph("abcd")
+    fib = fiber_of(g, tv(g, [0, 2, 4, 5, 7, 9, 11, 14]))
+    edges = sorted(g.edges)
+    budgets = [c for e in edges for c in fib.marginals.table(*e)]
+    assert list(fib.tables) == _kernel.fiber_tables(g.n, edges, budgets, 8)
+    assert "elements" not in vars(fib)
+    assert [tuple(e.units()) for e in fib.elements] == list(fib.tables)
+    assert fib.elements is fib.elements
+    assert fib.size == len(fib.tables) == 40
 
 
 def test_extract_moves_are_kernel_elements():
