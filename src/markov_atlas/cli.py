@@ -14,7 +14,7 @@ import sys
 from typing import Iterator, List, Optional
 
 from . import connector, fiber, sampler, triangulation, width
-from .errors import MarkovAtlasError
+from .errors import MarkovAtlasError, ParseError
 from .graphs import parse_graph, sp_decompose
 from .lattice import (TableVector, format_vector, parse_vector,
                       vector_to_json)
@@ -38,15 +38,18 @@ def _load_vector(path: str):
 
 def _load_moves(path: str) -> Iterator[TableVector]:
     """A moves file is a concatenation of vector blocks, each starting
-    with its own 'vertices:' header.  The blocks are parsed lazily, so
+    with its own 'vertices:' header; only comments and blank lines may
+    come before the first one.  The blocks are parsed lazily, so
     the walk, which checks each vector as it reads it, reports errors
     block by block with its one kernel test."""
     blocks: List[List[str]] = []
-    for raw in _read(path).splitlines():
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped.startswith("vertices:"):
             blocks.append([])
-        if blocks and stripped:
+        elif stripped and not blocks:
+            raise ParseError("expected 'vertices:' header", lineno)
+        if stripped:
             blocks[-1].append(raw)
     if not blocks:
         raise MarkovAtlasError(f"no move vectors found in {path}")

@@ -185,6 +185,8 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     Vertex flips map fibers to fibers and keep L1 distances, so one
     fiber per flip orbit is analysed (see `_kernel.group_tables`).
     """
+    if k is not None:
+        _check_degree(k)
     limits = default_limits()
     limits.check_vertices(g.n)
     limits.check_total(max_total)

@@ -4,11 +4,20 @@ Tables are multisets of labelings, represented as non-decreasing tuples
 of bitmasks.  Marginal keys are `bytes` of the per-edge cell counts in
 edge order (cells c00, c01, c10, c11; the first bit belongs to the
 smaller-index endpoint).
+
+`fiber_moves` works on two int encodings of a table, made once per
+call: an occupancy int (one bit per unit, so that the norm of the
+difference of two tables is one `^` and `bit_count`) and a count-field
+int (one field per labeling, so that the difference of two tables is
+one subtraction and can be a set key).  Its fields are widened for
+coefficients above 127, so they never wrap.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
+from operator import getitem
+from struct import Struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 KERNEL_ID = "py"
@@ -140,60 +149,95 @@ def _norm(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
     return (la - inter) + (lb - inter)
 
 
+class _Row(dict):
+    """The (mask, coefficient) items of one mask, keyed by coefficient,
+    each made on first use, so that equal items are one tuple."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int):
+        self.mask = mask
+
+    def __missing__(self, coefficient: int) -> Tuple[int, int]:
+        item = self[coefficient] = (self.mask, coefficient)
+        return item
+
+
+# count-field widths of fiber_moves, with the struct codes that read
+# them as signed little-endian integers
+_FIELDS = ((8, "b"), (16, "h"), (32, "i"), (64, "q"))
+
+
 def fiber_moves(tables: Sequence[Tuple[int, ...]],
                 max_norm: int) -> List[Tuple[Tuple[int, int], ...]]:
     """Distinct differences of norm in (0, max_norm] between tables of
     one size (sorted tuples), as sorted (mask, coefficient) items, in
-    ascending order.
+    ascending order, with the coefficient at the smallest mask positive.
+    Equal items are one tuple: thousands of moves share a few dozen.
 
-    Each pair's difference is the two one-sided parts of one merge of
-    its tables (the walk of `_norm`).  The parts are equally large, so
-    the merge stops once one part holds more than max_norm // 2 units.
-    The sign makes the coefficient at the smallest mask positive."""
+    Each of the F tables of N units is encoded once, as two ints:
+    - its occupancy, with bit m*N + k set for the k-th copy of mask m,
+      so that (A ^ B).bit_count() is the norm of a - b;
+    - its counts, field m holding the count of mask m, so that a - b is
+      one int subtraction whose value is the difference.
+    For each table, one map/compress pipeline over the tables after it
+    filters by norm, subtracts and adds the differences to a set, so
+    the F^2 / 2 pairs are handled by C builtins.
+
+    The tables are taken in lexicographic order.  If a < b, they agree
+    up to some position p and a[p] < b[p], so mask a[p] is counted more
+    often in a than in b, and no smaller mask is counted differently:
+    a - b has a positive coefficient at its smallest mask, which is the
+    canonical sign.
+
+    A difference within max_norm has coefficients of absolute value at
+    most min(N, max_norm // 2).  The fields are w = 8, 16, 32 or 64
+    bits wide, the narrowest w with that bound at most 2^(w-1) - 1, so
+    a difference has one value, and equal differences are equal ints.
+    Only the distinct differences are decoded: adding 2^(w-1) * (1, ...,
+    1) gives fields 2^(w-1) + c_m with no carry, and xor-ing it back
+    leaves each c_m in w bits, read by one struct as a signed integer.
+    The nonzero ones are looked up in one item table per mask, and the
+    moves sorted."""
     half = max_norm // 2
+    tables = sorted(tables)
+    if len(tables) < 2 or not tables[0]:
+        return []
+    size = len(tables[0])
+    nmasks = max(t[-1] for t in tables) + 1
+    bound = min(size, half)
+    width, code = next(((w, c) for w, c in _FIELDS if bound < 1 << (w - 1)),
+                       (0, ""))
+    if not width:
+        raise ValueError(f"coefficients up to {bound} do not fit a machine "
+                         "integer")
+    unit = [1 << (width * m) for m in range(nmasks)]
+    occupancy = []
+    for t in tables:
+        occ = 0
+        prev = -1
+        for m in t:
+            bit = bit << 1 if m == prev else 1 << (m * size)
+            prev = m
+            occ |= bit
+        occupancy.append(occ)
+    counts = [sum(map(unit.__getitem__, t)) for t in tables]
+    norm = 2 * half
     seen = set()
-    f = len(tables)
-    for i in range(f):
-        a = tables[i]
-        la = len(a)
-        for j in range(i + 1, f):
-            b = tables[j]
-            lb = len(b)
-            plus: List[int] = []
-            minus: List[int] = []
-            p = q = 0
-            while p < la and q < lb:
-                x, y = a[p], b[q]
-                if x == y:
-                    p += 1
-                    q += 1
-                elif x < y:
-                    plus.append(x)
-                    p += 1
-                else:
-                    minus.append(y)
-                    q += 1
-                    if len(minus) > half:
-                        break
-            else:
-                minus.extend(b[q:])
-                if 0 < len(minus) <= half:
-                    plus.extend(a[p:])
-                    if minus[0] < plus[0]:
-                        plus, minus = minus, plus
-                    seen.add((tuple(plus), tuple(minus)))
-    # equal items are one tuple: thousands of moves share a few dozen
-    shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for i in range(len(tables) - 1):
+        seen.update(map(counts[i].__sub__, compress(
+            counts[i + 1:], map(norm.__ge__, map(int.bit_count, map(
+                occupancy[i].__xor__, occupancy[i + 1:]))))))
+    seen.discard(0)  # a table given twice
+    offset = sum(unit) << (width - 1)
+    rows = [_Row(m) for m in range(nmasks)]
+    nbytes = nmasks * width // 8
+    unpack = Struct(f"<{nmasks}{code}").unpack
     moves = []
-    while seen:
-        plus, minus = seen.pop()
-        coeffs: Dict[int, int] = {}
-        for m in plus:
-            coeffs[m] = coeffs.get(m, 0) + 1
-        for m in minus:
-            coeffs[m] = coeffs.get(m, 0) - 1
-        moves.append(tuple([shared.setdefault(item, item)
-                            for item in sorted(coeffs.items())]))
+    for diff in seen:
+        fields = unpack(((offset + diff) ^ offset).to_bytes(nbytes, "little"))
+        moves.append(tuple(map(getitem, compress(rows, fields),
+                               filter(None, fields))))
     moves.sort()
     return moves
 

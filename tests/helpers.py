@@ -121,6 +121,64 @@ def pairwise_moves(f: Fiber, k: int) -> List[Move]:
     return as_moves([seen[key] for key in sorted(seen)], f.graph)
 
 
+def merge_moves(tables: Sequence[Tuple[int, ...]],
+                max_norm: int) -> List[Tuple[Tuple[int, int], ...]]:
+    """`_kernel.fiber_moves` by merging every pair of tables: distinct
+    differences of norm in (0, max_norm] between same-size sorted
+    tuples, as sorted (mask, coefficient) items with the coefficient at
+    the smallest mask positive, in ascending order, equal items one
+    tuple.
+
+    Each pair's difference is the two one-sided parts of one merge of
+    its tables.  The parts are equally large, so the merge stops once
+    one part holds more than max_norm // 2 units."""
+    half = max_norm // 2
+    seen = set()
+    f = len(tables)
+    for i in range(f):
+        a = tables[i]
+        la = len(a)
+        for j in range(i + 1, f):
+            b = tables[j]
+            lb = len(b)
+            plus: List[int] = []
+            minus: List[int] = []
+            p = q = 0
+            while p < la and q < lb:
+                x, y = a[p], b[q]
+                if x == y:
+                    p += 1
+                    q += 1
+                elif x < y:
+                    plus.append(x)
+                    p += 1
+                else:
+                    minus.append(y)
+                    q += 1
+                    if len(minus) > half:
+                        break
+            else:
+                minus.extend(b[q:])
+                if 0 < len(minus) <= half:
+                    plus.extend(a[p:])
+                    if minus[0] < plus[0]:
+                        plus, minus = minus, plus
+                    seen.add((tuple(plus), tuple(minus)))
+    shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    moves = []
+    while seen:
+        plus, minus = seen.pop()
+        coeffs: Dict[int, int] = {}
+        for m in plus:
+            coeffs[m] = coeffs.get(m, 0) + 1
+        for m in minus:
+            coeffs[m] = coeffs.get(m, 0) - 1
+        moves.append(tuple([shared.setdefault(item, item)
+                            for item in sorted(coeffs.items())]))
+    moves.sort()
+    return moves
+
+
 def mst_bottleneck(tables: List[Tuple[int, ...]]) -> int:
     """Largest edge norm on a minimum spanning tree of the tables under
     L1 distance (0 for one table), by Prim's algorithm over all pairs."""

@@ -236,6 +236,14 @@ def test_search_width(files, capsys):
     assert obj["witness"] is not None
 
 
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_search_width_degree_below_one_rejected(files, capsys, degree):
+    code, out, err = run(capsys, "search-width", files("c4.txt", C4),
+                         "--max-total", "3", "--max-degree", degree)
+    assert (code, out, err) == (
+        1, "", "error: degree bound must be >= 1\n")
+
+
 def test_sample_reproducible(files, capsys):
     args = ("sample", files("c4.txt", C4), files("a.vec", VEC_C4),
             "--steps", "300", "--seed", "7", "--json")
@@ -308,6 +316,23 @@ def test_sample_moves_file_bad_block(files, capsys, blocks, message):
                          "--seed", "1", "--moves",
                          files("m.vec", "".join(blocks)))
     assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("before, message", [
+    ("0101 2\n", "error: line 1: expected 'vertices:' header\n"),
+    ("# moves\n\n0101 2\n", "error: line 3: expected 'vertices:' header\n"),
+    ("# moves\n\n", ""),
+], ids=["entry", "entry-after-comment", "comment"])
+def test_sample_moves_file_lines_before_first_header(files, capsys, before,
+                                                     message):
+    """Only comments and blank lines may come before the first block's
+    header; anything else is a parse error, not a dropped line."""
+    code, out, err = run(capsys, "sample", files("c4.txt", C4),
+                         files("a.vec", VEC_C4), "--steps", "5",
+                         "--seed", "1", "--moves",
+                         files("m.vec", before + MOVE_C4))
+    assert (code, err) == (1 if message else 0, message)
+    assert bool(out) != bool(message)
 
 
 def test_sample_moves_file_one_kernel_test(files, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 minimal-connecting-degree search."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,8 +15,9 @@ from markov_atlas.errors import ResourceLimitError
 from markov_atlas.lattice import MarginalSet
 from markov_atlas.fiber import _kernel
 
-from helpers import (all_graphs, all_grouped_tables, mst_bottleneck,
-                     naive_search, pairwise_moves, rejection_fiber)
+from helpers import (all_graphs, all_grouped_tables, merge_moves,
+                     mst_bottleneck, naive_search, pairwise_moves,
+                     rejection_fiber)
 
 
 def tv(g, units):
@@ -190,6 +192,73 @@ def test_degree_bound_below_one_rejected(k):
     for analyse in (extract_moves, fiber_graph, fiber_components):
         with pytest.raises(ValueError, match="degree bound must be >= 1"):
             analyse(fib, k)
+    with pytest.raises(ValueError, match="degree bound must be >= 1"):
+        witness_disconnected_fiber(P5, k, 2)
+    with pytest.raises(ValueError, match="degree bound must be >= 1"):
+        search_width(P5, 2, k)
+
+
+# the fibers of test_extract_moves_matches_pairwise_oracle
+MOVE_FIBERS = {"C4-t8": (cycle_graph("abcd"), [0, 2, 4, 5, 7, 9, 11, 14]),
+               "C5-t8": (cycle_graph("abcde"), [0, 1, 2, 8, 10, 11, 15, 21]),
+               "C6-t6": (cycle_graph("abcdef"), [0, 5, 23, 28, 34, 38]),
+               "K23-t8": (K23, [4, 6, 11, 13, 17, 18, 23, 25]),
+               "P5-t6": (P5, [3, 6, 8, 16, 29, 29])}
+
+
+def _check_kernel_moves(tables, max_norm):
+    """`_kernel.fiber_moves` gives the merge oracle's moves in its
+    order, with equal items one tuple, whatever the order of the
+    tables."""
+    got = _kernel.fiber_moves(tables, max_norm)
+    assert got == merge_moves(sorted(tables), max_norm)
+    shared = {}
+    for items in got:
+        for item in items:
+            assert shared.setdefault(item, item) is item
+
+
+@pytest.mark.parametrize("max_norm", [2, 4, 6, 8, 16])
+@pytest.mark.parametrize("name", sorted(MOVE_FIBERS))
+def test_fiber_moves_match_merge_oracle(name, max_norm):
+    g, units = MOVE_FIBERS[name]
+    tables = list(fiber_of(g, tv(g, units)).tables)
+    _check_kernel_moves(tables, max_norm)
+    random.Random(name).shuffle(tables)
+    _check_kernel_moves(tables, max_norm)
+
+
+def test_fiber_moves_small_fibers_and_repeated_units():
+    """No table, one, two; tables that repeat one unit N times, which
+    fill all N occupancy bits of that unit."""
+    c4 = list(fiber_of(cycle_graph("abcd"),
+                       tv(cycle_graph("abcd"), [0, 5, 10, 15])).tables)
+    assert _kernel.fiber_moves([], 8) == []
+    assert _kernel.fiber_moves(c4[:1], 8) == []
+    assert _kernel.fiber_moves([()], 8) == []
+    _check_kernel_moves(c4[:2], 8)
+    _check_kernel_moves(c4[1::-1], 8)
+    # every table of 4 units over 2 free vertices: 35 tables
+    free = _kernel.fiber_tables(2, [], [], 4)
+    assert len(free) == 35 and (3, 3, 3, 3) in free
+    for max_norm in (2, 4, 8):
+        _check_kernel_moves(free, max_norm)
+    repeated = [(0,) * 6, (1,) * 6, (0, 0, 0, 1, 1, 1), (2,) * 6,
+                (0, 1, 2, 2, 2, 2)]
+    for max_norm in (6, 12):
+        _check_kernel_moves(repeated, max_norm)
+
+
+@pytest.mark.parametrize("total", [127, 128, 130])
+def test_fiber_moves_wide_coefficients(total):
+    """Coefficients past 127 widen the count fields: one edge and an
+    isolated vertex, all units in cell (0, 0), total + 1 tables at norm
+    2 * total (the kernel is called directly, past the total cap)."""
+    tables = _kernel.fiber_tables(3, [(0, 1)], [total, 0, 0, 0], total)
+    assert len(tables) == total + 1
+    _check_kernel_moves(tables, 2 * total)
+    assert _kernel.fiber_moves(tables, 2 * total) == [
+        ((0, d), (4, -d)) for d in range(1, total + 1)]
 
 
 def test_fiber_tables_are_the_kernels():
