@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (bad input data, structural
 preconditions, resource limits), 2 usage error.  `--json` puts
-machine-readable output on stdout; diagnostics always go to stderr.
+machine-readable output on stdout; diagnostics always go to stderr.  A
+reader that closes stdout early ends the command quietly, with exit
+code 1.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from . import connector, fiber, sampler, triangulation, width
 from .errors import MarkovAtlasError, ParseError
 from .graphs import parse_graph, sp_decompose
-from .lattice import (TableVector, format_vector, parse_vector,
+from .lattice import (TableVector, _parse_lines, format_vector, parse_vector,
                       vector_to_json)
 
 
@@ -41,8 +44,9 @@ def _load_moves(path: str) -> Iterator[TableVector]:
     with its own 'vertices:' header; only comments and blank lines may
     come before the first one.  The blocks are parsed lazily, so
     the walk, which checks each vector as it reads it, reports errors
-    block by block with its one kernel test."""
-    blocks: List[List[str]] = []
+    block by block with its one kernel test.  Errors give the file's
+    line numbers."""
+    blocks: List[List[Tuple[int, str]]] = []
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped.startswith("vertices:"):
@@ -50,10 +54,10 @@ def _load_moves(path: str) -> Iterator[TableVector]:
         elif stripped and not blocks:
             raise ParseError("expected 'vertices:' header", lineno)
         if stripped:
-            blocks[-1].append(raw)
+            blocks[-1].append((lineno, raw))
     if not blocks:
         raise MarkovAtlasError(f"no move vectors found in {path}")
-    return (parse_vector("\n".join(b)) for b in blocks)
+    return (_parse_lines(b) for b in blocks)
 
 
 def _json_key(key) -> str:
@@ -289,6 +293,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes to
+        # devnull, so that flushing it at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except MarkovAtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,8 @@ from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from ..graphs import Graph
-from ..lattice import MarginalSet, Move, TableVector, graph_marginals
+from ..lattice import (MarginalSet, Move, TableVector, edge_cells,
+                       graph_marginals)
 from ..limits import default_limits
 from . import _kernel
 
@@ -59,20 +60,11 @@ class FiberGraph:
     adjacency: Tuple[Tuple[int, int], ...]
 
 
-def _sorted_edges(g: Graph):
-    return sorted(g.edges)
-
-
-def _budgets(g: Graph, m: MarginalSet) -> List[int]:
-    budgets: List[int] = []
-    for (i, j) in _sorted_edges(g):
-        budgets.extend(m.table(i, j))
-    return budgets
-
-
 def enumerate_fiber(g: Graph, m: MarginalSet,
                     candidates: Optional[Sequence[int]] = None) -> Fiber:
     """Every non-negative table over V(g) whose marginals equal `m`.
+    `m` must be taken over g's vertices and edges (ValueError
+    otherwise).
 
     `candidates` optionally restricts the support labelings considered;
     it must be a superset of every feasible support (callers use it only
@@ -81,12 +73,14 @@ def enumerate_fiber(g: Graph, m: MarginalSet,
     limits = default_limits()
     if m.vertices != g.vertices:
         raise ValueError("marginals were taken over a different vertex order")
+    if m.edges != tuple(sorted(g.edges)):
+        raise ValueError("marginals were taken over a different edge set")
     m.validate()
     limits.check_vertices(g.n)
     limits.check_total(m.total)
     try:
-        tables = _kernel.fiber_tables(g.n, _sorted_edges(g), _budgets(g, m),
-                                      m.total, candidates=candidates,
+        tables = _kernel.fiber_tables(g.n, m.edges, m.cells, m.total,
+                                      candidates=candidates,
                                       cap=limits.max_fiber)
     except _kernel.CapExceeded:
         raise limits.exceeded(
@@ -138,38 +132,31 @@ def extract_moves(f: Fiber, k: int) -> List[Move]:
             for items in _kernel.fiber_moves(f.tables, 2 * k)]
 
 
-def _flips(g: Graph):
+def _flips(g: Graph, edges):
     """(mask, perm) for every flip of vertices that have an edge: the
     fiber with key `key` flipped by `mask` in every unit has the key
     `bytes(key[p] for p in perm)`."""
-    edges = _sorted_edges(g)
     touched = 0
     for i, j in edges:
         touched |= (1 << i) | (1 << j)
-    out = []
-    for mask in range(1 << g.n):
-        if mask & ~touched:
-            continue
-        perm = []
-        for e, (i, j) in enumerate(edges):
-            f = (((mask >> i) & 1) << 1) | ((mask >> j) & 1)
-            perm.extend(4 * e + (c ^ f) for c in range(4))
-        out.append((mask, perm))
-    return out
+    return [(mask, [k ^ c for k in edge_cells(mask, edges) for c in range(4)])
+            for mask in range(1 << g.n) if not mask & ~touched]
 
 
-def _witness(g: Graph, k: int, groups, split_keys):
+def _witness(g: Graph, edges, k: int, groups, split_keys):
     """The fiber with the smallest key among the flip images of the
     fibers `split_keys` (the first split fiber of a search over every
     fiber), with one representative per side of its first two
-    components."""
-    _, key, mask = min((bytes(map(key.__getitem__, perm)), key, mask)
-                       for mask, perm in _flips(g) for key in split_keys)
+    components.  Its key is its marginal cells."""
+    flipped, key, mask = min((bytes(map(key.__getitem__, perm)), key, mask)
+                             for mask, perm in _flips(g, edges)
+                             for key in split_keys)
     tables = sorted(tuple(sorted(m ^ mask for m in t)) for t in groups[key])
     labels = _kernel.component_labels(tables, 2 * k)
     za, zb = (TableVector.from_units(g.vertices, tables[labels.index(r)])
               for r in sorted(set(labels))[:2])
-    return Fiber(g, graph_marginals(za, g), tuple(tables)), (za, zb)
+    marginals = MarginalSet(g.vertices, edges, tuple(flipped), len(tables[0]))
+    return Fiber(g, marginals, tuple(tables)), (za, zb)
 
 
 def search_width(g: Graph, max_total: int, k: Optional[int] = None):
@@ -190,7 +177,7 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     limits = default_limits()
     limits.check_vertices(g.n)
     limits.check_total(max_total)
-    edges = _sorted_edges(g)
+    edges = tuple(sorted(g.edges))
     cells = 1 << g.n
     degrees: List[int] = []
     best = 1
@@ -210,7 +197,7 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
                 split_keys.append(key)
         degrees.append(best)
         if witness is None and split_keys:
-            witness = _witness(g, k, groups, split_keys)
+            witness = _witness(g, edges, k, groups, split_keys)
     return degrees, witness
 
 

@@ -2,8 +2,9 @@
 
 Tables are multisets of labelings, represented as non-decreasing tuples
 of bitmasks.  Marginal keys are `bytes` of the per-edge cell counts in
-edge order (cells c00, c01, c10, c11; the first bit belongs to the
-smaller-index endpoint).
+the layout of `lattice.edge_cells`, the one definition of which cell a
+labeling falls in at each sorted edge: the same numbers as
+`MarginalSet.cells` and as the budgets `fiber_tables` takes.
 
 `fiber_moves` works on two int encodings of a table, made once per
 call: an occupancy int (one bit per unit, so that the norm of the
@@ -20,24 +21,13 @@ from operator import getitem
 from struct import Struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..lattice import edge_cells
+
 KERNEL_ID = "py"
 
 
 class CapExceeded(Exception):
     pass
-
-
-def _bump_table(n: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    """bump[labeling] = flat cell indices incremented by that labeling."""
-    num = 1 << n
-    bump = []
-    for mask in range(num):
-        row = []
-        for e, (i, j) in enumerate(edges):
-            cell = (((mask >> i) & 1) << 1) | ((mask >> j) & 1)
-            row.append(4 * e + cell)
-        bump.append(row)
-    return bump
 
 
 def _packed(rows: Sequence[Sequence[int]], width: int) -> List[int]:
@@ -64,7 +54,7 @@ def group_tables(n: int, edges,
         raise ValueError("cell counts above 255 do not fit a byte key")
     # cell counts, one byte each in edge order, so that the key is the
     # little-endian bytes of their sum
-    cell_inc = _packed(_bump_table(n, edges), 8)
+    cell_inc = _packed([edge_cells(m, edges) for m in range(num)], 8)
     # per-vertex counts of 1s, one field each, started at an offset so
     # that a count above total // 2 sets the field's top bit
     width = total.bit_length() + 1
@@ -111,7 +101,7 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
     top = 1 << (width - 1)
     full = sum(top << (width * idx) for idx in range(ncells))
     left = full + sum(b << (width * idx) for idx, b in enumerate(budgets))
-    inc = _packed(_bump_table(n, edges), width)
+    inc = _packed([edge_cells(m, edges) for m in range(1 << n)], width)
     units = [0] * total
     out: List[Tuple[int, ...]] = []
 

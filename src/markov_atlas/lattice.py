@@ -5,6 +5,12 @@ holds the value at vertex ``i``.  A :class:`TableVector` maps labelings to
 integer counts (zero entries are never stored), which keeps tables of
 total ``N`` at no more than ``N`` support entries regardless of the number
 of vertices.
+
+:func:`edge_cells` is the one definition of the cell layout: the e-th
+sorted edge (i, j) owns cells 4e to 4e + 3, and a labeling falls in cell
+4e + 2 * bit_i + bit_j.  :class:`MarginalSet` stores its counts in that
+layout, the enumeration kernel takes them as budgets and keys its fibers
+by them, and the kernel test packs them.
 """
 
 from __future__ import annotations
@@ -36,10 +42,6 @@ class TableVector:
     @classmethod
     def zero(cls, vertices) -> "TableVector":
         return cls(vertices, {})
-
-    @classmethod
-    def basis(cls, vertices, mask: int) -> "TableVector":
-        return cls(vertices, {mask: 1})
 
     @classmethod
     def from_units(cls, vertices, units: Iterable[int]) -> "TableVector":
@@ -149,33 +151,42 @@ def project(z: TableVector, targets: Sequence[str]) -> TableVector:
 
 # -- marginals ---------------------------------------------------------
 
+def edge_cells(mask: int, edges: Sequence[Tuple[int, int]]) -> List[int]:
+    """The flat cell of labeling `mask` at each edge: 4e + 2 * bit_i +
+    bit_j at the e-th edge (i, j) of `edges`, i < j, so that cells
+    4e .. 4e + 3 count (00, 01, 10, 11) with the smaller-index vertex's
+    value first."""
+    return [4 * e + 2 * ((mask >> i) & 1) + ((mask >> j) & 1)
+            for e, (i, j) in enumerate(edges)]
+
+
 @dataclass(frozen=True)
 class MarginalSet:
     """Per-edge 2x2 tables of a vector, plus the common total.
 
-    `tables` maps each edge (pair of vertex indices, i < j) to cell
-    counts (c00, c01, c10, c11) where the first bit is the value at the
-    smaller-index vertex.
+    `edges` are the graph's edges (i < j) in sorted order and `cells`
+    their 4 * len(edges) counts in the layout of `edge_cells`: the
+    numbers the enumeration kernel takes as budgets and keys its fibers
+    by.
     """
 
     vertices: Tuple[str, ...]
-    tables: Tuple[Tuple[Tuple[int, int], Tuple[int, int, int, int]], ...]
+    edges: Tuple[Tuple[int, int], ...]
+    cells: Tuple[int, ...]
     total: int
 
     def table(self, i: int, j: int) -> Tuple[int, int, int, int]:
-        if i > j:
-            i, j = j, i
-        for edge, cells in self.tables:
-            if edge == (i, j):
-                return cells
-        raise KeyError((i, j))
-
-    def key(self) -> tuple:
-        return (self.tables, self.total)
+        """The cells (c00, c01, c10, c11) of edge {i, j}."""
+        try:
+            e = self.edges.index((min(i, j), max(i, j)))
+        except ValueError:
+            raise KeyError((i, j)) from None
+        return self.cells[4 * e:4 * e + 4]
 
     def validate(self):
         """Check non-negativity and a common per-edge total."""
-        for edge, cells in self.tables:
+        for e, edge in enumerate(self.edges):
+            cells = self.cells[4 * e:4 * e + 4]
             if any(c < 0 for c in cells):
                 raise InconsistentMarginals(f"negative cell on edge {edge}")
             if sum(cells) != self.total:
@@ -187,13 +198,12 @@ def graph_marginals(z: TableVector, g) -> MarginalSet:
     """All edge marginals of `z` with respect to graph `g`."""
     if z.vertices != g.vertices:
         raise GroundSetMismatch(f"{z.vertices} vs {g.vertices}")
-    tables = []
-    for (i, j) in sorted(g.edges):
-        cells = [0, 0, 0, 0]
-        for mask, c in z.entries.items():
-            cells[(((mask >> i) & 1) << 1) | ((mask >> j) & 1)] += c
-        tables.append(((i, j), tuple(cells)))
-    return MarginalSet(z.vertices, tuple(tables), z.total())
+    edges = tuple(sorted(g.edges))
+    cells = [0] * (4 * len(edges))
+    for mask, c in z.entries.items():
+        for k in edge_cells(mask, edges):
+            cells[k] += c
+    return MarginalSet(z.vertices, edges, tuple(cells), z.total())
 
 
 @dataclass(frozen=True)
@@ -229,8 +239,8 @@ def _kernel_test(g) -> Callable[..., bool]:
     than its field's 2**width.  The packed sum of c * increment(m) is
     then 0 exactly when every cell is 0: the lowest nonzero cell would
     leave a nonzero remainder modulo 2**width in its field.  Each
-    labeling's increment (1 in field 4e + cell for the e-th sorted
-    edge) is computed once per width for the life of the test.
+    labeling's increment (1 in the field of each of its `edge_cells`)
+    is computed once per width for the life of the test.
     """
     edges = sorted(g.edges)
     # per width, each labeling's increment
@@ -253,11 +263,8 @@ def _kernel_test(g) -> Callable[..., bool]:
         for m, c in items:
             step = row.get(m)
             if step is None:
-                step = 0
-                for e, (i, j) in enumerate(edges):
-                    cell = (((m >> i) & 1) << 1) | ((m >> j) & 1)
-                    step |= 1 << (width * (4 * e + cell))
-                row[m] = step
+                step = row[m] = sum(1 << (width * k)
+                                    for k in edge_cells(m, edges))
             packed += c * step
         return packed == 0
 
@@ -325,9 +332,15 @@ def format_vector(z: TableVector) -> str:
 
 
 def parse_vector(text: str) -> TableVector:
+    return _parse_lines(enumerate(text.splitlines(), start=1))
+
+
+def _parse_lines(lines: Iterable[Tuple[int, str]]) -> TableVector:
+    """A vector from its (line number, line) pairs, so that the blocks
+    of a moves file report errors by the file's line numbers."""
     vertices = None
     entries: Dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

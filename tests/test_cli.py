@@ -301,7 +301,7 @@ NOT_KERNEL_C4 = "vertices: a b c d\n0101 1\n0111 -1\n"
     ((MOVE_C4, NOT_KERNEL_C4),
      "error: TableVector(e[1010] + -1*e[1110]) has nonzero marginals\n"),
     ((MOVE_C4, "vertices: a b c d\n011 1\n"),
-     "error: line 2: bitstring must have 4 binary digits\n"),
+     "error: line 7: bitstring must have 4 binary digits\n"),
     ((MOVE_C4, "vertices: a b c\n010 1\n"),
      "error: ('a', 'b', 'c') vs ('a', 'b', 'c', 'd')\n"),
     # a bad first block is reported before a malformed second one
@@ -448,3 +448,33 @@ def test_bad_vector_is_domain_error(files, capsys):
                        files("b.vec", VEC_C4))
     assert code == 1
     assert "line" in err
+
+
+def _path_files(files, n):
+    """A path on n vertices and two tables of total 2 with its marginals
+    that differ by swapping the units' tails after the second vertex."""
+    text = "".join(f"v{i} v{i + 1}\n" for i in range(n - 1))
+    header = "vertices: " + " ".join(f"v{i}" for i in range(n)) + "\n"
+    u, v = "0" * n, "10" + "1" * (n - 2)
+    a = header + f"{u} 1\n{v} 1\n"
+    b = header + f"{u[:2] + v[2:]} 1\n{v[:2] + u[2:]} 1\n"
+    return files("path.txt", text), files("a.vec", a), files("b.vec", b)
+
+
+@pytest.mark.parametrize("command", ["decompose", "connect"])
+def test_closed_pipe_is_quiet(files, command):
+    """A reader that closes stdout after one line ends the command with
+    no traceback, whether the output is the streamed tree of `decompose`
+    or the JSON of `connect --json`.  Both outputs run far past a pipe's
+    buffer."""
+    graph, a, b = _path_files(files, 2000 if command == "connect" else 400)
+    argv = {"decompose": [graph], "connect": [graph, a, b, "--json"]}
+    src = os.path.dirname(os.path.dirname(markov_atlas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "markov_atlas", command, *argv[command]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")

@@ -51,7 +51,7 @@ def test_fiber_oracle_sweep_small():
             for units in itertools.combinations_with_replacement(
                     range(1 << g.n), total):
                 z = tv(g, units)
-                key = graph_marginals(z, g).key()
+                key = graph_marginals(z, g)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -79,10 +79,21 @@ def test_empty_graph_fiber_is_value_partition():
 
 def test_inconsistent_marginals_rejected():
     g = Graph(("a", "b", "c"), [(0, 1), (1, 2)])
-    bad = MarginalSet(g.vertices,
-                      (((0, 1), (1, 0, 0, 0)), ((1, 2), (2, 0, 0, 0))), 1)
+    bad = MarginalSet(g.vertices, ((0, 1), (1, 2)),
+                      (1, 0, 0, 0, 2, 0, 0, 0), 1)
     with pytest.raises(Exception):
         enumerate_fiber(g, bad)
+
+
+def test_marginals_of_another_graph_rejected():
+    """The marginals of the path a-b-c do not describe a fiber of the
+    edge a-b on the same vertices, nor the other way round."""
+    edge = Graph(("a", "b", "c"), [(0, 1)])
+    path = Graph(("a", "b", "c"), [(0, 1), (1, 2)])
+    z = tv(path, [0b011, 0b100])
+    for g, other in ((edge, path), (path, edge)):
+        with pytest.raises(ValueError, match="different edge set"):
+            enumerate_fiber(g, graph_marginals(z, other))
 
 
 def test_fiber_cap_raises(monkeypatch):
@@ -267,7 +278,7 @@ def test_fiber_tables_are_the_kernels():
     g = cycle_graph("abcd")
     fib = fiber_of(g, tv(g, [0, 2, 4, 5, 7, 9, 11, 14]))
     edges = sorted(g.edges)
-    budgets = [c for e in edges for c in fib.marginals.table(*e)]
+    budgets = fib.marginals.cells
     assert list(fib.tables) == _kernel.fiber_tables(g.n, edges, budgets, 8)
     assert "elements" not in vars(fib)
     assert [tuple(e.units()) for e in fib.elements] == list(fib.tables)
@@ -290,6 +301,22 @@ def test_path_connects_at_degree_2():
     g = Graph(("a", "b", "c"), [(0, 1), (1, 2)])
     assert min_connecting_degree(g, 4) == 2
     assert witness_disconnected_fiber(g, 2, 4) is None
+
+
+def test_marginal_cells_are_the_kernels_keys():
+    """`MarginalSet.cells` is the kernel's fiber key: every table the
+    kernel groups under a key has that key as its marginal cells."""
+    g = Graph(("a", "b", "c", "d"), [(0, 1), (1, 2), (0, 2), (2, 3)])
+    for key, tables in _kernel.group_tables(g.n, sorted(g.edges), 3).items():
+        for t in tables:
+            assert bytes(graph_marginals(tv(g, t), g).cells) == key
+
+
+def test_witness_marginals_are_its_key():
+    g = cycle_graph("abcde")
+    fib, (za, zb) = witness_disconnected_fiber(g, 3, 4)
+    assert fib.marginals == graph_marginals(za, g) == graph_marginals(zb, g)
+    assert all(graph_marginals(e, g) == fib.marginals for e in fib.elements)
 
 
 def test_c4_needs_degree_4():

@@ -7,7 +7,7 @@ from markov_atlas import (Graph, TableVector, as_move, canonical_sign,
                           graph_marginals, is_kernel_element, parse_vector,
                           project, vector_from_json, vector_to_json)
 from markov_atlas.errors import (GroundSetMismatch, NotKernelMove, ParseError)
-from markov_atlas.lattice import format_vector
+from markov_atlas.lattice import edge_cells, format_vector
 
 VERTS = ("a", "b", "c", "d")
 
@@ -126,6 +126,17 @@ def test_marginals_match_pairwise_projection():
                          p.entries.get(1, 0), p.entries.get(3, 0))
 
 
+def test_edge_cells_layout():
+    """Edge e owns cells 4e..4e+3; the smaller-index vertex's value is
+    the high bit of the cell."""
+    edges = [(0, 1), (0, 3), (1, 2)]
+    assert edge_cells(0b0000, edges) == [0, 4, 8]
+    assert edge_cells(0b0001, edges) == [2, 6, 8]  # a = 1
+    assert edge_cells(0b1010, edges) == [1, 5, 10]  # b = d = 1
+    assert edge_cells(0b1111, edges) == [3, 7, 11]
+    assert edge_cells(0b1111, []) == []
+
+
 @given(small_vectors())
 def test_kernel_iff_equal_marginals(u):
     """u is a kernel element iff z and z+u have the same marginals
@@ -133,7 +144,7 @@ def test_kernel_iff_equal_marginals(u):
     g = path_graph()
     m = graph_marginals(u, g)
     in_kernel = is_kernel_element(u, g)
-    flat = m.total == 0 and all(c == (0, 0, 0, 0) for _, c in m.tables)
+    flat = m.total == 0 and all(c == 0 for c in m.cells)
     assert in_kernel == flat
 
 
@@ -186,7 +197,8 @@ def test_kernel_test_fields_fit_the_l1_norm():
     g = Graph(("a", "b", "c"), [(0, 1)])
     u = TableVector(g.vertices, {0b000: 300, 0b100: 212, 0b010: -1,
                                  0b001: -300, 0b101: -212, 0b011: 1})
-    assert graph_marginals(u, g).tables == (((0, 1), (512, -1, -512, 1)),)
+    m = graph_marginals(u, g)
+    assert (m.edges, m.cells) == (((0, 1),), (512, -1, -512, 1))
     assert sum(c << (9 * k) for k, c in enumerate((512, -1, -512, 1))) == 0
     assert u.total() == 0
     assert not is_kernel_element(u, g)
