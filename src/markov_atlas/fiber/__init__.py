@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import comb
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from ..graphs import Graph
@@ -147,15 +149,23 @@ def _witness(g: Graph, edges, k: int, groups, split_keys):
     """The fiber with the smallest key among the flip images of the
     fibers `split_keys` (the first split fiber of a search over every
     fiber), with one representative per side of its first two
-    components.  Its key is its marginal cells."""
-    flipped, key, mask = min((bytes(map(key.__getitem__, perm)), key, mask)
-                             for mask, perm in _flips(g, edges)
-                             for key in split_keys)
+    components.  Its key is its marginal cells.
+
+    `split_keys` leaves out the fibers whose tables share a unit, but
+    at the lowest split total none of them is split (see
+    `search_width`), so the minimum is over every split fiber.  A
+    flip's image of a key is `itemgetter(*perm)(key)`, a tuple of ints:
+    images of one length order as their bytes do, and equal images are
+    the same fiber, so the minimum is taken in C builtins, and the
+    smallest image is the witness's cells."""
+    image, key, mask = min(
+        min(zip(map(itemgetter(*perm), split_keys), split_keys, repeat(mask)))
+        for mask, perm in _flips(g, edges))
     tables = sorted(tuple(sorted(m ^ mask for m in t)) for t in groups[key])
     labels = _kernel.component_labels(tables, 2 * k)
     za, zb = (TableVector.from_units(g.vertices, tables[labels.index(r)])
               for r in sorted(set(labels))[:2])
-    marginals = MarginalSet(g.vertices, edges, tuple(flipped), len(tables[0]))
+    marginals = MarginalSet(g.vertices, edges, image, len(tables[0]))
     return Fiber(g, marginals, tuple(tables)), (za, zb)
 
 
@@ -167,11 +177,24 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     connected by moves of degree <= k.  `witness` is None unless `k` is
     given and some fiber of total <= max_total is split by moves of
     degree <= k; then it is the split fiber of the lowest total with the
-    smallest marginal key, with one representative per side.
+    smallest marginal key, with one representative per side.  A total
+    below 1 raises ValueError.
 
     Vertex flips map fibers to fibers and keep L1 distances, so one
-    fiber per flip orbit is analysed (see `_kernel.group_tables`).
+    fiber per flip orbit is analysed (see `_kernel.group_tables`).  Of
+    those, only fibers that can raise the answer are analysed.  A
+    fiber whose tables all hold a unit u (a fiber of one table among
+    them) is u plus the fiber of total - 1 with the marginals less u's,
+    at the same distances.  A flip image of that fiber was dealt with
+    at total - 1, so its bottleneck is at most the running degree, and
+    if it is split, a split fiber of a lower total holds the witness.
+    Flips keep a common unit common, so at the lowest split total no
+    split fiber is skipped, and the witness is the same.  Each analysed
+    fiber's bottleneck starts at the running degree (and at most at k),
+    which changes neither the degree nor the split test.
     """
+    if max_total < 1:
+        raise ValueError("table total must be >= 1")
     if k is not None:
         _check_degree(k)
     limits = default_limits()
@@ -191,7 +214,11 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
         groups = _kernel.group_tables(g.n, edges, total)
         split_keys = []
         for key, tables in groups.items():
-            b = _kernel.bottleneck_norm(tables)
+            # a fiber of one table is the cheap common case of the test
+            if len(tables) < 2 or set(tables[0]).intersection(*tables[1:]):
+                continue
+            b = _kernel.bottleneck_norm(
+                tables, best if k is None else min(best, k))
             best = max(best, b // 2)
             if k is not None and b > 2 * k:
                 split_keys.append(key)

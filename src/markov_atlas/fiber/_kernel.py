@@ -255,21 +255,25 @@ def component_labels(tables: Sequence[Tuple[int, ...]],
     return [find(i) for i in range(f)]
 
 
-def bottleneck_norm(tables: Sequence[Tuple[int, ...]]) -> int:
+def bottleneck_norm(tables: Sequence[Tuple[int, ...]], floor: int = 1) -> int:
     """Largest edge norm on a minimum spanning tree of the fiber under
-    L1 distance (0 for fibers of size <= 1).  This is the smallest move
+    L1 distance, raised to 2 * floor (0 for fibers of size <= 1).  With
+    the default floor this is the exact bottleneck: the smallest move
     norm whose threshold graph connects the fiber.
 
     Two tables of N units are within 2d of each other exactly when they
     share N - d units, so the threshold graph at 2d joins all tables
-    with a common sub-multiset of N - d units.  The thresholds are tried
-    from d = 1 up, joining tables in a union-find; at 2N every pair is
-    joined."""
+    with a common sub-multiset of N - d units, and contains the graphs
+    at every smaller d.  The thresholds are tried from d = floor up,
+    joining tables in a union-find; at 2N every pair is joined.  A
+    fiber that the floor's threshold joins costs one pass, and a
+    caller that compares the result only with bounds of at least
+    2 * floor gets the answers of the exact bottleneck."""
     f = len(tables)
     if f <= 1:
         return 0
     if f == 2:
-        return _norm(tables[0], tables[1])
+        return max(_norm(tables[0], tables[1]), 2 * floor)
     size = len(tables[0])
     parent = list(range(f))
 
@@ -280,7 +284,7 @@ def bottleneck_norm(tables: Sequence[Tuple[int, ...]]) -> int:
         return x
 
     parts = f
-    for d in range(1, size):
+    for d in range(floor, size):
         first: Dict[Tuple[int, ...], int] = {}
         for idx, t in enumerate(tables):
             for sub in combinations(t, size - d):
@@ -293,4 +297,4 @@ def bottleneck_norm(tables: Sequence[Tuple[int, ...]]) -> int:
                     parts -= 1
                     if parts == 1:
                         return 2 * d
-    return 2 * size
+    return 2 * max(size, floor)

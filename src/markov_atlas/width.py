@@ -117,7 +117,7 @@ def classify_width(g: Graph,
     else:
         report = WidthReport("lower-bound", 6, "contains a K4 minor",
                              k4_minor=find_k4_minor(g))
-    if evidence_max_total:
+    if evidence_max_total is not None:
         report.search_degree = fiber_mod.min_connecting_degree(
             g, evidence_max_total)
         report.search_max_total = evidence_max_total

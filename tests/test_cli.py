@@ -244,6 +244,19 @@ def test_search_width_degree_below_one_rejected(files, capsys, degree):
         1, "", "error: degree bound must be >= 1\n")
 
 
+@pytest.mark.parametrize("total", ["0", "-2"])
+def test_table_total_below_one_rejected(files, capsys, total):
+    """A search up to a total below 1 is an error, not an empty result,
+    and `width --evidence` does not drop it."""
+    message = "error: table total must be >= 1\n"
+    code, out, err = run(capsys, "search-width", files("c4.txt", C4),
+                         "--max-total", total, "--max-degree", "2")
+    assert (code, out, err) == (1, "", message)
+    code, out, err = run(capsys, "width", files("c4.txt", C4), "--evidence",
+                         "--max-total", total)
+    assert (code, out, err) == (1, "", message)
+
+
 def test_sample_reproducible(files, capsys):
     args = ("sample", files("c4.txt", C4), files("a.vec", VEC_C4),
             "--steps", "300", "--seed", "7", "--json")

@@ -209,6 +209,19 @@ def test_degree_bound_below_one_rejected(k):
         search_width(P5, 2, k)
 
 
+@pytest.mark.parametrize("total", [0, -2])
+def test_table_total_below_one_rejected(total):
+    g = cycle_graph("abcd")
+    with pytest.raises(ValueError, match="table total must be >= 1"):
+        search_width(g, total)
+    with pytest.raises(ValueError, match="table total must be >= 1"):
+        search_width(g, total, 3)
+    with pytest.raises(ValueError, match="table total must be >= 1"):
+        min_connecting_degree(g, total)
+    with pytest.raises(ValueError, match="table total must be >= 1"):
+        witness_disconnected_fiber(g, 3, total)
+
+
 # the fibers of test_extract_moves_matches_pairwise_oracle
 MOVE_FIBERS = {"C4-t8": (cycle_graph("abcd"), [0, 2, 4, 5, 7, 9, 11, 14]),
                "C5-t8": (cycle_graph("abcde"), [0, 1, 2, 8, 10, 11, 15, 21]),
@@ -376,20 +389,75 @@ def test_kernel_fibers_and_bottlenecks_match_oracles(g, total):
         support = sorted({m for t in tabs for m in t})
         assert _kernel.fiber_tables(g.n, edges, list(key), total,
                                     candidates=support) == tabs
-        assert _kernel.bottleneck_norm(tabs) == mst_bottleneck(tabs)
+        exact = mst_bottleneck(tabs)
+        assert _kernel.bottleneck_norm(tabs) == exact
+        # started at a floor, the exact bottleneck raised to 2 * floor
+        for floor in range(1, total + 2):
+            want = max(exact, 2 * floor) if len(tabs) >= 2 else 0
+            assert _kernel.bottleneck_norm(tabs, floor) == want
+
+
+def _drop(t, unit):
+    i = t.index(unit)
+    return t[:i] + t[i + 1:]
+
+
+@pytest.mark.parametrize("g,total", ORBIT_CASES)
+def test_common_unit_fiber_is_a_lower_total_fiber(g, total):
+    """A fiber whose tables all hold a unit u, less u, is exactly a
+    fiber of total - 1, at the same distances: the fibers
+    `search_width` skips repeat a lower total.  A vertex without an
+    edge has a free bit inside a fiber, so then no unit is common."""
+    edges = sorted(g.edges)
+    isolated = set(range(g.n)) - {v for e in edges for v in e}
+    lower = all_grouped_tables(g.n, edges, total - 1)
+    key_of = {t: key for key, tabs in lower.items() for t in tabs}
+    seen = 0
+    for tabs in all_grouped_tables(g.n, edges, total).values():
+        for unit in set(tabs[0]).intersection(*tabs[1:]):
+            rest = sorted(_drop(t, unit) for t in tabs)
+            assert rest == lower[key_of[rest[0]]]
+            assert mst_bottleneck(rest) == mst_bottleneck(tabs)
+            seen += 1
+    assert bool(seen) != bool(isolated)
+
+
+def test_search_width_analyses_only_fibers_that_can_raise_it(monkeypatch):
+    """On C4 at total 4, `bottleneck_norm` sees exactly the fibers of
+    `group_tables` with 2 or more tables and no unit common to all."""
+    g = cycle_graph("abcd")
+    edges = sorted(g.edges)
+    analysed = []
+    exact = _kernel.bottleneck_norm
+
+    def counted(tables, floor=1):
+        analysed.append(tables)
+        return exact(tables, floor)
+
+    monkeypatch.setattr(_kernel, "bottleneck_norm", counted)
+    assert search_width(g, 4, 3)[0] == [1, 2, 2, 4]
+    fibers = [tabs for total in range(1, 5)
+              for tabs in _kernel.group_tables(g.n, edges, total).values()]
+    want = [tabs for tabs in fibers
+            if len(tabs) >= 2 and not set(tabs[0]).intersection(*tabs[1:])]
+    assert analysed == want
+    assert 0 < len(want) < len(fibers)
 
 
 def test_search_width_matches_naive_search():
     """Same degrees and witnesses as a search over every fiber: every
     labelled graph on 2-4 vertices at totals <= 4, and C5 and K_{2,3}
-    at total 3, for k = 1, 2, 3."""
-    ks = (1, 2, 3)
-    graphs = [(g, 4) for n in (2, 3, 4) for g in all_graphs(n)]
-    graphs.append((cycle_graph("abcde"), 3))
-    graphs.append((Graph(tuple("abcde"),
-                         [(i, j) for i in (0, 1) for j in (2, 3, 4)]), 3))
+    at total 3, for k = 1, 2, 3; and C5, K_{2,3} and the house graph
+    at total 4 for k = 3, the shape of the benchmark's searches."""
+    c5 = cycle_graph("abcde")
+    k23 = Graph(tuple("abcde"), [(i, j) for i in (0, 1) for j in (2, 3, 4)])
+    house = Graph(tuple("abcde"),
+                  [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4)])
+    cases = [(g, 4, (1, 2, 3)) for n in (2, 3, 4) for g in all_graphs(n)]
+    cases += [(c5, 3, (1, 2, 3)), (k23, 3, (1, 2, 3))]
+    cases += [(g, 4, (3,)) for g in (c5, k23, house)]
     witnessed = 0
-    for g, max_total in graphs:
+    for g, max_total, ks in cases:
         degrees, witnesses = naive_search(g, max_total, ks)
         for k, want in zip(ks, witnesses):
             got_degrees, got = search_width(g, max_total, k)

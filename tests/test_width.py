@@ -84,6 +84,12 @@ def test_classification_consistent_with_search():
             assert not is_k4_minor_free(g)
 
 
+@pytest.mark.parametrize("total", [0, -2])
+def test_evidence_total_below_one_rejected(total):
+    with pytest.raises(ValueError, match="table total must be >= 1"):
+        classify_width(cycle_graph("abcd"), evidence_max_total=total)
+
+
 def test_evidence_attached():
     rep = classify_width(cycle_graph("abcd"), evidence_max_total=4)
     assert rep.search_degree == 4
