@@ -164,8 +164,8 @@ def parse_graph(text: str) -> Graph:
 
 # -- blocks and cut vertices ------------------------------------------
 
-def _block_decomposition(g: Graph):
-    """Hopcroft-Tarjan: returns (list of edge sets, set of cut vertices).
+def _block_decomposition(g: Graph) -> List[List[Edge]]:
+    """Hopcroft-Tarjan: the edge list of each block.
 
     The depth-first search runs on an explicit stack, so its depth is
     not bounded by the interpreter's recursion limit.
@@ -174,14 +174,12 @@ def _block_decomposition(g: Graph):
     disc: Dict[int, int] = {}
     low: Dict[int, int] = {}
     block_list: List[List[Edge]] = []
-    cuts: Set[int] = set()
     edge_stack: List[Edge] = []
 
     for root in range(g.n):
         if root in disc:
             continue
         disc[root] = low[root] = len(disc)
-        root_children = 0
         # frames: (vertex, DFS parent, iterator over unscanned neighbours)
         stack = [(root, None, iter(sorted(adj[root])))]
         while stack:
@@ -204,10 +202,6 @@ def _block_decomposition(g: Graph):
                     continue
                 low[parent] = min(low[parent], low[u])
                 if low[u] >= disc[parent]:
-                    if stack[-1][1] is None:
-                        root_children += 1
-                    else:
-                        cuts.add(parent)
                     comp: List[Edge] = []
                     target = _norm_edge(parent, u)
                     while True:
@@ -216,16 +210,14 @@ def _block_decomposition(g: Graph):
                         if e == target:
                             break
                     block_list.append(comp)
-        if root_children >= 2:
-            cuts.add(root)
-    return block_list, cuts
+    return block_list
 
 
 def _sorted_blocks(g: Graph) -> List[Tuple[List[int], List[Edge]]]:
     """(sorted vertex indices, edges) of each block, ordered by the
     vertex index lists."""
-    edge_sets, _ = _block_decomposition(g)
-    out = [(sorted({v for e in es for v in e}), es) for es in edge_sets]
+    out = [(sorted({v for e in es for v in e}), es)
+           for es in _block_decomposition(g)]
     out.sort(key=lambda b: b[0])
     return out
 
@@ -240,8 +232,9 @@ def blocks(g: Graph) -> List[Graph]:
 
 
 def cut_vertices(g: Graph) -> Set[int]:
-    _, cuts = _block_decomposition(g)
-    return cuts
+    """Vertices that lie in two or more blocks: the `attach` vertices
+    of the pieces of `block_cut_forest`."""
+    return {p.attach for p in block_cut_forest(g) if p.attach is not None}
 
 
 class Piece(NamedTuple):
@@ -636,7 +629,7 @@ def block_sp_tree(vertices: Sequence[str], edges: Iterable[Edge]) -> SPTree:
 def is_k4_minor_free(g: Graph) -> bool:
     """True iff the graph has no K4 minor, decided block-wise: a block
     has none iff its series-parallel reduction reaches one edge."""
-    return all(_reduce(es)[1] == 1 for es in _block_decomposition(g)[0])
+    return all(_reduce(es)[1] == 1 for es in _block_decomposition(g))
 
 
 def complete_graph(labels: Sequence[str]) -> Graph:

@@ -59,6 +59,8 @@ class Triangulation:
         return Graph(self.vertices, self.edge_set)
 
     def validate(self):
+        if not self.faces:
+            raise InvalidTriangulation("triangulation has no faces")
         seen: Set[Face] = set()
         for face in self.faces:
             if len(set(face)) != 3:

@@ -50,6 +50,45 @@ def brute_has_k4_minor(g: Graph) -> bool:
     return False
 
 
+def assert_k4_minor(g: Graph, sets) -> None:
+    """Fail unless `sets` are the branch sets of a K4 minor of g: four
+    nonempty, disjoint sets of vertex labels, each connected in g, and
+    every two joined by an edge."""
+    assert sets is not None and len(sets) == 4, sets
+    flat = [v for s in sets for v in s]
+    assert len(flat) == len(set(flat)), sets
+    idx_sets = [{g.index(v) for v in s} for s in sets]
+    adj = g.adj()
+    for s in idx_sets:
+        assert s, sets
+        seen = {min(s)}
+        stack = list(seen)
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in s and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        assert seen == s, f"branch set {sorted(s)} is not connected"
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert any(y in idx_sets[j] for x in idx_sets[i]
+                       for y in adj[x]), f"branch sets {i}, {j} not joined"
+
+
+def subdivided_k4(length: int) -> Graph:
+    """K4 with each edge replaced by a path of `length` edges: branch
+    vertices v0..v3, then each path's inner vertices in order, for
+    4 + 6 (length - 1) vertices and 6 length edges."""
+    n = 4
+    edges: List[Tuple[int, int]] = []
+    for a, b in itertools.combinations(range(4), 2):
+        path = [a, *range(n, n + length - 1), b]
+        n += length - 1
+        edges += zip(path, path[1:])
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
 def rejection_fiber(g: Graph, z: TableVector) -> List[TableVector]:
     """Fiber of z by filtering every table of the same total (n, N small)."""
     ref = graph_marginals(z, g)

@@ -14,7 +14,7 @@ from markov_atlas import (SPTree, connector, extract_moves, fiber_of,
 from markov_atlas.cli import _build_parser, _json_chunks, main
 from markov_atlas.connector import verify_sequence
 
-from helpers import ladder_graph
+from helpers import assert_k4_minor, ladder_graph
 
 C5 = "a b\nb c\nc d\nd e\ne a\n"
 C4 = "a b\nb c\nc d\nd a\n"
@@ -66,7 +66,7 @@ def test_width_json(files, capsys):
     obj = json.loads(out)
     assert obj["class"] == "lower-bound"
     assert obj["basis_degree"] == 6
-    assert len(obj["k4_minor"]) == 4
+    assert_k4_minor(parse_graph(K4), obj["k4_minor"])
 
 
 def test_width_evidence(files, capsys):
@@ -219,6 +219,14 @@ def test_certify_text_says_why_fiber_skipped(files, capsys, monkeypatch):
         "bound 4 for the complete graph on 6 vertices, fiber NOT verified: "
         "the fiber of total 4 exceeds the cap max_fiber = 1; "
         "raise it with MARKOV_ATLAS_LIMITS=\"max_fiber=...\"\n")
+
+
+@pytest.mark.parametrize("text", ["", "# a comment, no faces\n"])
+def test_certify_without_faces_is_an_error(files, capsys, text):
+    code, out, err = run(capsys, "certify", files("none.tri", text))
+    assert code == 1
+    assert out == ""
+    assert err == "error: triangulation has no faces\n"
 
 
 def test_certify_tetrahedron_fails(files, capsys):

@@ -42,6 +42,12 @@ def test_repeated_face_rejected():
         load_triangulation(TETRA + "a b c\n")
 
 
+@pytest.mark.parametrize("text", ["", "# no faces\n\n"])
+def test_no_faces_rejected(text):
+    with pytest.raises(InvalidTriangulation, match="no faces"):
+        load_triangulation(text)
+
+
 # -- double wheel -------------------------------------------------------
 
 def test_double_wheel_counts():

@@ -1,15 +1,17 @@
 """Width classification and complete-graph lower-bound reports."""
 
+import itertools
+
 import pytest
 
 from markov_atlas import (Graph, classify_width, complete_graph, cycle_graph,
                           find_k4_minor, is_k4_minor_free,
                           kn_lower_bound_report, min_connecting_degree,
-                          parse_graph)
+                          parse_graph, width)
 from markov_atlas.errors import NotTwoFaceColorable
 from markov_atlas.triangulation import load_triangulation
 
-from helpers import nonisomorphic_graphs
+from helpers import assert_k4_minor, nonisomorphic_graphs, subdivided_k4
 
 
 def test_star_is_exact_2():
@@ -44,29 +46,35 @@ def test_find_k4_minor_branch_sets_are_valid():
         complete_graph("abcde"),
         parse_graph("a b\na c\na d\nb c\nb d\nc e\ne d\n"),  # subdivided K4
         parse_graph("a b\nb c\nc d\nd a\na c\nb d\nd e\ne f\n"),
+        # a triangle component first, then K5 with a pendant path
+        parse_graph("x y\ny z\nz x\n"
+                    + "".join(f"{a} {b}\n" for a, b in
+                              itertools.combinations("abcde", 2))
+                    + "e p\np q\nq r\n"),
     ]
+    shapes += [subdivided_k4(length) for length in range(1, 14)]
+    for n in range(4, 7):
+        for g in nonisomorphic_graphs(n):
+            if is_k4_minor_free(g):
+                assert find_k4_minor(g) is None, repr(g)
+            else:
+                shapes.append(g)
     for g in shapes:
-        sets = find_k4_minor(g)
-        assert sets is not None
-        flat = [v for s in sets for v in s]
-        assert len(flat) == len(set(flat))
-        idx_sets = [{g.index(v) for v in s} for s in sets]
-        adj = g.adj()
-        for s in idx_sets:
-            # connected branch set
-            seen = {next(iter(s))}
-            stack = list(seen)
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y in s and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            assert seen == s
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert any(y in idx_sets[j]
-                           for x in idx_sets[i] for y in adj[x])
+        assert_k4_minor(g, find_k4_minor(g))
+
+
+def test_find_k4_minor_makes_at_most_one_test_per_vertex_and_edge(
+        monkeypatch):
+    """One K4 test of the graph, then one per vertex and one per edge:
+    1 + 76 + 78 on K4 with each edge a path of 13 edges."""
+    calls = []
+    real = width.is_k4_minor_free
+    monkeypatch.setattr(width, "is_k4_minor_free",
+                        lambda h: calls.append(h) or real(h))
+    g = subdivided_k4(13)
+    assert (g.n, g.m) == (76, 78)
+    assert_k4_minor(g, find_k4_minor(g))
+    assert len(calls) <= 1 + g.n + g.m
 
 
 def test_find_k4_minor_none_for_sp():
