@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, List, Optional, Tuple
 
 from . import connector, fiber, sampler, triangulation, width
@@ -61,55 +62,62 @@ def _load_moves(path: str) -> Iterator[TableVector]:
 
 
 def _json_key(key) -> str:
-    """A dict key as `json.dumps` writes it: str, int, float, bool and
-    None keys become strings, other keys raise TypeError."""
+    """The text `json.dumps` gives a dict key, and its colon."""
     if not isinstance(key, str):
         if not (key is None or isinstance(key, (int, float))):
             raise TypeError("keys must be str, int, float, bool or None, "
                             f"not {key.__class__.__name__}")
         key = json.dumps(key)
-    return json.dumps(key)
+    return encode_basestring_ascii(key) + ": "
+
+
+# JSON text by exact type; subclasses (IntEnum, ...) go to json.dumps
+_SCALAR = {str: encode_basestring_ascii, int: int.__repr__,
+           float: json.dumps, bool: json.dumps, type(None): json.dumps}
 
 
 def _json_chunks(obj) -> Iterator[str]:
     """The text of `json.dumps(obj, indent=2)` in pieces, from an
     explicit stack: a long ladder's tree nests deeper than the json
     module's recursion allows, and its indented text runs to hundreds
-    of megabytes.  Scalars and keys are encoded by `json.dumps`; keys
-    that are not strings are first turned into the text json gives
-    them (1 -> "1", True -> "true", None -> "null")."""
-    stack: List[list] = []  # [items, closing bracket, depth, first?]
+    of megabytes.  A container whose items are all `_SCALAR` types is
+    one piece; any other is written item by item from the stack."""
+    stack: List[tuple] = []  # ((separator, key, value)s, closing, depth)
 
     def put(value, depth: int) -> str:
         if isinstance(value, dict) and value:
-            items = [(_json_key(k) + ": ", v) for k, v in value.items()]
-            stack.append([iter(items), "}", depth + 1, True])
-            return "{"
-        if isinstance(value, (list, tuple)) and value:
-            stack.append([iter([("", v) for v in value]), "]", depth + 1,
-                          True])
-            return "["
-        return json.dumps(value)
+            keys, ends = [_json_key(k) for k in value], "{}"
+            value = value.values()
+        elif isinstance(value, (list, tuple)) and value:
+            keys, ends = [""] * len(value), "[]"
+        else:
+            return _SCALAR.get(type(value), json.dumps)(value)
+        sep = ",\n" + "  " * (depth + 1)
+        close = sep[1:-2] + ends[1]
+        try:
+            body = sep.join([k + _SCALAR[type(v)](v)
+                             for k, v in zip(keys, value)])
+        except KeyError:  # an item is not a scalar
+            seps = [sep[1:]] + [sep] * (len(keys) - 1)
+            stack.append((zip(seps, keys, value), close, depth + 1))
+            return ends[0]
+        return ends[0] + sep[1:] + body + close
 
     yield put(obj, 0)
     while stack:
-        top = stack[-1]
-        item = next(top[0], None)
+        items, _, depth = stack[-1]
+        item = next(items, None)
         if item is None:
-            stack.pop()
-            yield "\n" + "  " * (top[2] - 1) + top[1]
-            continue
-        yield ("\n" if top[3] else ",\n") + "  " * top[2] + item[0]
-        top[3] = False
-        yield put(item[1], top[2])
+            yield stack.pop()[1]
+        else:
+            yield item[0] + item[1] + put(item[2], depth)
 
 
-def _emit(args, obj: dict, text: str):
-    if args.json:
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _emit(args, obj: dict, text: Optional[str] = None):
+    if args.json or text is None:  # decompose prints JSON either way
+        sys.stdout.writelines(_json_chunks(obj))
+        text = ""
+    sys.stdout.write(text + "\n")
 
 
 # -- subcommands -------------------------------------------------------
@@ -129,10 +137,7 @@ def _cmd_width(args) -> int:
 def _cmd_decompose(args) -> int:
     g = _load_graph(args.graph)
     poles = tuple(args.poles) if args.poles else None
-    tree = sp_decompose(g, poles=poles)
-    # --json or not, the output is the tree's JSON
-    sys.stdout.writelines(_json_chunks(tree.to_json()))
-    sys.stdout.write("\n")
+    _emit(args, sp_decompose(g, poles=poles).to_json())
     return 0
 
 
@@ -206,8 +211,8 @@ def _cmd_sample(args) -> int:
                              seed=args.seed)
     result = sampler.random_walk(g, moves, z0, cfg)
     obj = {"final": vector_to_json(result.state), **result.metadata()}
-    text = format_vector(result.state).rstrip() + "\n" + json.dumps(
-        result.metadata(), indent=2)
+    text = (format_vector(result.state).rstrip() + "\n"
+            + "".join(_json_chunks(result.metadata())))
     _emit(args, obj, text)
     return 0
 
@@ -300,10 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except MarkovAtlasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (MarkovAtlasError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

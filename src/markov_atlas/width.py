@@ -13,7 +13,7 @@ from itertools import permutations
 from typing import Optional, Tuple
 
 from .errors import InvariantViolation, NotTwoFaceColorable
-from .graphs import Graph, is_k4_minor_free
+from .graphs import Graph, _block_decomposition, _reduce, is_k4_minor_free
 from . import fiber as fiber_mod
 from . import triangulation as tri_mod
 
@@ -23,21 +23,26 @@ def find_k4_minor(g: Graph) -> Optional[Tuple[Tuple[str, ...], ...]]:
     pairwise joined by an edge.  None if the graph has no K4 minor.
 
     K4 has maximum degree 3, so a graph has a K4 minor exactly when it
-    contains a subdivision of K4.  One pass over the vertices, then one
-    over the edges, drops each whose removal keeps a K4 minor (at most
-    1 + n + m K4 tests).  Having one is closed under deletion, so what
-    is left is edge-minimal: four branch vertices of degree 3 joined by
-    six paths.  Each branch set is a branch vertex plus the inner
-    vertices of its paths to branch vertices of larger index.
+    contains a subdivision of K4.  The search runs in the first block
+    whose series-parallel reduction stalls (a block without a K4 minor
+    reduces to one edge).  One pass over that block's vertices, then
+    one over its edges, drops each whose removal keeps a K4 minor (at
+    most one K4 test per vertex and edge of the block).  Having one is
+    closed under deletion, so what is left is edge-minimal: four branch
+    vertices of degree 3 joined by six paths.  Each branch set is a
+    branch vertex plus the inner vertices of its paths to branch
+    vertices of larger index.
     """
-    if is_k4_minor_free(g):
+    block = next((es for es in _block_decomposition(g)
+                  if _reduce(es)[1] != 1), None)
+    if block is None:
         return None
 
     def keeps_k4(es) -> bool:
         return not is_k4_minor_free(Graph(g.vertices, es))
 
-    edges = set(g.edges)
-    for x in range(g.n):
+    edges = set(block)
+    for x in sorted({v for e in edges for v in e}):
         rest = {e for e in edges if x not in e}
         if keeps_k4(rest):
             edges = rest

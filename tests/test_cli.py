@@ -1,5 +1,6 @@
 """Command-line interface: routing, formats, exit codes."""
 
+import enum
 import hashlib
 import json
 import os
@@ -19,6 +20,8 @@ from helpers import assert_k4_minor, ladder_graph
 C5 = "a b\nb c\nc d\nd e\ne a\n"
 C4 = "a b\nb c\nc d\nd a\n"
 K4 = "a b\na c\na d\nb c\nb d\nc d\n"
+K5 = "".join(f"{a} {b}\n" for i, a in enumerate("abcde")
+             for b in "abcde"[i + 1:])
 THETA = "a b\na c\nc b\na d\nd b\n"
 OCTA = ("0 1 4\n0 1 5\n1 2 4\n1 2 5\n2 3 4\n2 3 5\n"
         "3 0 4\n3 0 5\n")
@@ -133,15 +136,35 @@ def test_json_chunks_match_json_dumps():
     """The chunked writer gives the text of `json.dumps(indent=2)` on
     nested dicts, lists and tuples, empty containers and scalars, keys
     of every type json takes (one dict per type: 1 and True are one
-    key), and on a chain's JSON, whose edges are tuples."""
+    key), and on a chain's JSON, whose edges are tuples.  Flat
+    containers of every scalar type, non-ASCII and control characters
+    in values and keys, an IntEnum member and a str subclass (which
+    take the item-by-item path), containers that mix scalars with
+    containers, and lists of empty containers."""
     g = parse_graph(C4)
     z, zp = (markov_atlas.parse_vector(v) for v in (VEC_C4, VEC_C4_B))
+    scalars = ["s", "", 0, -7, 10 ** 30, 1.5, float("nan"), float("inf"),
+               float("-inf"), -0.0, 1e300, True, 1, False, 0, None]
+    odd = "\u00e9\u2028\U0001f600 \x00\x1f\x7f\n\t\"\\/"
+    Flag = enum.IntEnum("Flag", "A B")
+    Label = type("Label", (str,), {})
     for obj in ({"a": [1, (2, 3), {"b": ()}], "c": {}, "d": [[]], "e": None},
                 (1, [2, ("x", 3.5)], {"k": (True, False)}),
                 [], (), {}, "text", 7, -1.25, None, False,
                 {1: 2, -30: [3]}, {2.5: 1, -0.5: {}}, {True: 1}, {False: 0},
                 {None: None}, {"s": {7: {True: [{None: 1.0}]}}},
-                connector.connect_graph(g, z, zp).to_json()):
+                connector.connect_graph(g, z, zp).to_json(),
+                scalars, tuple(scalars), [scalars, scalars[::-1]],
+                {f"k{i}": v for i, v in enumerate(scalars)},
+                {float("nan"): 1, float("inf"): 2, -0.0: 3, 1e300: None},
+                {True: 1, "1": True}, [True, 1, 1.0],
+                odd, [odd, "plain"], {odd: odd, "x": [odd]},
+                Flag.B, [Flag.A, 2], {Flag.A: Flag.B, "f": (Flag.B,)},
+                Label("lab"), [Label("a"), "b"], {Label("k"): Label("v")},
+                {"a": 1, "b": [1, "x"], "c": {"d": None}, "e": "f",
+                 "g": [[], {}], "h": 2.5},
+                [{"a": [1, {"b": 2}], "c": 3}, 4, "five", [6, [7, []]]],
+                [[], {}, (), [[]], {"x": {}}, [{}]]):
         assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
 
 
@@ -233,6 +256,38 @@ def test_certify_tetrahedron_fails(files, capsys):
     tetra = "a b c\na b d\na c d\nb c d\n"
     code, out, _ = run(capsys, "certify", files("t.tri", tetra))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("width", ("k5.txt", K5)),
+    ("decompose", ("theta.txt", THETA), "--poles", "a", "b"),
+    ("connect", ("c4.txt", C4), ("a.vec", VEC_C4), ("b.vec", VEC_C4_B),
+     "--verify"),
+    ("certify", ("oct.tri", OCTA), "--verify-fiber"),
+    ("search-width", ("c4.txt", C4), "--max-total", "3", "--max-degree", "3"),
+    ("sample", ("c4.txt", C4), ("a.vec", VEC_C4), "--steps", "40", "--seed",
+     "3"),
+], ids=lambda argv: argv[0])
+def test_json_output_is_json_dumps_text(files, capsys, argv):
+    """Every subcommand's --json output is the text `json.dumps(indent=2)`
+    gives its object, and a newline."""
+    argv = [files(*a) if isinstance(a, tuple) else a for a in argv]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_sample_text_metadata_is_json_dumps_text(files, capsys):
+    args = ("sample", files("c4.txt", C4), files("a.vec", VEC_C4),
+            "--steps", "40", "--seed", "3")
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    obj = json.loads(out)
+    final = lattice.vector_from_json(obj.pop("final"))
+    code, text, _ = run(capsys, *args)
+    assert code == 0
+    assert text == (lattice.format_vector(final).rstrip() + "\n"
+                    + json.dumps(obj, indent=2) + "\n")
 
 
 def test_search_width(files, capsys):

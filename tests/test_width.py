@@ -11,7 +11,8 @@ from markov_atlas import (Graph, classify_width, complete_graph, cycle_graph,
 from markov_atlas.errors import NotTwoFaceColorable
 from markov_atlas.triangulation import load_triangulation
 
-from helpers import assert_k4_minor, nonisomorphic_graphs, subdivided_k4
+from helpers import (assert_k4_minor, ladder_graph, nonisomorphic_graphs,
+                     subdivided_k4)
 
 
 def test_star_is_exact_2():
@@ -75,6 +76,22 @@ def test_find_k4_minor_makes_at_most_one_test_per_vertex_and_edge(
     assert (g.n, g.m) == (76, 78)
     assert_k4_minor(g, find_k4_minor(g))
     assert len(calls) <= 1 + g.n + g.m
+
+
+def test_find_k4_minor_searches_only_the_block_with_the_minor(monkeypatch):
+    """A K4 hung at v0 of a 2x200 ladder (403 vertices, 604 edges): the
+    deletion passes run on the K4's block alone, so each K4 test sees
+    at most its 6 edges, one test per vertex and edge of it."""
+    sizes = []
+    real = width.is_k4_minor_free
+    monkeypatch.setattr(width, "is_k4_minor_free",
+                        lambda h: sizes.append(h.m) or real(h))
+    ladder = ladder_graph(200)
+    k4 = itertools.combinations([0, 400, 401, 402], 2)
+    g = Graph(ladder.vertices + ("k1", "k2", "k3"), ladder.edges | set(k4))
+    assert (g.n, g.m) == (403, 604)
+    assert_k4_minor(g, find_k4_minor(g))
+    assert 0 < len(sizes) <= 11 and max(sizes) <= 6, sizes
 
 
 def test_find_k4_minor_none_for_sp():
