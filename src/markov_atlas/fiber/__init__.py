@@ -22,7 +22,8 @@ from math import comb
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from ..graphs import Graph
+from ..errors import InvariantViolation
+from ..graphs import Graph, _sum_pieces
 from ..lattice import (MarginalSet, Move, TableVector, edge_cells,
                        graph_marginals)
 from ..limits import default_limits
@@ -153,7 +154,7 @@ def _witness(g: Graph, edges, k: int, groups, split_keys):
 
     `split_keys` leaves out the fibers whose tables share a unit, but
     at the lowest split total none of them is split (see
-    `search_width`), so the minimum is over every split fiber.  A
+    `_search_fibers`), so the minimum is over every split fiber.  A
     flip's image of a key is `itemgetter(*perm)(key)`, a tuple of ints:
     images of one length order as their bytes do, and equal images are
     the same fiber, so the minimum is taken in C builtins, and the
@@ -169,16 +170,9 @@ def _witness(g: Graph, edges, k: int, groups, split_keys):
     return Fiber(g, marginals, tuple(tables)), (za, zb)
 
 
-def search_width(g: Graph, max_total: int, k: Optional[int] = None):
-    """Fiber search over every total up to max_total, in one pass.
-
-    Returns `(degrees, witness)`.  `degrees[t - 1]` is the smallest
-    k >= 1 such that every fiber of a table with total <= t is
-    connected by moves of degree <= k.  `witness` is None unless `k` is
-    given and some fiber of total <= max_total is split by moves of
-    degree <= k; then it is the split fiber of the lowest total with the
-    smallest marginal key, with one representative per side.  A total
-    below 1 raises ValueError.
+def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
+    """The degrees and witness of `search_width` from the fibers of
+    the whole graph g, with the caps checked for g.
 
     Vertex flips map fibers to fibers and keep L1 distances, so one
     fiber per flip orbit is analysed (see `_kernel.group_tables`).  Of
@@ -193,10 +187,6 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     fiber's bottleneck starts at the running degree (and at most at k),
     which changes neither the degree nor the split test.
     """
-    if max_total < 1:
-        raise ValueError("table total must be >= 1")
-    if k is not None:
-        _check_degree(k)
     limits = default_limits()
     limits.check_vertices(g.n)
     limits.check_total(max_total)
@@ -225,6 +215,68 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
         degrees.append(best)
         if witness is None and split_keys:
             witness = _witness(g, edges, k, groups, split_keys)
+    return degrees, witness
+
+
+def search_width(g: Graph, max_total: int, k: Optional[int] = None):
+    """Fiber search over every total up to max_total.
+
+    Returns `(degrees, witness)`.  `degrees[t - 1]` is the smallest
+    k >= 1 such that every fiber of a table with total <= t is
+    connected by moves of degree <= k.  `witness` is None unless `k` is
+    given and some fiber of total <= max_total is split by moves of
+    degree <= k; then it is the split fiber of the lowest total with the
+    smallest marginal key, with one representative per side.  A total
+    below 1 raises ValueError.
+
+    A connected graph is split into pieces at its cut vertices and at
+    its separating edges (`graphs._sum_pieces`).  g is then a clique
+    sum of its pieces along a vertex or an edge: each side fixes the
+    full marginal of the shared vertex or edge, a toric fiber product
+    of codimension zero, whose Markov basis is the pieces' bases lifted
+    plus degree-2 swaps (Sullivant 2007, "Toric fiber products").  So
+    the width of the sum is the largest width of its pieces, and at
+    least 2 (Develin and Sullivant 2003, "Markov bases of binary graph
+    models").  Both bounds hold fiber by fiber: a piece's fiber of
+    total t is a fiber of g of total t at the same distances (each unit
+    extended by 0 off the piece, where the marginals then force 0), and
+    the product connects a fiber of total t by lifts of moves within
+    the pieces' fibers of total t and by swaps.  So per total t
+
+        d(t) = max(max over pieces of d_piece(t), 2 if t >= 2).
+
+    Each piece is searched as a whole graph (`_search_fibers`), and
+    pieces with the same number of vertices and the same re-indexed
+    edges are searched once; the caps apply to each searched graph.  A
+    graph that does not split (one piece, a disconnected graph, a graph
+    without edges) is searched whole.  The witness needs the whole
+    graph: if some d(t) exceeds k, the whole graph is searched up to
+    the first such total t*, which gives the witness and must give the
+    pieces' degrees up to t* (InvariantViolation otherwise).
+    """
+    if max_total < 1:
+        raise ValueError("table total must be >= 1")
+    if k is not None:
+        _check_degree(k)
+    pieces = _sum_pieces(g) if g.m and g.is_connected() else []
+    if len(pieces) < 2:
+        return _search_fibers(g, max_total, k)
+    searched = {}
+    for verts, edges in pieces:
+        piece = g.subgraph(verts, edges)
+        shape = (piece.n, tuple(sorted(piece.edges)))
+        if shape not in searched:
+            searched[shape] = _search_fibers(piece, max_total)[0]
+    degrees = [max(*ds, 2 if t else 1)
+               for t, ds in enumerate(zip(*searched.values()))]
+    if k is None or degrees[-1] <= k:
+        return degrees, None
+    first = next(t for t, d in enumerate(degrees, 1) if d > k)
+    whole, witness = _search_fibers(g, first, k)
+    if whole != degrees[:first]:
+        raise InvariantViolation(
+            f"whole-graph degrees {whole} differ from the pieces' "
+            f"{degrees[:first]}")
     return degrees, witness
 
 

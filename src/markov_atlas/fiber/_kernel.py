@@ -87,9 +87,9 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
                  candidates: Optional[Sequence[int]] = None,
                  cap: int = 0) -> List[Tuple[int, ...]]:
     """All tables with exactly `total` units whose per-edge cell counts
-    equal `budgets` (length 4 * len(edges)), in lexicographic order."""
-    if candidates is None:
-        candidates = range(1 << n)
+    equal `budgets` (length 4 * len(edges)), in lexicographic order.
+    With `candidates`, only those labelings are placed, and only their
+    increments are built."""
     ncells = 4 * len(edges)
     if len(budgets) != ncells:
         raise ValueError("budgets length mismatch")
@@ -101,7 +101,10 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
     top = 1 << (width - 1)
     full = sum(top << (width * idx) for idx in range(ncells))
     left = full + sum(b << (width * idx) for idx, b in enumerate(budgets))
-    inc = _packed([edge_cells(m, edges) for m in range(1 << n)], width)
+    masks = range(1 << n) if candidates is None else sorted(candidates)
+    inc = _packed([edge_cells(m, edges) for m in masks], width)
+    if candidates is not None:
+        inc = dict(zip(masks, inc))
     units = [0] * total
     out: List[Tuple[int, ...]] = []
 
@@ -119,7 +122,7 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
             rest = left - inc[mask]
             rec(depth + 1, fitting(cand[ci:], rest), rest)
 
-    rec(0, fitting(sorted(candidates), left), left)
+    rec(0, fitting(masks, left), left)
     return out
 
 

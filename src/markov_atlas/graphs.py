@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Set, Tuple)
@@ -220,6 +221,63 @@ def _sorted_blocks(g: Graph) -> List[Tuple[List[int], List[Edge]]]:
            for es in _block_decomposition(g)]
     out.sort(key=lambda b: b[0])
     return out
+
+
+def _sum_pieces(g: Graph) -> List[Tuple[Tuple[int, ...], Tuple[Edge, ...]]]:
+    """(sorted vertex indices, sorted edges) of the pieces of g at its
+    cut vertices and separating edges, ordered by the vertex lists.
+
+    Each block is split at its separating edges: edges {a, b} whose
+    removal, with both ends, disconnects the block.  Each component of
+    the block less {a, b}, with a, b and the edge ab, is one piece, and
+    is split again until no piece has a separating edge.  Every piece
+    is an induced subgraph of g.  Two separating edges never cross (an
+    edge cannot join two components of the block less the other's
+    ends), and an edge other than ab separates a piece exactly when it
+    separates the block (the rest of the block hangs from a or b), so
+    the separating edges are found once per block.  An edge with an end
+    of degree 2 in the block does not separate it: a component of the
+    block less {a, b} without that end's other neighbour would meet the
+    rest at the other end alone, a cut vertex."""
+    adj = g.adj()
+
+    def parts(vs: Set[int], a: int, b: int) -> List[Set[int]]:
+        seen = {a, b}
+        out = []
+        for s in vs:
+            if s in seen:
+                continue
+            seen.add(s)
+            comp, stack = {s}, [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w in vs and w not in seen:
+                        seen.add(w)
+                        comp.add(w)
+                        stack.append(w)
+            out.append(comp)
+        return out
+
+    pieces = []
+    for verts, es in _sorted_blocks(g):
+        block = set(verts)
+        degree = Counter(v for e in es for v in e)
+        work = [(block, [e for e in sorted(es)
+                         if degree[e[0]] > 2 and degree[e[1]] > 2
+                         and len(parts(block, *e)) > 1])]
+        while work:
+            vs, seps = work.pop()
+            if not seps:
+                pieces.append((tuple(sorted(vs)), tuple(sorted(
+                    (v, w) for v in vs for w in adj[v] if v < w and w in vs))))
+                continue
+            a, b = seps[0]
+            for comp in parts(vs, a, b):
+                comp |= {a, b}
+                work.append((comp, [(c, d) for c, d in seps[1:]
+                                    if c in comp and d in comp]))
+    pieces.sort()
+    return pieces
 
 
 def blocks(g: Graph) -> List[Graph]:

@@ -4,6 +4,7 @@ Everything here is deliberately naive: brute-force search over small
 inputs, used to cross-check the package's structured algorithms.
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -342,6 +343,15 @@ def ladder_graph(k: int) -> Graph:
                  + [(i, k + i) for i in range(k)])
 
 
+def triangle_cactus(count: int) -> Graph:
+    """`count` triangles on 2 * count + 1 vertices: triangle i is
+    v(i), v(2i+1), v(2i+2), so each shares one vertex with an earlier
+    one."""
+    return Graph([f"v{i}" for i in range(2 * count + 1)],
+                 [e for i in range(count) for e in
+                  ((i, 2 * i + 1), (i, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+
 def random_sp_block(n: int, rng) -> Graph:
     """A 2-connected series-parallel graph on n >= 3 vertices, grown
     from a triangle: each new vertex subdivides a random edge or joins
@@ -379,11 +389,14 @@ def canonical_edge_code(g: Graph) -> int:
     return best
 
 
-def nonisomorphic_graphs(n: int) -> List[Graph]:
+@functools.lru_cache(maxsize=None)
+def nonisomorphic_graphs(n: int) -> Tuple[Graph, ...]:
     """One representative per isomorphism class of n-vertex graphs.
 
     Canonical forms for every graph at once: the minimum edge-bitmask
-    over all vertex permutations, vectorized with numpy.
+    over all vertex permutations, vectorized with numpy.  Kept per n
+    (a tuple of immutable graphs), since n = 6 takes about 2 s and
+    several test modules sweep it.
     """
     import numpy as np
 
@@ -410,7 +423,7 @@ def nonisomorphic_graphs(n: int) -> List[Graph]:
             seen.add(c)
             out.append(Graph(labels, [pairs[k] for k in range(p)
                                       if (code >> k) & 1]))
-    return out
+    return tuple(out)
 
 
 def all_trees(n: int) -> List[Graph]:

@@ -15,7 +15,7 @@ from markov_atlas import (SPTree, connector, extract_moves, fiber_of,
 from markov_atlas.cli import _build_parser, _json_chunks, main
 from markov_atlas.connector import verify_sequence
 
-from helpers import assert_k4_minor, ladder_graph
+from helpers import assert_k4_minor, ladder_graph, triangle_cactus
 
 C5 = "a b\nb c\nc d\nd e\ne a\n"
 C4 = "a b\nb c\nc d\nd a\n"
@@ -297,6 +297,22 @@ def test_search_width(files, capsys):
     obj = json.loads(out)
     assert obj["per_total"][-1] == {"total": 4, "min_degree": 4}
     assert obj["witness"] is not None
+
+
+def test_search_width_past_the_vertex_cap(files, capsys):
+    """A 41-vertex cactus of triangles is searched by pieces; a witness
+    needs the whole graph, which the vertex cap refuses."""
+    text = "".join(f"{a} {b}\n" for a, b in triangle_cactus(20).edge_labels())
+    path = files("cactus.txt", text)
+    code, out, _ = run(capsys, "search-width", path, "--max-total", "4",
+                       "--json")
+    assert code == 0
+    assert [r["min_degree"] for r in json.loads(out)["per_total"]] == \
+        [1, 2, 2, 4]
+    code, out, err = run(capsys, "search-width", path, "--max-total", "4",
+                         "--max-degree", "3")
+    assert (code, out) == (1, "")
+    assert "41 vertices exceeds the cap max_vertices = 16" in err
 
 
 @pytest.mark.parametrize("degree", ["0", "-3"])

@@ -11,13 +11,16 @@ from markov_atlas import (Graph, TableVector, cycle_graph, enumerate_fiber,
                           fiber_of, graph_marginals, is_kernel_element,
                           min_connecting_degree, search_width,
                           witness_disconnected_fiber)
-from markov_atlas.errors import ResourceLimitError
+from markov_atlas import fiber
+from markov_atlas.errors import InvariantViolation, ResourceLimitError
+from markov_atlas.graphs import _sum_pieces
 from markov_atlas.lattice import MarginalSet
 from markov_atlas.fiber import _kernel
 
-from helpers import (all_graphs, all_grouped_tables, merge_moves,
-                     mst_bottleneck, naive_search, pairwise_moves,
-                     rejection_fiber)
+from helpers import (all_graphs, all_grouped_tables, all_trees,
+                     ladder_graph, merge_moves, mst_bottleneck, naive_search,
+                     nonisomorphic_graphs, pairwise_moves, rejection_fiber,
+                     triangle_cactus)
 
 
 def tv(g, units):
@@ -470,3 +473,91 @@ def test_search_width_matches_naive_search():
             assert (tuple(za.units()), tuple(zb.units())) == want[1:]
             witnessed += 1
     assert witnessed > 20
+
+
+# -- search by pieces against the whole-graph search -------------------
+
+BOWTIE = Graph(tuple("abcde"), [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4),
+                                (3, 4)])
+# C4 a-b-c-d with the path d-e-f hung at d
+C4_TAIL = Graph(tuple("abcdef"), [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4),
+                                  (4, 5)])
+
+
+def _witness_bytes(witness):
+    if witness is None:
+        return None
+    fib, (za, zb) = witness
+    return (fib.graph, fib.marginals, fib.tables, za.key(), zb.key())
+
+
+def test_search_by_pieces_matches_whole_graph_search():
+    """Same degrees and witnesses as `_search_fibers` on the whole
+    graph, for k = None, 1, 2, 3: every connected graph on 2-5
+    vertices (totals 6 and 4), every tree on 6 vertices, and the
+    bowtie, the 2x3 ladder and C4 with a hung path at total 4.
+
+    The whole-graph witness for k is taken from a search up to the
+    first total whose degree exceeds k: it is the split fiber of the
+    lowest split total, which later totals do not change (the naive
+    search pins that at the full totals)."""
+    cases = [(g, 6 if n <= 4 else 4) for n in range(2, 6)
+             for g in nonisomorphic_graphs(n) if g.is_connected()]
+    cases += [(g, 4) for g in all_trees(6)]
+    cases += [(g, 4) for g in (BOWTIE, ladder_graph(3), C4_TAIL)]
+    split = 0
+    for g, max_total in cases:
+        degrees, _ = fiber._search_fibers(g, max_total)
+        split += len(_sum_pieces(g)) > 1
+        for k in (None, 1, 2, 3):
+            got_degrees, got = search_width(g, max_total, k)
+            assert got_degrees == degrees
+            first = next((t for t, d in enumerate(degrees, 1)
+                          if k is not None and d > k), None)
+            want = first and fiber._search_fibers(g, first, k)[1]
+            assert _witness_bytes(got) == _witness_bytes(want)
+    assert split == 29
+
+
+def _record_group_tables(monkeypatch):
+    calls = []
+    real = _kernel.group_tables
+
+    def recorded(n, edges, total):
+        calls.append(n)
+        return real(n, edges, total)
+
+    monkeypatch.setattr(_kernel, "group_tables", recorded)
+    return calls
+
+
+def test_cactus_is_searched_one_triangle_at_a_time(monkeypatch):
+    """A cactus of 20 triangles on 41 vertices, past the 16-vertex cap
+    of a whole-graph search, is searched on triangles alone."""
+    calls = _record_group_tables(monkeypatch)
+    assert search_width(triangle_cactus(20), 4) == ([1, 2, 2, 4], None)
+    assert calls and max(calls) <= 3
+
+
+def test_identical_pieces_are_searched_once(monkeypatch):
+    """The 199 C4 pieces of a 2x200 ladder are one search: one
+    `group_tables` call per total, on 4 vertices."""
+    calls = _record_group_tables(monkeypatch)
+    assert search_width(ladder_graph(200), 4) == ([1, 2, 2, 4], None)
+    assert calls == [4] * 4
+
+
+def test_pieces_that_disagree_with_the_whole_graph_raise(monkeypatch):
+    """The witness search on the whole graph checks the pieces'
+    degrees: a piece degree raised at total 3 is caught."""
+    real = fiber._search_fibers
+
+    def wrong_for_pieces(g, max_total, k=None):
+        degrees, witness = real(g, max_total, k)
+        if g.n == 3:
+            degrees[2:] = [max(d, 3) for d in degrees[2:]]
+        return degrees, witness
+
+    monkeypatch.setattr(fiber, "_search_fibers", wrong_for_pieces)
+    with pytest.raises(InvariantViolation, match="differ"):
+        search_width(BOWTIE, 4, 2)

@@ -15,7 +15,7 @@ from markov_atlas import (Graph, SPTree, TableVector, blocks, bridges,
                           is_k4_minor_free, parse_graph, realize,
                           sp_decompose)
 from markov_atlas.errors import NoSuchPoles, NotSeriesParallel, ParseError
-from markov_atlas.graphs import block_cut_forest
+from markov_atlas.graphs import _sum_pieces, block_cut_forest
 
 from helpers import (all_graphs, brute_has_k4_minor, ladder_graph,
                      nonisomorphic_graphs, random_sp_block)
@@ -136,6 +136,37 @@ def test_block_cut_forest_order():
                 assert p.attach in pieces[p.parent].vertices
             seen |= set(p.vertices)
         assert seen == set(range(g.n))
+
+
+def test_sum_pieces():
+    """Cut vertices and separating edges split a graph; blocks without
+    a separating edge stay whole."""
+    triangle = ((0, 1), (0, 2), (1, 2))
+    c4 = ((0, 1), (0, 2), (1, 3), (2, 3))
+
+    def shapes(g):
+        out = []
+        for verts, edges in _sum_pieces(g):
+            pos = {v: i for i, v in enumerate(verts)}
+            out.append(tuple((pos[a], pos[b]) for a, b in edges))
+        return out
+
+    bowtie = Graph(tuple("abcde"),
+                   [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    diamond = Graph(tuple("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    assert _sum_pieces(bowtie) == [((0, 1, 2), triangle),
+                                   ((2, 3, 4), ((2, 3), (2, 4), (3, 4)))]
+    assert _sum_pieces(diamond) == [((0, 1, 2), ((0, 1), (0, 2), (1, 2))),
+                                    ((0, 2, 3), ((0, 2), (0, 3), (2, 3)))]
+    assert shapes(ladder_graph(3)) == [c4, c4]
+    assert shapes(ladder_graph(200)) == [c4] * 199
+    theta = Graph(tuple("abcde"), [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4),
+                                   (4, 1)])  # three paths of length 2
+    for g in (complete_graph("abcd"), cycle_graph("abcde"), theta):
+        assert _sum_pieces(g) == [(tuple(range(g.n)), tuple(sorted(g.edges)))]
+    path = Graph(tuple("abcd"), [(0, 1), (1, 2), (2, 3)])
+    assert _sum_pieces(path) == [((0, 1), ((0, 1),)), ((1, 2), ((1, 2),)),
+                                 ((2, 3), ((2, 3),))]
 
 
 # -- bridges -----------------------------------------------------------
