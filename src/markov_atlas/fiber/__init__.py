@@ -103,11 +103,11 @@ def _check_degree(k: int):
 
 def fiber_graph(f: Fiber, k: int) -> FiberGraph:
     _check_degree(k)
-    tables = f.tables
+    occupancy = _kernel._occupancy(f.tables)
     return FiberGraph(f, k, tuple(
-        (i, j) for i, ti in enumerate(tables)
-        for j in range(i + 1, len(tables))
-        if _kernel._norm(ti, tables[j]) <= 2 * k))
+        (i, j) for i, oi in enumerate(occupancy)
+        for j in range(i + 1, len(occupancy))
+        if (oi ^ occupancy[j]).bit_count() <= 2 * k))
 
 
 def fiber_components(f: Fiber, k: int) -> List[List[TableVector]]:
@@ -197,7 +197,7 @@ def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
     witness = None
     for total in range(1, max_total + 1):
         count = comb(cells + total - 1, total)
-        if limits.max_fiber and count > limits.max_fiber:
+        if count > limits.max_fiber:
             raise limits.exceeded(
                 "max_fiber",
                 f"C({cells}+{total - 1}, {total}) = {count} tables")

@@ -6,12 +6,11 @@ the layout of `lattice.edge_cells`, the one definition of which cell a
 labeling falls in at each sorted edge: the same numbers as
 `MarginalSet.cells` and as the budgets `fiber_tables` takes.
 
-`fiber_moves` works on two int encodings of a table, made once per
-call: an occupancy int (one bit per unit, so that the norm of the
-difference of two tables is one `^` and `bit_count`) and a count-field
-int (one field per labeling, so that the difference of two tables is
-one subtraction and can be a set key).  Its fields are widened for
-coefficients above 127, so they never wrap.
+`group_tables` (every fiber of a total) and `fiber_tables` (one fiber)
+set up one walk, `_walk`, over a packed counter.  Distances are taken
+on occupancy ints (`_occupancy`): the L1 distance of two tables is one
+`^` and `bit_count`.  `fiber_moves` also packs each table's counts, so
+that the difference of two tables is one subtraction.
 """
 
 from __future__ import annotations
@@ -35,6 +34,49 @@ def _packed(rows: Sequence[Sequence[int]], width: int) -> List[int]:
     return [sum(1 << (width * idx) for idx in row) for row in rows]
 
 
+def _walk(masks: Sequence[int], inc: Sequence[int], total: int, start: int,
+          over: int, cap: int = 0) -> Dict[int, List[Tuple[int, ...]]]:
+    """The tables of `total` units from `masks` (ascending) that keep a
+    counter, started at `start` and raised by `inc[i]` for each unit
+    `masks[i]`, clear of the bits of `over`, in lexicographic order,
+    grouped by the counter's final value in the order of their first
+    tables.  Fields only grow, so a labeling that sets a bit of `over`
+    is skipped with every table through it.  The last unit is placed in
+    a loop, with no call per table.  CapExceeded when a group would get
+    more than `cap` tables (no cap at 0)."""
+    fits = [not (start + d) & over for d in inc]
+    masks = list(compress(masks, fits))
+    inc = list(compress(inc, fits))
+    if not total:
+        return {start: [()]}
+    n = len(masks)
+    last = total - 1
+    units = [0] * total
+    groups: Dict[int, List[Tuple[int, ...]]] = {}
+    group = groups.setdefault
+
+    def place(depth: int, lo: int, s: int):
+        if depth < last:
+            for i in range(lo, n):
+                t = s + inc[i]
+                if not t & over:
+                    units[depth] = masks[i]
+                    place(depth + 1, i, t)
+            return
+        for i in range(lo, n):
+            t = s + inc[i]
+            if t & over:
+                continue
+            units[last] = masks[i]
+            tables = group(t, [])
+            if cap and len(tables) >= cap:
+                raise CapExceeded
+            tables.append(tuple(units))
+
+    place(0, 0, start)
+    return groups
+
+
 def group_tables(n: int, edges,
                  total: int) -> Dict[bytes, List[Tuple[int, ...]]]:
     """Tables with exactly `total` units, grouped by marginal key, at
@@ -47,40 +89,25 @@ def group_tables(n: int, edges,
     enumerated.  Each returned fiber is complete, in lexicographic
     order.  Isolated vertices are not pruned: their bits are free inside
     a fiber.  All C(2^n + total - 1, total) tables bound the work;
-    callers check that number before calling."""
-    num = 1 << n
+    callers check that number before calling.
+
+    The walk counts these 1s in the low bytes from 127 - total // 2, so
+    that passing total // 2 sets a top bit, and the cells, the key, above."""
     ncells = 4 * len(edges)
     if ncells and total > 255:
         raise ValueError("cell counts above 255 do not fit a byte key")
-    # cell counts, one byte each in edge order, so that the key is the
-    # little-endian bytes of their sum
-    cell_inc = _packed([edge_cells(m, edges) for m in range(num)], 8)
-    # per-vertex counts of 1s, one field each, started at an offset so
-    # that a count above total // 2 sets the field's top bit
-    width = total.bit_length() + 1
-    top = 1 << (width - 1)
     touched = sorted({v for e in edges for v in e})
-    one_inc = _packed([[v for v in touched if (mask >> v) & 1]
-                       for mask in range(num)], width)
-    over = sum(top << (width * v) for v in touched)
-    start_ones = sum((top - 1 - total // 2) << (width * v) for v in touched)
-    units = [0] * total
-    groups: Dict[bytes, List[Tuple[int, ...]]] = {}
-
-    def rec(depth: int, start: int, cells: int, ones: int):
-        if depth == total:
-            key = cells.to_bytes(ncells, "little")
-            groups.setdefault(key, []).append(tuple(units))
-            return
-        for mask in range(start, num):
-            grown = ones + one_inc[mask]
-            if grown & over:
-                continue
-            units[depth] = mask
-            rec(depth + 1, mask, cells + cell_inc[mask], grown)
-
-    rec(0, 0, 0, start_ones)
-    return groups
+    low = 8 * len(touched)
+    ones = [0]  # the vertex bytes of each labeling, one vertex at a time
+    for v in range(n):
+        field = 1 << 8 * touched.index(v) if v in touched else 0
+        ones += [x + field for x in ones]
+    cells = _packed([edge_cells(m, edges) for m in range(1 << n)], 8)
+    inc = [x + (c << low) for x, c in zip(ones, cells)]
+    groups = _walk(range(1 << n), inc, total,
+                   ones[-1] * (127 - total // 2), ones[-1] << 7)
+    return {(s >> low).to_bytes(ncells, "little"): tables
+            for s, tables in groups.items()}
 
 
 def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
@@ -89,57 +116,38 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
     """All tables with exactly `total` units whose per-edge cell counts
     equal `budgets` (length 4 * len(edges)), in lexicographic order.
     With `candidates`, only those labelings are placed, and only their
-    increments are built."""
+    increments are built.  CapExceeded if there are more than `cap`
+    (no cap at 0).
+
+    The counter holds each cell's count from top - 1 - budget, so that
+    passing the budget sets the field's top bit; the fiber is the group
+    that ends with every field at top - 1."""
     ncells = 4 * len(edges)
     if len(budgets) != ncells:
         raise ValueError("budgets length mismatch")
-    if total == 0:
-        return [] if any(budgets) else [()]
-    # budget left per cell, one field each, kept above the field's top
-    # bit: taking a unit from an empty cell clears that bit
     width = max(budgets, default=0).bit_length() + 1
     top = 1 << (width - 1)
-    full = sum(top << (width * idx) for idx in range(ncells))
-    left = full + sum(b << (width * idx) for idx, b in enumerate(budgets))
+    fields = _packed([range(ncells)], width)[0]
+    full = (top - 1) * fields
+    start = full - sum(b << (width * idx) for idx, b in enumerate(budgets))
     masks = range(1 << n) if candidates is None else sorted(candidates)
     inc = _packed([edge_cells(m, edges) for m in masks], width)
-    if candidates is not None:
-        inc = dict(zip(masks, inc))
-    units = [0] * total
-    out: List[Tuple[int, ...]] = []
+    return _walk(masks, inc, total, start, top * fields, cap).get(full, [])
 
-    def fitting(cand: Sequence[int], left: int) -> List[int]:
-        return [m for m in cand if (left - inc[m]) & full == full]
 
-    def rec(depth: int, cand: List[int], left: int):
-        if depth == total:
-            if cap and len(out) >= cap:
-                raise CapExceeded
-            out.append(tuple(units))
-            return
-        for ci, mask in enumerate(cand):
-            units[depth] = mask
-            rest = left - inc[mask]
-            rec(depth + 1, fitting(cand[ci:], rest), rest)
-
-    rec(0, fitting(masks, left), left)
+def _occupancy(tables: Sequence[Tuple[int, ...]]) -> List[int]:
+    """Per table of N units, the int with bit m*N + k set for the k-th
+    copy of mask m, so that (a ^ b).bit_count() is an L1 distance."""
+    size = len(tables[0]) if tables else 0
+    out = []
+    for t in tables:
+        occ, prev = 0, -1
+        for m in t:
+            bit = bit << 1 if m == prev else 1 << (m * size)
+            prev = m
+            occ |= bit
+        out.append(occ)
     return out
-
-
-def _norm(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    """L1 distance between two same-size multisets (sorted tuples)."""
-    i = j = inter = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if a[i] == b[j]:
-            inter += 1
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return (la - inter) + (lb - inter)
 
 
 class _Row(dict):
@@ -168,11 +176,9 @@ def fiber_moves(tables: Sequence[Tuple[int, ...]],
     ascending order, with the coefficient at the smallest mask positive.
     Equal items are one tuple: thousands of moves share a few dozen.
 
-    Each of the F tables of N units is encoded once, as two ints:
-    - its occupancy, with bit m*N + k set for the k-th copy of mask m,
-      so that (A ^ B).bit_count() is the norm of a - b;
-    - its counts, field m holding the count of mask m, so that a - b is
-      one int subtraction whose value is the difference.
+    Each of the F tables of N units is encoded once, as two ints: its
+    occupancy (`_occupancy`), and its counts, field m holding the count
+    of mask m, so that a - b is one int subtraction.
     For each table, one map/compress pipeline over the tables after it
     filters by norm, subtracts and adds the differences to a set, so
     the F^2 / 2 pairs are handled by C builtins.
@@ -205,15 +211,7 @@ def fiber_moves(tables: Sequence[Tuple[int, ...]],
         raise ValueError(f"coefficients up to {bound} do not fit a machine "
                          "integer")
     unit = [1 << (width * m) for m in range(nmasks)]
-    occupancy = []
-    for t in tables:
-        occ = 0
-        prev = -1
-        for m in t:
-            bit = bit << 1 if m == prev else 1 << (m * size)
-            prev = m
-            occ |= bit
-        occupancy.append(occ)
+    occupancy = _occupancy(tables)
     counts = [sum(map(unit.__getitem__, t)) for t in tables]
     norm = 2 * half
     seen = set()
@@ -241,6 +239,7 @@ def component_labels(tables: Sequence[Tuple[int, ...]],
     <= max_norm.  Labels are root indices."""
     f = len(tables)
     parent = list(range(f))
+    occupancy = _occupancy(tables)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -249,11 +248,11 @@ def component_labels(tables: Sequence[Tuple[int, ...]],
         return x
 
     for i in range(f):
-        ti = tables[i]
+        oi = occupancy[i]
         for j in range(i + 1, f):
             if find(i) == find(j):
                 continue
-            if _norm(ti, tables[j]) <= max_norm:
+            if (oi ^ occupancy[j]).bit_count() <= max_norm:
                 parent[find(i)] = find(j)
     return [find(i) for i in range(f)]
 
@@ -276,7 +275,8 @@ def bottleneck_norm(tables: Sequence[Tuple[int, ...]], floor: int = 1) -> int:
     if f <= 1:
         return 0
     if f == 2:
-        return max(_norm(tables[0], tables[1]), 2 * floor)
+        a, b = _occupancy(tables)
+        return max((a ^ b).bit_count(), 2 * floor)
     size = len(tables[0])
     parent = list(range(f))
 

@@ -107,23 +107,7 @@ class Graph:
     # -- global structure ----------------------------------------------
 
     def connected_components(self) -> List[List[int]]:
-        seen: Set[int] = set()
-        comps = []
-        adj = self.adj()
-        for s in range(self.n):
-            if s in seen:
-                continue
-            stack, comp = [s], []
-            seen.add(s)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return [sorted(c) for c in _components(self.adj(), range(self.n))]
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
@@ -134,6 +118,28 @@ class Graph:
     def is_cycle(self) -> bool:
         return (self.n >= 3 and self.m == self.n and self.is_connected()
                 and all(self.degree(v) == 2 for v in range(self.n)))
+
+
+def _components(adj: Dict[int, Set[int]], vertices: Iterable[int],
+                removed: Iterable[int] = ()) -> List[List[int]]:
+    """The components of the subgraph induced on `vertices` less
+    `removed`, each a list of its vertices, in the order of their first
+    vertex in `vertices`: a search over `adj` from each vertex not yet
+    reached, which reads each component's list as it grows."""
+    left = set(vertices)
+    left.difference_update(removed)
+    comps = []
+    for s in vertices:
+        if s in left:
+            left.remove(s)
+            comp = [s]
+            for v in comp:
+                for w in adj[v]:
+                    if w in left:
+                        left.remove(w)
+                        comp.append(w)
+            comps.append(comp)
+    return comps
 
 
 def parse_graph(text: str) -> Graph:
@@ -240,31 +246,13 @@ def _sum_pieces(g: Graph) -> List[Tuple[Tuple[int, ...], Tuple[Edge, ...]]]:
     block less {a, b} without that end's other neighbour would meet the
     rest at the other end alone, a cut vertex."""
     adj = g.adj()
-
-    def parts(vs: Set[int], a: int, b: int) -> List[Set[int]]:
-        seen = {a, b}
-        out = []
-        for s in vs:
-            if s in seen:
-                continue
-            seen.add(s)
-            comp, stack = {s}, [s]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w in vs and w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            out.append(comp)
-        return out
-
     pieces = []
     for verts, es in _sorted_blocks(g):
         block = set(verts)
         degree = Counter(v for e in es for v in e)
         work = [(block, [e for e in sorted(es)
                          if degree[e[0]] > 2 and degree[e[1]] > 2
-                         and len(parts(block, *e)) > 1])]
+                         and len(_components(adj, block, e)) > 1])]
         while work:
             vs, seps = work.pop()
             if not seps:
@@ -272,8 +260,8 @@ def _sum_pieces(g: Graph) -> List[Tuple[Tuple[int, ...], Tuple[Edge, ...]]]:
                     (v, w) for v in vs for w in adj[v] if v < w and w in vs))))
                 continue
             a, b = seps[0]
-            for comp in parts(vs, a, b):
-                comp |= {a, b}
+            for part in _components(adj, vs, (a, b)):
+                comp = {a, b, *part}
                 work.append((comp, [(c, d) for c, d in seps[1:]
                                     if c in comp and d in comp]))
     pieces.sort()
@@ -383,20 +371,8 @@ def bridges(g: Graph, u: int, v: int) -> List[BridgePart]:
     parts: List[Tuple[List[int], List[Edge]]] = []
     if g.has_edge(u, v):
         parts.append(([u, v], [_norm_edge(u, v)]))
-    adj = g.adj()
-    seen = {u, v}
-    for s in range(g.n):
-        if s in seen:
-            continue
-        stack, comp = [s], {s}
-        seen.add(s)
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in seen and w not in (u, v):
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
+    for part in _components(g.adj(), range(g.n), (u, v)):
+        comp = set(part)
         es = [e for e in g.edges if e[0] in comp or e[1] in comp]
         if es:
             verts = sorted({x for e in es for x in e})

@@ -2,7 +2,8 @@
 
 Defaults are sized for desk-scale experiments.  They can be overridden
 process-wide through the environment variable ``MARKOV_ATLAS_LIMITS``,
-a comma-separated list of ``key=value`` pairs, e.g.::
+a comma-separated list of ``key=value`` pairs, each value an integer
+of at least 1, e.g.::
 
     MARKOV_ATLAS_LIMITS="max_total=10,max_fiber=2000000"
 """
@@ -57,6 +58,9 @@ def _from_env() -> Limits:
         except ValueError:
             raise ResourceLimitError(
                 f"limit {key!r} in {_ENV_VAR} is not an integer") from None
+        if overrides[key] < 1:
+            raise ResourceLimitError(
+                f"limit {key!r} in {_ENV_VAR} must be at least 1")
     return replace(limits, **overrides)
 
 

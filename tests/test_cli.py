@@ -323,6 +323,19 @@ def test_search_width_degree_below_one_rejected(files, capsys, degree):
         1, "", "error: degree bound must be >= 1\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("key", ["max_total", "max_vertices", "max_fiber"])
+def test_limits_below_one_rejected(files, capsys, monkeypatch, key, value):
+    """A cap below 1 is an error that names it: `max_fiber=0` does not
+    turn the fiber cap off, and the others do not refuse every search."""
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", f"{key}={value}")
+    code, out, err = run(capsys, "search-width", files("c4.txt", C4),
+                         "--max-total", "3")
+    assert (code, out, err) == (
+        1, "", f"error: limit '{key}' in MARKOV_ATLAS_LIMITS must be at "
+        "least 1\n")
+
+
 @pytest.mark.parametrize("total", ["0", "-2"])
 def test_table_total_below_one_rejected(files, capsys, total):
     """A search up to a total below 1 is an error, not an empty result,

@@ -107,6 +107,29 @@ def test_fiber_cap_raises(monkeypatch):
         enumerate_fiber(g, graph_marginals(z, g))
 
 
+def test_fiber_cap_boundary(monkeypatch):
+    """A fiber of exactly `cap` tables is returned, and one of cap + 1
+    tables raises, in the kernel (with and without candidates) and
+    through `enumerate_fiber` under MARKOV_ATLAS_LIMITS."""
+    g = cycle_graph("abcd")
+    m = graph_marginals(tv(g, [0, 2, 4, 5, 7, 9, 11, 14]), g)
+    tables = _kernel.fiber_tables(g.n, m.edges, m.cells, m.total)
+    size = len(tables)
+    assert size == 40
+    support = sorted({u for t in tables for u in t})
+    for candidates in (None, support):
+        assert _kernel.fiber_tables(g.n, m.edges, m.cells, m.total,
+                                    candidates, cap=size) == tables
+        with pytest.raises(_kernel.CapExceeded):
+            _kernel.fiber_tables(g.n, m.edges, m.cells, m.total,
+                                 candidates, cap=size - 1)
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", f"max_fiber={size}")
+    assert enumerate_fiber(g, m).tables == tuple(tables)
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", f"max_fiber={size - 1}")
+    with pytest.raises(ResourceLimitError, match=f"max_fiber = {size - 1}"):
+        enumerate_fiber(g, m)
+
+
 def test_table_count_cap_raises_before_enumerating(monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("tables enumerated past the cap")
