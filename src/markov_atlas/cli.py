@@ -202,13 +202,16 @@ def _cmd_search_width(args) -> int:
 def _cmd_sample(args) -> int:
     g = _load_graph(args.graph)
     z0 = _load_vector(args.vec)
+    # the inputs are checked before the fiber, which can take seconds
+    if not z0.is_nonnegative():
+        raise ValueError("initial table must be non-negative")
+    cfg = sampler.WalkConfig(steps=args.steps, burn_in=args.burn_in,
+                             seed=args.seed)
     if args.moves:
         moves = _load_moves(args.moves)
     else:
-        fib = fiber.fiber_of(g, z0)
-        moves = fiber.extract_moves(fib, args.degree)
-    cfg = sampler.WalkConfig(steps=args.steps, burn_in=args.burn_in,
-                             seed=args.seed)
+        fiber._check_degree(args.degree)
+        moves = fiber.extract_moves(fiber.fiber_of(g, z0), args.degree)
     result = sampler.random_walk(g, moves, z0, cfg)
     obj = {"final": vector_to_json(result.state), **result.metadata()}
     text = (format_vector(result.state).rstrip() + "\n"

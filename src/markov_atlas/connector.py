@@ -719,8 +719,6 @@ def _piece_states(tree: Optional[_Node], mask: int, z: Counts,
     isolated vertex (tree None)."""
     if tree is not None:
         return _connect_two_terminal(tree, z, zp)
-    if mask & (mask - 1):
-        raise InvariantViolation("distinct tables on a single edge")
     # isolated vertex: move one unit at a time between its labelings
     d = zp.get(mask, 0) - z.get(mask, 0)
     return _walk(z, {0: -1, mask: 1} if d > 0 else {0: 1, mask: -1}, abs(d))
@@ -734,11 +732,13 @@ def _connect_pieces(g: Graph, pieces: Sequence[Piece],
     `trees[j]`.
 
     First each piece whose part differs is walked to its target part
-    by its own chain, every step lifted onto the whole table.  Then for
-    j = 1, 2, ... the union of pieces 0 .. j-1 is joined to piece j by
-    norm-4 swaps, lifted the same way.  A lift keeps the part of every
-    piece outside the vertices it changes, because such a piece lies in
-    a single lift group plus at most that group's key vertex.
+    by its own chain, every step lifted onto the whole table; a piece
+    of one edge is skipped, since the edge's marginal fixes its part.
+    Then for j = 1, 2, ... the union of pieces 0 .. j-1 is joined to
+    piece j by norm-4 swaps, lifted the same way.  A lift keeps the
+    part of every piece outside the vertices it changes, because such a
+    piece lies in a single lift group plus at most that group's key
+    vertex.
     """
     if z == zp:
         return [z]
@@ -756,6 +756,8 @@ def _connect_pieces(g: Graph, pieces: Sequence[Piece],
     states = [z]
 
     for j, p in enumerate(pieces):
+        if len(p.edges) == 1:
+            continue
         part, target = _part_counts(z, masks[j]), _part_counts(zp, masks[j])
         if part == target:
             continue

@@ -137,8 +137,8 @@ def extract_moves(f: Fiber, k: int) -> List[Move]:
 
 def _flips(g: Graph, edges):
     """(mask, perm) for every flip of vertices that have an edge: the
-    fiber with key `key` flipped by `mask` in every unit has the key
-    `bytes(key[p] for p in perm)`."""
+    fiber with marginal cells `cells` flipped by `mask` in every unit
+    has the cells `itemgetter(*perm)(cells)`."""
     touched = 0
     for i, j in edges:
         touched |= (1 << i) | (1 << j)
@@ -146,23 +146,24 @@ def _flips(g: Graph, edges):
             for mask in range(1 << g.n) if not mask & ~touched]
 
 
-def _witness(g: Graph, edges, k: int, groups, split_keys):
-    """The fiber with the smallest key among the flip images of the
-    fibers `split_keys` (the first split fiber of a search over every
-    fiber), with one representative per side of its first two
-    components.  Its key is its marginal cells.
+def _witness(g: Graph, edges, k: int, split):
+    """The fiber with the smallest marginal cells among the flip images
+    of the fibers `split` (the first split fibers of a search over
+    every fiber), with one representative per side of its first two
+    components.
 
-    `split_keys` leaves out the fibers whose tables share a unit, but
-    at the lowest split total none of them is split (see
-    `_search_fibers`), so the minimum is over every split fiber.  A
-    flip's image of a key is `itemgetter(*perm)(key)`, a tuple of ints:
-    images of one length order as their bytes do, and equal images are
-    the same fiber, so the minimum is taken in C builtins, and the
-    smallest image is the witness's cells."""
-    image, key, mask = min(
-        min(zip(map(itemgetter(*perm), split_keys), split_keys, repeat(mask)))
+    `split` leaves out the fibers whose tables share a unit, but at the
+    lowest split total none of them is split (see `_search_fibers`), so
+    the minimum is over every split fiber.  Each fiber's cells are the
+    marginals of its first table.  A flip's image of the cells is
+    `itemgetter(*perm)(cells)`, and equal images are the same fiber, so
+    the minimum is taken in C builtins."""
+    fibers = {graph_marginals(TableVector.from_units(g.vertices, tabs[0]),
+                              g).cells: tabs for tabs in split}
+    image, cells, mask = min(
+        min(zip(map(itemgetter(*perm), fibers), fibers, repeat(mask)))
         for mask, perm in _flips(g, edges))
-    tables = sorted(tuple(sorted(m ^ mask for m in t)) for t in groups[key])
+    tables = sorted(tuple(sorted(m ^ mask for m in t)) for t in fibers[cells])
     labels = _kernel.component_labels(tables, 2 * k)
     za, zb = (TableVector.from_units(g.vertices, tables[labels.index(r)])
               for r in sorted(set(labels))[:2])
@@ -201,9 +202,8 @@ def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
             raise limits.exceeded(
                 "max_fiber",
                 f"C({cells}+{total - 1}, {total}) = {count} tables")
-        groups = _kernel.group_tables(g.n, edges, total)
-        split_keys = []
-        for key, tables in groups.items():
+        split = []
+        for tables in _kernel.group_tables(g.n, edges, total).values():
             # a fiber of one table is the cheap common case of the test
             if len(tables) < 2 or set(tables[0]).intersection(*tables[1:]):
                 continue
@@ -211,10 +211,10 @@ def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
                 tables, best if k is None else min(best, k))
             best = max(best, b // 2)
             if k is not None and b > 2 * k:
-                split_keys.append(key)
+                split.append(tables)
         degrees.append(best)
-        if witness is None and split_keys:
-            witness = _witness(g, edges, k, groups, split_keys)
+        if witness is None and split:
+            witness = _witness(g, edges, k, split)
     return degrees, witness
 
 
@@ -226,7 +226,7 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     connected by moves of degree <= k.  `witness` is None unless `k` is
     given and some fiber of total <= max_total is split by moves of
     degree <= k; then it is the split fiber of the lowest total with the
-    smallest marginal key, with one representative per side.  A total
+    smallest marginal cells, with one representative per side.  A total
     below 1 raises ValueError.
 
     A connected graph is split into pieces at its cut vertices and at

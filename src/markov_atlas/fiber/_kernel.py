@@ -1,10 +1,10 @@
 """Fiber enumeration kernel: table enumeration and fiber analysis.
 
 Tables are multisets of labelings, represented as non-decreasing tuples
-of bitmasks.  Marginal keys are `bytes` of the per-edge cell counts in
-the layout of `lattice.edge_cells`, the one definition of which cell a
-labeling falls in at each sorted edge: the same numbers as
-`MarginalSet.cells` and as the budgets `fiber_tables` takes.
+of bitmasks, and a fiber is a list of tables, with no marginal key.  Cell
+counts are in the layout of `lattice.edge_cells`, the one definition of
+which cell a labeling falls in at each sorted edge: the budgets
+`fiber_tables` takes are `MarginalSet.cells`.
 
 `group_tables` (every fiber of a total) and `fiber_tables` (one fiber)
 set up one walk, `_walk`, over a packed counter.  Distances are taken
@@ -78,9 +78,12 @@ def _walk(masks: Sequence[int], inc: Sequence[int], total: int, start: int,
 
 
 def group_tables(n: int, edges,
-                 total: int) -> Dict[bytes, List[Tuple[int, ...]]]:
-    """Tables with exactly `total` units, grouped by marginal key, at
-    least one fiber per orbit of vertex flips.
+                 total: int) -> Dict[int, List[Tuple[int, ...]]]:
+    """The fibers of tables with exactly `total` units, at least one
+    per orbit of vertex flips, as the walk groups them: each a list of
+    tables, keyed by the walk's final counter, in the order of their
+    first tables.  The keys are the walk's own and mean nothing outside
+    it; a fiber's marginal cells are those of any of its tables.
 
     Flipping one vertex's bit in every unit maps fibers onto fibers and
     keeps L1 distances.  The count of 1s at a vertex with an edge is
@@ -92,10 +95,10 @@ def group_tables(n: int, edges,
     callers check that number before calling.
 
     The walk counts these 1s in the low bytes from 127 - total // 2, so
-    that passing total // 2 sets a top bit, and the cells, the key, above."""
-    ncells = 4 * len(edges)
-    if ncells and total > 255:
-        raise ValueError("cell counts above 255 do not fit a byte key")
+    that passing total // 2 sets a top bit, and the cells in one byte
+    each above them, so that the walk's groups are the fibers."""
+    if edges and total > 255:
+        raise ValueError("cell counts above 255 do not fit a byte field")
     touched = sorted({v for e in edges for v in e})
     low = 8 * len(touched)
     ones = [0]  # the vertex bytes of each labeling, one vertex at a time
@@ -104,10 +107,8 @@ def group_tables(n: int, edges,
         ones += [x + field for x in ones]
     cells = _packed([edge_cells(m, edges) for m in range(1 << n)], 8)
     inc = [x + (c << low) for x, c in zip(ones, cells)]
-    groups = _walk(range(1 << n), inc, total,
-                   ones[-1] * (127 - total // 2), ones[-1] << 7)
-    return {(s >> low).to_bytes(ncells, "little"): tables
-            for s, tables in groups.items()}
+    return _walk(range(1 << n), inc, total, ones[-1] * (127 - total // 2),
+                 ones[-1] << 7)
 
 
 def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,

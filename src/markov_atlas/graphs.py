@@ -361,11 +361,9 @@ class BridgePart:
 
 def bridges(g: Graph, u: int, v: int) -> List[BridgePart]:
     """Partition of E(g) into {u,v}-bridges, deterministic order (the
-    uv edge bridge first, then by smallest contained vertex).
-
-    A public utility: the connector no longer calls it, since it reads
-    every split from the block's series-parallel tree.
-    """
+    uv edge bridge first, then by smallest contained vertex).  A
+    {u,v}-bridge is the edge uv, or the edges with an end in one
+    component of g - {u, v}; each comes with its subgraph of g."""
     if u == v:
         raise ValueError("bridge poles must be distinct")
     parts: List[Tuple[List[int], List[Edge]]] = []
@@ -385,12 +383,11 @@ def bridges(g: Graph, u: int, v: int) -> List[BridgePart]:
 
 
 def find_parallel3_poles(g: Graph):
-    """Smallest lexicographic vertex pair with >= 3 bridges.
+    """The smallest vertex pair u < v, in lexicographic order, with
+    three or more {u,v}-bridges, as (u, v, bridges(g, u, v)).
 
-    Exists for every 2-connected series-parallel graph that is not a
-    cycle; raises NoSuchPoles otherwise.  A public utility: the
-    connector no longer calls it, since it re-poles at a parallel node
-    of the block's series-parallel tree.
+    Such a pair exists for every 2-connected series-parallel graph that
+    is not a cycle; raises NoSuchPoles otherwise.
     """
     for u in range(g.n):
         for v in range(u + 1, g.n):

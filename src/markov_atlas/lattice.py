@@ -9,8 +9,9 @@ of vertices.
 :func:`edge_cells` is the one definition of the cell layout: the e-th
 sorted edge (i, j) owns cells 4e to 4e + 3, and a labeling falls in cell
 4e + 2 * bit_i + bit_j.  :class:`MarginalSet` stores its counts in that
-layout, the enumeration kernel takes them as budgets and keys its fibers
-by them, and the kernel test packs them.
+layout, the enumeration kernel takes them as budgets, and the kernel
+test packs them.  The kernel's fibers carry no key: the cells of a
+fiber are the marginals of any of its tables.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ class MarginalSet:
 
     `edges` are the graph's edges (i < j) in sorted order and `cells`
     their 4 * len(edges) counts in the layout of `edge_cells`: the
-    numbers the enumeration kernel takes as budgets and keys its fibers
-    by.
+    numbers the enumeration kernel takes as budgets.
     """
 
     vertices: Tuple[str, ...]

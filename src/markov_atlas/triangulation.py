@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from itertools import permutations
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import (InvalidTriangulation, NotTwoFaceColorable, ParseError,
                      ResourceLimitError)
@@ -36,16 +38,23 @@ class Triangulation:
     def n(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def _edge_faces(self) -> Dict[Tuple[int, int], List[int]]:
+        """The face–edge incidence: each edge of a face, in the order
+        the faces first give it, with the indices of its faces."""
+        by_edge: Dict[Tuple[int, int], List[int]] = {}
+        for fi, (a, b, c) in enumerate(self.faces):
+            for e in ((a, b), (a, c), (b, c)):
+                by_edge.setdefault(e, []).append(fi)
+        return by_edge
+
     @property
     def edge_set(self) -> FrozenSet[Tuple[int, int]]:
-        es: Set[Tuple[int, int]] = set()
-        for a, b, c in self.faces:
-            es |= {(a, b), (a, c), (b, c)}
-        return frozenset(es)
+        return frozenset(self._edge_faces)
 
     @property
     def m(self) -> int:
-        return len(self.edge_set)
+        return len(self._edge_faces)
 
     @property
     def f(self) -> int:
@@ -56,7 +65,7 @@ class Triangulation:
         return self.n - self.m + self.f
 
     def skeleton(self) -> Graph:
-        return Graph(self.vertices, self.edge_set)
+        return Graph(self.vertices, self._edge_faces)
 
     def validate(self):
         if not self.faces:
@@ -68,14 +77,11 @@ class Triangulation:
             if face in seen:
                 raise InvalidTriangulation(f"repeated face {face}")
             seen.add(face)
-        count: Dict[Tuple[int, int], int] = {}
-        for a, b, c in self.faces:
-            for e in ((a, b), (a, c), (b, c)):
-                count[e] = count.get(e, 0) + 1
-        for e, k in count.items():
-            if k != 2:
+        for e, fs in self._edge_faces.items():
+            if len(fs) != 2:
                 raise InvalidTriangulation(
-                    f"edge {e} lies in {k} faces, expected 2 (open surface)")
+                    f"edge {e} lies in {len(fs)} faces, expected 2 "
+                    "(open surface)")
 
 
 def load_triangulation(text: str) -> Triangulation:
@@ -148,16 +154,11 @@ class FaceColoring:
 
 
 def _dual_adjacency(t: Triangulation) -> List[Set[int]]:
-    by_edge: Dict[Tuple[int, int], List[int]] = {}
-    for fi, (a, b, c) in enumerate(t.faces):
-        for e in ((a, b), (a, c), (b, c)):
-            by_edge.setdefault(e, []).append(fi)
     adj: List[Set[int]] = [set() for _ in t.faces]
-    for fs in by_edge.values():
-        for x in fs:
-            for y in fs:
-                if x != y:
-                    adj[x].add(y)
+    for fs in t._edge_faces.values():
+        for x, y in permutations(fs, 2):
+            if x != y:
+                adj[x].add(y)
     return adj
 
 
@@ -207,21 +208,17 @@ def red_blue_vectors(t: Triangulation,
 
 
 def _clique_masks(t: Triangulation) -> List[int]:
-    """Masks of all cliques of the skeleton with at most 3 vertices.
+    """Masks of all cliques of the skeleton of a clean triangulation
+    with at most 3 vertices: the empty set, the vertices, the edges and
+    the faces, since every triangle of the skeleton is a face.
 
     Any table sharing the red vector's complete-graph marginals is
     supported on such masks: a support labeling with two set bits off
     the skeleton would charge an empty (1,1) marginal cell.
     """
-    g = t.skeleton()
-    adj = g.adj()
-    masks = [0] + [1 << i for i in range(t.n)]
-    for i, j in sorted(g.edges):
-        masks.append((1 << i) | (1 << j))
-        for k in sorted(adj[i] & adj[j]):
-            if k > j:
-                masks.append((1 << i) | (1 << j) | (1 << k))
-    return sorted(set(masks))
+    masks = {0, *(1 << i for i in range(t.n)), *map(_face_mask, t.faces)}
+    masks.update((1 << i) | (1 << j) for i, j in t._edge_faces)
+    return sorted(masks)
 
 
 @dataclass
@@ -293,13 +290,13 @@ def certify_lower_bound(t: Triangulation, verify_fiber: bool = False,
         report.skip_reason = str(exc)
         return report
     report.fiber_size = fib.size
-    report.fiber_is_pair = set(fib.elements) == {zr, zb}
+    tables = set(fib.tables)
+    report.fiber_is_pair = tables == {tuple(zr.units()), tuple(zb.units())}
     if fib.size == 2 ** report.dual_components:
         masks = [(_face_mask(f), r, c) for f, r, c
                  in zip(t.faces, coloring.red, coloring.component)]
-        picks = {TableVector.from_units(
-                     t.vertices, [m for m, r, c in masks
-                                  if r != bool((flips >> c) & 1)])
+        picks = {tuple(sorted(m for m, r, c in masks
+                              if r != bool((flips >> c) & 1)))
                  for flips in range(fib.size)}
-        report.fiber_verified = set(fib.elements) == picks
+        report.fiber_verified = tables == picks
     return report

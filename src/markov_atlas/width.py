@@ -126,8 +126,9 @@ def kn_lower_bound_report(n: int,
     With no triangulation supplied, the double wheel over a cycle of
     length n-2 is used (n must be even and at least 6 for the wheel to
     be 2-face-colorable; n=6 gives the octahedron and bound 4).  A
-    supplied triangulation must have n vertices, be clean and
-    2-face-colorable; its bound is the largest m_i/3 over the
+    supplied triangulation must have n vertices and be clean
+    (ValueError otherwise) and 2-face-colorable (NotTwoFaceColorable
+    otherwise); its bound is the largest m_i/3 over the
     components of its dual graph, m/3 when the dual is connected.
     """
     if triangulation is None:
@@ -144,6 +145,5 @@ def kn_lower_bound_report(n: int,
         raise NotTwoFaceColorable(
             "triangulation is not 2-face-colorable; no bound certified")
     if not cert.clean:
-        raise InvariantViolation(
-            "triangulation is not clean; no bound certified")
+        raise ValueError("triangulation is not clean; no bound certified")
     return KnBoundReport(n, cert.bound, cert)

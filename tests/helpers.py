@@ -103,22 +103,22 @@ def rejection_fiber(g: Graph, z: TableVector) -> List[TableVector]:
     return out
 
 
-def all_grouped_tables(n: int, edges,
-                       total: int) -> Dict[bytes, List[Tuple[int, ...]]]:
-    """Every table with exactly `total` units, grouped by the kernel's
-    marginal key (bytes of the per-edge cells c00, c01, c10, c11), each
-    fiber in lexicographic order: all C(2^n + total - 1, total) tables,
-    with no orbit pruning."""
+def all_grouped_tables(n: int, edges, total: int
+                       ) -> Dict[Tuple[int, ...], List[Tuple[int, ...]]]:
+    """Every table with exactly `total` units, grouped by its marginal
+    cells (`MarginalSet.cells`: the per-edge cells c00, c01, c10, c11),
+    each fiber in lexicographic order: all C(2^n + total - 1, total)
+    tables, with no orbit pruning."""
     num = 1 << n
     bump = [[4 * e + ((((mask >> i) & 1) << 1) | ((mask >> j) & 1))
              for e, (i, j) in enumerate(edges)] for mask in range(num)]
     cells = [0] * (4 * len(edges))
     units = [0] * total
-    groups: Dict[bytes, List[Tuple[int, ...]]] = {}
+    groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
 
     def rec(depth: int, start: int):
         if depth == total:
-            groups.setdefault(bytes(cells), []).append(tuple(units))
+            groups.setdefault(tuple(cells), []).append(tuple(units))
             return
         for mask in range(start, num):
             row = bump[mask]
@@ -350,6 +350,18 @@ def triangle_cactus(count: int) -> Graph:
     return Graph([f"v{i}" for i in range(2 * count + 1)],
                  [e for i in range(count) for e in
                   ((i, 2 * i + 1), (i, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+
+def glued_octahedra() -> str:
+    """Face text of two octahedra, equator 0 1 2 3 and apexes 4 and 5,
+    glued along the face 0 1 4, which is dropped from both: n = 9,
+    m = 21, 2-face-colorable (every vertex has even degree), and not
+    clean, since 0 1 4 is a triangle of the skeleton but not a face."""
+    second = {"0": "0", "1": "1", "4": "4"}
+    faces = ["0 1 5", "1 2 4", "1 2 5", "2 3 4", "2 3 5", "0 3 4", "0 3 5"]
+    return "".join(f + "\n" for f in faces) + "".join(
+        " ".join(second.get(v, "q" + v) for v in f.split()) + "\n"
+        for f in faces)
 
 
 def random_sp_block(n: int, rng) -> Graph:

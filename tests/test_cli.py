@@ -10,12 +10,13 @@ import sys
 import pytest
 
 import markov_atlas
-from markov_atlas import (SPTree, connector, extract_moves, fiber_of,
-                          lattice, parse_graph, sp_decompose)
+from markov_atlas import (SPTree, connector, extract_moves, fiber,
+                          fiber_of, lattice, parse_graph, sp_decompose)
 from markov_atlas.cli import _build_parser, _json_chunks, main
 from markov_atlas.connector import verify_sequence
 
-from helpers import assert_k4_minor, ladder_graph, triangle_cactus
+from helpers import (assert_k4_minor, glued_octahedra, ladder_graph,
+                     triangle_cactus)
 
 C5 = "a b\nb c\nc d\nd e\ne a\n"
 C4 = "a b\nb c\nc d\nd a\n"
@@ -256,6 +257,14 @@ def test_certify_tetrahedron_fails(files, capsys):
     tetra = "a b c\na b d\na c d\nb c d\n"
     code, out, _ = run(capsys, "certify", files("t.tri", tetra))
     assert code == 1
+
+
+def test_certify_unclean_fails(files, capsys):
+    """Two octahedra glued along a face are 2-face-colorable but not
+    clean."""
+    code, out, err = run(capsys, "certify",
+                         files("glued.tri", glued_octahedra()))
+    assert (code, out, err) == (1, "no certificate: not clean\n", "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -503,6 +512,42 @@ def test_sample_degree_below_one_rejected(files, capsys, degree):
                          "--seed", "1", "--degree", degree)
     assert (code, out, err) == (
         1, "", "error: degree bound must be >= 1\n")
+
+
+@pytest.fixture
+def no_fiber(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fiber enumerated before the input checks")
+
+    monkeypatch.setattr(fiber, "fiber_of", refuse)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--steps", "0"), "steps must be >= 1"),
+    (("--steps", "5", "--burn-in", "-1"), "burn-in must be >= 0"),
+    (("--steps", "5", "--degree", "0"), "degree bound must be >= 1"),
+    (("--steps", "0", "--degree", "0"), "steps must be >= 1"),
+], ids=["steps", "burn-in", "degree", "steps-and-degree"])
+def test_sample_checks_inputs_before_the_fiber(files, capsys, no_fiber,
+                                               flags, message):
+    """Bad walk settings are reported before the fiber is enumerated,
+    which on a large fiber takes seconds."""
+    code, out, err = run(capsys, "sample", files("c4.txt", C4),
+                         files("a.vec", VEC_C4), "--seed", "1", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("moves", [False, True], ids=["degree", "moves"])
+def test_sample_negative_start_reported_first(files, capsys, no_fiber,
+                                              moves):
+    """Both move sources report a negative start table the same way,
+    before the walk settings and before any fiber."""
+    flags = ("--moves", files("m.vec", MOVE_C4)) if moves else ()
+    code, out, err = run(capsys, "sample", files("c4.txt", C4),
+                         files("a.vec", "vertices: a b c d\n0101 -1\n"),
+                         "--steps", "0", "--seed", "1", *flags)
+    assert (code, out, err) == (
+        1, "", "error: initial table must be non-negative\n")
 
 
 def test_usage_error_exit_2(files):

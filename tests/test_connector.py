@@ -14,6 +14,7 @@ from markov_atlas import (Graph, SPTree, TableVector, connect_cycle,
                           graph_marginals, is_k4_minor_free, parse_graph,
                           parse_vector, project, realize, sp_decompose,
                           verify_sequence)
+from markov_atlas import connector
 from markov_atlas.connector import MoveSequence
 from markov_atlas.errors import (InvariantViolation, NotK4MinorFree,
                                  NotSeriesParallel, ProjectionMismatch)
@@ -244,7 +245,9 @@ def cycle_orbit_fibers(n, total):
     and lexicographically least among their rotations and reflections;
     flips and then a rotation bring every fiber there."""
     g = cycle_graph("abcdef"[:n])
-    groups = _kernel.group_tables(n, sorted(g.edges), total)
+    groups = {graph_marginals(tv(g.vertices, tabs[0]), g).cells: tabs
+              for tabs in _kernel.group_tables(n, sorted(g.edges),
+                                               total).values()}
     for key in sorted(groups):
         tabs = groups[key]
         counts = [sum((m >> v) & 1 for m in tabs[0]) for v in range(n)]
@@ -495,6 +498,29 @@ def test_connect_forest_steps_stay_small():
         seq = connect_graph(g, z, zp, verify=True)
         for step in seq.steps:
             assert step.l1() <= 4
+
+
+def test_forest_pieces_need_no_piece_chain(monkeypatch):
+    """Every block of a forest is one edge, whose marginal fixes its
+    part, so the block-cut pass joins the pieces by swaps alone."""
+    calls = []
+    real = connector._piece_states
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(connector, "_piece_states", counted)
+    g = Graph("abcdefgh", [(0, 2), (2, 5), (2, 6), (1, 3), (3, 7), (4, 7)])
+    rng = random.Random(5)
+    pairs = 0
+    for _ in range(10):
+        z = tv(g.vertices, random_units(rng, g.n, 4))
+        zp = swap_partner(g, z, rng, tries=20 * g.n)
+        seq = connect_graph(g, z, zp, verify=True)
+        assert seq.states[0] == z and seq.states[-1] == zp
+        pairs += zp != z
+    assert pairs and not calls
 
 
 def test_connect_rejects_k4():

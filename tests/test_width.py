@@ -11,8 +11,8 @@ from markov_atlas import (Graph, classify_width, complete_graph, cycle_graph,
 from markov_atlas.errors import NotTwoFaceColorable
 from markov_atlas.triangulation import load_triangulation
 
-from helpers import (assert_k4_minor, ladder_graph, nonisomorphic_graphs,
-                     subdivided_k4)
+from helpers import (assert_k4_minor, glued_octahedra, ladder_graph,
+                     nonisomorphic_graphs, subdivided_k4)
 
 
 def test_star_is_exact_2():
@@ -138,6 +138,15 @@ def test_kn_report_with_bad_triangulation():
     tetra = load_triangulation("a b c\na b d\na c d\nb c d\n")
     with pytest.raises(NotTwoFaceColorable):
         kn_lower_bound_report(4, triangulation=tetra)
+
+
+def test_kn_report_rejects_unclean_triangulation():
+    """A colorable triangulation that is not clean is an input error,
+    as a vertex-count mismatch is, not an invariant violation."""
+    t = load_triangulation(glued_octahedra())
+    assert (t.n, t.m) == (9, 21)
+    with pytest.raises(ValueError, match="not clean"):
+        kn_lower_bound_report(9, triangulation=t)
 
 
 def test_kn_report_vertex_count_mismatch():
