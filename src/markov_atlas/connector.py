@@ -62,10 +62,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InvariantViolation, ProjectionMismatch
+from .errors import GroundSetMismatch, InvariantViolation, ProjectionMismatch
 from .graphs import (Graph, Piece, SPTree, block_cut_forest, block_sp_tree,
                      realize, sp_decompose)
-from .lattice import TableVector, graph_marginals, project, vector_to_json
+from .lattice import (TableVector, _kernel_test, graph_marginals, project,
+                      vector_to_json)
 
 Counts = Dict[int, int]  # labeling -> count, over one ground set's bits
 
@@ -363,35 +364,44 @@ def verify_sequence(seq: MoveSequence, max_norm: int = 8) -> dict:
     """Machine-check a MoveSequence; raises InvariantViolation on any
     failure, returns summary statistics otherwise.
 
-    Checks: non-negativity and constant marginals of every state, step
-    norms in (0, max_norm], and (when poles are set) that every step
-    changing the pole marginal has norm exactly 4.
+    Checks: non-negativity and constant marginals of every state, then
+    step norms in (0, max_norm], and (when poles are set) that every
+    step changing the pole marginal has norm exactly 4.  Only state 0
+    is read whole: once state k - 1 has passed, state k can go negative
+    only where the step into it is nonzero, and it has state 0's
+    marginals iff the step passes `lattice._kernel_test`.
     """
-    if not seq.states:
+    g, states = seq.graph, seq.states
+    if not states:
         raise InvariantViolation("empty state chain")
-    g = seq.graph
-    ref = graph_marginals(seq.states[0], g)
-    max_step = 0
-    pole_changes = 0
-    for k, state in enumerate(seq.states):
-        if not state.is_nonnegative():
+    if states[0].vertices != g.vertices:
+        raise GroundSetMismatch(f"{states[0].vertices} vs {g.vertices}")
+    if not states[0].is_nonnegative():
+        raise InvariantViolation("state 0 is negative")
+    test = _kernel_test(g)
+    steps = []
+    for k in range(1, len(states)):
+        a, b = states[k - 1].entries, states[k].entries
+        step = {m: b.get(m, 0) - a.get(m, 0) for m, _ in a.items() ^ b.items()}
+        if any(b.get(m, 0) < 0 for m in step):
             raise InvariantViolation(f"state {k} is negative")
-        if graph_marginals(state, g) != ref:
+        if not test(states[k].vertices, step.items()):
             raise InvariantViolation(f"state {k} changed the marginals")
-    for k in range(1, len(seq.states)):
-        norm = (seq.states[k] - seq.states[k - 1]).l1()
+        steps.append(step)
+    max_step = pole_changes = 0
+    for k, step in enumerate(steps, 1):
+        norm = sum(map(abs, step.values()))
         if norm == 0:
             raise InvariantViolation(f"step {k} is a no-op")
         if norm > max_norm:
             raise InvariantViolation(f"step {k} has norm {norm} > {max_norm}")
         max_step = max(max_step, norm)
-        if seq.poles is not None:
-            uv = seq.poles
-            if project(seq.states[k - 1], uv) != project(seq.states[k], uv):
-                pole_changes += 1
-                if norm != 4:
-                    raise InvariantViolation(
-                        f"step {k} changes the pole marginal with norm {norm}")
+        if seq.poles is not None and project(
+                TableVector(g.vertices, step), seq.poles).entries:
+            pole_changes += 1
+            if norm != 4:
+                raise InvariantViolation(
+                    f"step {k} changes the pole marginal with norm {norm}")
     return {"length": seq.length, "max_step_norm": max_step,
             "pole_changing_steps": pole_changes}
 
@@ -850,13 +860,3 @@ def connect_sp(tree: SPTree, z: TableVector, zp: TableVector,
     if verify:
         verify_sequence(seq)
     return seq
-
-
-def connect_cycle(g: Graph, z: TableVector,
-                  zp: TableVector) -> MoveSequence:
-    """Chain z .. zp on a cycle, steps of norm <= 8 (degree 4): the
-    chain of `connect_graph`, whose two-terminal recursion goes down
-    to K3, whose fibers are segments along a single kernel move."""
-    if not g.is_cycle():
-        raise ValueError("graph is not a cycle")
-    return connect_graph(g, z, zp)

@@ -54,15 +54,6 @@ class Fiber:
         return len(self.tables)
 
 
-@dataclass(frozen=True)
-class FiberGraph:
-    """Fiber elements joined when their difference has norm <= 2*degree."""
-
-    fiber: Fiber
-    degree: int
-    adjacency: Tuple[Tuple[int, int], ...]
-
-
 def enumerate_fiber(g: Graph, m: MarginalSet,
                     candidates: Optional[Sequence[int]] = None) -> Fiber:
     """Every non-negative table over V(g) whose marginals equal `m`.
@@ -99,15 +90,6 @@ def fiber_of(g: Graph, z: TableVector) -> Fiber:
 def _check_degree(k: int):
     if k < 1:
         raise ValueError("degree bound must be >= 1")
-
-
-def fiber_graph(f: Fiber, k: int) -> FiberGraph:
-    _check_degree(k)
-    occupancy = _kernel._occupancy(f.tables)
-    return FiberGraph(f, k, tuple(
-        (i, j) for i, oi in enumerate(occupancy)
-        for j in range(i + 1, len(occupancy))
-        if (oi ^ occupancy[j]).bit_count() <= 2 * k))
 
 
 def fiber_components(f: Fiber, k: int) -> List[List[TableVector]]:
@@ -288,9 +270,3 @@ def min_connecting_degree(g: Graph, max_total: int) -> int:
     totals can only increase it.
     """
     return max(search_width(g, max_total)[0], default=1)
-
-
-def witness_disconnected_fiber(g: Graph, k: int, max_total: int):
-    """A fiber (total <= max_total) split by degree-<=k moves, with one
-    representative per side, or None if every such fiber is connected."""
-    return search_width(g, max_total, k)[1]

@@ -115,10 +115,6 @@ class Graph:
     def is_forest(self) -> bool:
         return self.m == self.n - len(self.connected_components())
 
-    def is_cycle(self) -> bool:
-        return (self.n >= 3 and self.m == self.n and self.is_connected()
-                and all(self.degree(v) == 2 for v in range(self.n)))
-
 
 def _components(adj: Dict[int, Set[int]], vertices: Iterable[int],
                 removed: Iterable[int] = ()) -> List[List[int]]:
@@ -409,9 +405,9 @@ class SPTree:
 
     One walk, `_shape`, visits the nodes from an explicit stack; it
     drives `==`, `hash` and `realize`, and the connector builds its own
-    nodes, in the bits of its tables, from it.  `to_json` and
-    `from_json` also run from explicit stacks, so no method is bounded
-    by the recursion limit.
+    nodes, in the bits of its tables, from it.  `to_json` also runs
+    from an explicit stack, so no method is bounded by the recursion
+    limit.  `decompose` writes that JSON; nothing reads it back.
     """
 
     kind: str  # "leaf" | "serial" | "parallel"
@@ -456,72 +452,6 @@ class SPTree:
             obj["children"] = []
             stack.extend((c, obj["children"]) for c in reversed(t.children))
         return root[0]
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SPTree":
-        """Inverse of `to_json`, built bottom-up from an explicit stack.
-
-        Raises ParseError naming the first malformed node (`root`,
-        `root.children[1]`, ...): an unknown kind, missing poles or
-        children, a serial node without a join or without exactly two
-        children, or a pole or join that is not a vertex of the node's
-        leaves.  Each node's vertex set grows from its largest child's,
-        so the check stays O(n log n) on deep trees.
-        """
-        built: List[Tuple["SPTree", set]] = []  # node, its leaves' vertices
-        # (json node, path, ready); a path is None or (parent path, index)
-        stack: List[tuple] = [(obj, None, False)]
-        while stack:
-            o, path, ready = stack.pop()
-            if ready:
-                cut = len(built) - len(o["children"])
-                parts = built[cut:]
-                del built[cut:]
-                labels = max((v for _, v in parts), key=len, default=set())
-                for _, v in parts:
-                    if v is not labels:
-                        labels |= v
-                for label in (*o["poles"], o.get("join")):
-                    if label is not None and label not in labels:
-                        raise ParseError(f"{_node_name(path)}: {label!r} is "
-                                         "not a vertex of its leaves")
-                built.append((cls(o["kind"], tuple(o["poles"]),
-                                  tuple(t for t, _ in parts), o.get("join")),
-                              labels))
-                continue
-            kind = o.get("kind") if isinstance(o, dict) else None
-            if kind not in ("leaf", "serial", "parallel"):
-                raise ParseError(f"{_node_name(path)}: unknown kind {kind!r}")
-            poles = o.get("poles")
-            if not isinstance(poles, (list, tuple)) or len(poles) != 2:
-                raise ParseError(f"{_node_name(path)}: needs two poles")
-            if kind == "leaf":
-                built.append((cls("leaf", tuple(poles)), set(poles)))
-                continue
-            children = o.get("children")
-            if not isinstance(children, (list, tuple)):
-                raise ParseError(f"{_node_name(path)}: {kind} node without "
-                                 "children")
-            if kind == "serial" and len(children) != 2:
-                raise ParseError(f"{_node_name(path)}: serial node with "
-                                 f"{len(children)} children, not 2")
-            if kind == "serial" and o.get("join") is None:
-                raise ParseError(f"{_node_name(path)}: serial node without "
-                                 "a join")
-            stack.append((o, path, True))
-            stack.extend((children[i], (path, i), False)
-                         for i in reversed(range(len(children))))
-        return built[0][0]
-
-
-def _node_name(path) -> str:
-    """A tree node's place in the JSON, like `root.children[1]`, from a
-    `from_json` path: None for the root, else (parent path, index)."""
-    steps = []
-    while path is not None:
-        path, i = path
-        steps.append(f".children[{i}]")
-    return "root" + "".join(reversed(steps))
 
 
 def realize(tree: SPTree, vertex_order: Optional[Sequence[str]] = None) -> Graph:

@@ -213,8 +213,8 @@ class Move:
     `items` are its nonzero (mask, coefficient) pairs in ascending mask
     order, as `fiber.extract_moves` takes them from the enumeration
     kernel; the walk applies them as they are.  Built from a vector
-    only by the kernel check (`as_moves`, `as_move`, or the sampler's
-    check of the vectors it is given)."""
+    only by the kernel check (`as_moves`, or the sampler's check of the
+    vectors it is given)."""
 
     vertices: Tuple[str, ...]
     items: Tuple[Tuple[int, int], ...]
@@ -263,16 +263,16 @@ def _kernel_test(g) -> Callable[..., bool]:
         for m, c in items:
             step = row.get(m)
             if step is None:
-                step = row[m] = sum(1 << (width * k)
-                                    for k in edge_cells(m, edges))
+                # digit by digit, linear in the edge count where a sum
+                # of shifts is quadratic; one spare digit parses no edges
+                digits = bytearray(b"0" * (1 + 4 * len(edges) * width))
+                for k in edge_cells(m, edges):
+                    digits[-1 - width * k] = 49  # "1"
+                step = row[m] = int(digits, 2)
             packed += c * step
         return packed == 0
 
     return test
-
-
-def is_kernel_element(u: TableVector, g) -> bool:
-    return _kernel_test(g)(u.vertices, u.entries.items())
 
 
 def _kernel_checked(moves: Iterable, g) -> Iterator[Move]:
@@ -293,19 +293,6 @@ def as_moves(vectors: Iterable[TableVector], g) -> List[Move]:
     """Every vector as a move of g, checked as `_kernel_checked` checks
     them."""
     return list(_kernel_checked(vectors, g))
-
-
-def as_move(u: TableVector, g) -> Move:
-    return as_moves((u,), g)[0]
-
-
-def canonical_sign(u: TableVector) -> TableVector:
-    """Flip the sign so the entry at the smallest support mask is positive."""
-    for m in sorted(u.entries):
-        if u.entries[m] < 0:
-            return -u
-        return u
-    return u
 
 
 # -- text / JSON formats ----------------------------------------------

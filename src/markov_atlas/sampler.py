@@ -81,11 +81,11 @@ def _steps(g: Graph, moves: Iterable[Move], z0: TableVector,
     """
     if not z0.is_nonnegative():
         raise ValueError("initial table must be non-negative")
+    if z0.vertices != g.vertices:
+        raise GroundSetMismatch(f"{z0.vertices} vs {g.vertices}")
     deltas = _checked_moves(g, moves)
     if not deltas:
         return
-    if z0.vertices != g.vertices:  # the moves were checked against g
-        raise GroundSetMismatch(f"{z0.vertices} vs {g.vertices}")
     bits = random.Random(cfg.seed).getrandbits
     n = len(deltas)
     k = n.bit_length()
@@ -154,13 +154,3 @@ def random_walk(g: Graph, moves: Iterable[Move], z0: TableVector,
         accepted += moved
     return WalkResult(TableVector(z0.vertices, counts), cfg, accepted,
                       proposed)
-
-
-def visit_counts(g: Graph, moves: Iterable[Move], z0: TableVector,
-                 cfg: WalkConfig) -> Dict[tuple, int]:
-    """Histogram of post-burn-in states, keyed by TableVector.key()."""
-    counts: Dict[tuple, int] = {}
-    for i, state in enumerate(walk_states(g, moves, z0, cfg)):
-        if i >= cfg.burn_in:
-            counts[state.key()] = counts.get(state.key(), 0) + 1
-    return counts

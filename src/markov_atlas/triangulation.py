@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (InvalidTriangulation, NotTwoFaceColorable, ParseError,
                      ResourceLimitError)
@@ -47,10 +47,6 @@ class Triangulation:
             for e in ((a, b), (a, c), (b, c)):
                 by_edge.setdefault(e, []).append(fi)
         return by_edge
-
-    @property
-    def edge_set(self) -> FrozenSet[Tuple[int, int]]:
-        return frozenset(self._edge_faces)
 
     @property
     def m(self) -> int:

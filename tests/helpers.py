@@ -10,8 +10,9 @@ import random
 from collections import Counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from markov_atlas import (Fiber, Graph, Move, TableVector, canonical_sign,
-                          fiber_of, graph_marginals, project)
+from markov_atlas import (Fiber, Graph, Move, TableVector, WalkConfig,
+                          fiber_of, graph_marginals, project, walk_states)
+from markov_atlas.errors import InvariantViolation
 from markov_atlas.fiber import _kernel
 from markov_atlas.lattice import as_moves
 
@@ -146,6 +147,20 @@ def _norm(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
         else:
             j += 1
     return len(a) + len(b) - 2 * inter
+
+
+def has_zero_marginals(u: TableVector, g: Graph) -> bool:
+    """Whether u has zero total and every edge marginal zero on g, cell
+    by cell from `graph_marginals`."""
+    m = graph_marginals(u, g)
+    return m.total == 0 and not any(m.cells)
+
+
+def canonical_sign(u: TableVector) -> TableVector:
+    """u or -u, whichever is positive at its smallest support mask."""
+    if u.entries and u.entries[min(u.entries)] < 0:
+        return -u
+    return u
 
 
 def pairwise_moves(f: Fiber, k: int) -> List[Move]:
@@ -288,6 +303,40 @@ def bfs_connected(g: Graph, z: TableVector, zp: TableVector,
     return dist.get(zp)
 
 
+def full_verify(seq, max_norm: int = 8) -> dict:
+    """`verify_sequence` by rechecking every state whole: each state's
+    non-negativity and all its edge marginals against state 0's, then
+    every step's norm and, with poles, its effect on the pole
+    marginal from both states' projections."""
+    if not seq.states:
+        raise InvariantViolation("empty state chain")
+    g = seq.graph
+    ref = graph_marginals(seq.states[0], g)
+    max_step = 0
+    pole_changes = 0
+    for k, state in enumerate(seq.states):
+        if not state.is_nonnegative():
+            raise InvariantViolation(f"state {k} is negative")
+        if graph_marginals(state, g) != ref:
+            raise InvariantViolation(f"state {k} changed the marginals")
+    for k in range(1, len(seq.states)):
+        norm = (seq.states[k] - seq.states[k - 1]).l1()
+        if norm == 0:
+            raise InvariantViolation(f"step {k} is a no-op")
+        if norm > max_norm:
+            raise InvariantViolation(f"step {k} has norm {norm} > {max_norm}")
+        max_step = max(max_step, norm)
+        if seq.poles is not None:
+            uv = seq.poles
+            if project(seq.states[k - 1], uv) != project(seq.states[k], uv):
+                pole_changes += 1
+                if norm != 4:
+                    raise InvariantViolation(
+                        f"step {k} changes the pole marginal with norm {norm}")
+    return {"length": seq.length, "max_step_norm": max_step,
+            "pole_changing_steps": pole_changes}
+
+
 def oracle_walk(moves: Sequence, z0: TableVector, seed: int,
                 steps: int) -> Iterator[TableVector]:
     """The state after each of `steps` walk steps (burn-in included)
@@ -313,6 +362,17 @@ def oracle_walk(moves: Sequence, z0: TableVector, seed: int,
                     del counts[m]
             state = TableVector(z0.vertices, counts)
         yield state
+
+
+def visit_counts(g: Graph, moves: Sequence, z0: TableVector,
+                 cfg: WalkConfig) -> Dict[tuple, int]:
+    """How often the walk is at each state after burn-in, keyed by
+    `TableVector.key()`."""
+    counts: Dict[tuple, int] = {}
+    states = walk_states(g, moves, z0, cfg)
+    for state in itertools.islice(states, cfg.burn_in, None):
+        counts[state.key()] = counts.get(state.key(), 0) + 1
+    return counts
 
 
 def swap_partner(g: Graph, z: TableVector, rng, tries: int) -> TableVector:

@@ -18,8 +18,7 @@ from markov_atlas import (Graph, TableVector, classify_width, complete_graph,
                           glue_cutchange, glue_cutsame, glue_swaps,
                           graph_marginals, is_k4_minor_free,
                           kn_lower_bound_report, min_connecting_degree,
-                          project, verify_sequence,
-                          witness_disconnected_fiber)
+                          project, search_width, verify_sequence)
 from markov_atlas.errors import NoSuchPoles, ProjectionMismatch
 from markov_atlas.triangulation import certify_lower_bound, double_wheel
 
@@ -61,7 +60,7 @@ def test_acceptance_2_cycle_width():
         if min_connecting_degree(g, 4) > 4:
             ok = False
     c4 = cycle_graph("abcd")
-    witness = witness_disconnected_fiber(c4, 3, 4)
+    witness = search_width(c4, 4, 3)[1]
     ok = ok and witness is not None
     if witness is not None:
         fib, (za, zb) = witness
@@ -76,7 +75,7 @@ def test_acceptance_2_cycle_width():
 def test_acceptance_3_k4_needs_degree_6():
     k4 = complete_graph("abcd")
     d = min_connecting_degree(k4, 6)
-    witness = witness_disconnected_fiber(k4, 5, 6)
+    witness = search_width(k4, 6, 5)[1]
     ok = d == 6 and witness is not None
     verdict(3, ok,
             f"min connecting degree of K4 at totals <= 6 is {d} "

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from markov_atlas import (Graph, SPTree, TableVector, connect_cycle,
-                          connect_graph, connect_sp, connect_two_terminal,
+from markov_atlas import (Graph, SPTree, TableVector, connect_graph,
+                          connect_sp, connect_two_terminal,
                           cut_vertices, cycle_graph, complete_graph,
                           glue_cutchange, glue_cutsame, glue_swaps,
                           graph_marginals, is_k4_minor_free, parse_graph,
@@ -21,7 +21,7 @@ from markov_atlas.errors import (InvariantViolation, NotK4MinorFree,
 from markov_atlas.fiber import _kernel
 
 from helpers import (all_graphs, all_grouped_tables, bfs_connected,
-                     cutsame_cases, cutsame_oracle, ladder_graph,
+                     cutsame_cases, cutsame_oracle, full_verify, ladder_graph,
                      random_sp_block, swap_partner)
 
 
@@ -230,7 +230,7 @@ def test_connect_cycle_c4_and_c5():
     for n in (4, 5):
         count = 0
         for g, z, zp in cycle_fiber_pairs(n, 3):
-            seq = connect_cycle(g, z, zp)
+            seq = connect_graph(g, z, zp)
             stats = verify_sequence(seq)
             assert stats["max_step_norm"] <= 8
             count += 1
@@ -286,7 +286,7 @@ def test_triangle_walk_is_shortest():
         for tabs in groups.values():
             for a, b in itertools.permutations(tabs, 2):
                 z, zp = tv(g.vertices, a), tv(g.vertices, b)
-                seq = connect_cycle(g, z, zp)
+                seq = connect_graph(g, z, zp)
                 verify_sequence(seq)
                 assert seq.length == bfs_connected(g, z, zp) == \
                     abs(zp.entries.get(0, 0) - z.entries.get(0, 0))
@@ -318,13 +318,6 @@ def test_connect_ignores_resource_caps(monkeypatch):
     assert zp != z
     seq = connect_graph(g, z, zp, verify=True)
     assert seq.states[-1] == zp
-
-
-def test_connect_cycle_rejects_non_cycle():
-    g = parse_graph("a b\nb c\n")
-    z = tv(g.vertices, [0])
-    with pytest.raises(ValueError):
-        connect_cycle(g, z, z)
 
 
 # -- connector: general graphs -----------------------------------------
@@ -599,15 +592,9 @@ def test_connect_output_pinned():
 
 def mirrored(tree):
     """`tree` with every node's poles swapped and its children reversed,
-    rebuilt through `SPTree.from_json`."""
-    obj = tree.to_json()
-    stack = [obj]
-    while stack:
-        node = stack.pop()
-        node["poles"].reverse()
-        node.get("children", []).reverse()
-        stack.extend(node.get("children", []))
-    return SPTree.from_json(obj)
+    built with the `SPTree` constructor."""
+    return SPTree(tree.kind, tree.poles[::-1],
+                  tuple(map(mirrored, reversed(tree.children))), tree.join)
 
 
 MIRRORED_DIGEST = (
@@ -692,3 +679,83 @@ def test_verify_sequence_catches_bad_chain():
     seq = MoveSequence(g, [z, zp])
     with pytest.raises(InvariantViolation):
         verify_sequence(seq)
+
+
+def _outcome(check, seq):
+    """What `check` makes of seq: its summary, or the class and message
+    of what it raised."""
+    try:
+        return check(seq)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def corrupted_chains():
+    """(name, chain) pairs that fail verification, each in one way or
+    in two ways at once: built from a chain on a 6-vertex path and, for
+    the steps that keep the marginals, from flips of an isolated vertex
+    e."""
+    g = Graph("abcdef", [(i, i + 1) for i in range(5)])
+    rng = random.Random(3)
+    z = tv(g.vertices, random_units(rng, 6, 6))
+    states = connect_graph(g, z, swap_partner(g, z, rng, tries=200)).states
+    assert len(states) >= 4
+    used = {m for state in states for m in state.entries}
+    extra = tv(g.vertices, [min(set(range(64)) - used)])
+
+    def chain(*edit):
+        out = list(states)
+        for k, state in edit:
+            out[k] = state
+        return MoveSequence(g, out)
+
+    yield "negative-cell", chain((2, states[2] - extra))
+    yield "negative-last-after-no-op", MoveSequence(
+        g, [states[0]] + states[:-1] + [states[-1] - extra])
+    yield "changed-marginal", chain((2, states[2] + extra))
+    yield "changed-marginal-last", chain((-1, states[-1] + extra))
+    yield "no-op", MoveSequence(g, states[:2] + states[1:])
+    order = ("b", "a", "c", "d", "e", "f")
+    yield "other-vertices", chain((1, TableVector(order, states[1].entries)))
+    yield "other-vertices-negative", chain(
+        (1, TableVector(order, (states[1] - extra).entries)))
+    yield "other-vertices-first", chain(
+        (0, TableVector(order, states[0].entries)))
+    yield "negative-first", chain((0, states[0] - extra))
+    yield "empty", MoveSequence(g, [])
+    # e is isolated, so flipping it in any units keeps every marginal
+    h = Graph("abcde", [(0, 1), (1, 2), (2, 3), (0, 3)])
+    low = tv(h.vertices, [0b00000, 0b00101, 0b01010, 0b01111, 0b00011])
+    high = TableVector(h.vertices,
+                       {m | 0b10000: c for m, c in low.entries.items()})
+    yield "norm-10", MoveSequence(h, [low, high])
+    four = tv(h.vertices, [0b00000, 0b00101, 0b01010, 0b01111])
+    flipped = TableVector(h.vertices,
+                          {m | 0b10000: c for m, c in four.entries.items()})
+    yield "norm-8-pole-change", MoveSequence(h, [four, flipped],
+                                             poles=("a", "e"))
+    half = four - tv(h.vertices, [0, 5]) + tv(h.vertices, [16, 21])
+    yield "norm-8-pole-change-after-norm-4", MoveSequence(
+        h, [four, half, flipped, four], poles=("a", "e"))
+
+
+def test_verify_sequence_matches_full_recheck():
+    """On the pinned chains and on chains corrupted one way each, the
+    step-by-step check gives the summary of a recheck of every state,
+    or raises the same exception with the same message."""
+    for _, g, z, zp, poles in pinned_connect_inputs():
+        seq = (connect_graph(g, z, zp) if poles is None else
+               connect_two_terminal(g, *poles, z, zp))
+        summary = verify_sequence(seq)
+        assert summary == full_verify(seq)
+        if poles is not None:
+            seq.poles = None
+            assert _outcome(verify_sequence, seq) == full_verify(seq)
+    seen = set()
+    for name, seq in corrupted_chains():
+        want = _outcome(full_verify, seq)
+        assert isinstance(want, tuple), name
+        assert _outcome(verify_sequence, seq) == want, name
+        seen.add(want[1])
+    assert len(seen) >= 8
+

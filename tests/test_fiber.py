@@ -1,5 +1,5 @@
-"""Fiber enumeration against a rejection oracle, fiber graphs, and the
-minimal-connecting-degree search."""
+"""Fiber enumeration against a rejection oracle, fiber components, and
+the minimal-connecting-degree search."""
 
 import itertools
 import random
@@ -7,10 +7,9 @@ import random
 import pytest
 
 from markov_atlas import (Graph, TableVector, cycle_graph, enumerate_fiber,
-                          extract_moves, fiber_components, fiber_graph,
-                          fiber_of, graph_marginals, is_kernel_element,
-                          min_connecting_degree, search_width,
-                          witness_disconnected_fiber)
+                          extract_moves, fiber_components, fiber_of,
+                          graph_marginals, min_connecting_degree,
+                          search_width)
 from markov_atlas import fiber
 from markov_atlas.errors import InvariantViolation, ResourceLimitError
 from markov_atlas.graphs import _sum_pieces
@@ -18,9 +17,9 @@ from markov_atlas.lattice import MarginalSet
 from markov_atlas.fiber import _kernel
 
 from helpers import (all_graphs, all_grouped_tables, all_trees,
-                     ladder_graph, merge_moves, mst_bottleneck, naive_search,
-                     nonisomorphic_graphs, pairwise_moves, rejection_fiber,
-                     triangle_cactus)
+                     has_zero_marginals, ladder_graph, merge_moves,
+                     mst_bottleneck, naive_search, nonisomorphic_graphs,
+                     pairwise_moves, rejection_fiber, triangle_cactus)
 
 
 def tv(g, units):
@@ -155,26 +154,7 @@ def test_vertex_and_total_caps():
         fiber_of(g2, tv(g2, [0] * 9))
 
 
-# -- fiber graphs and components ---------------------------------------
-
-def test_fiber_graph_adjacency_is_symmetric_threshold():
-    g = cycle_graph("abcd")
-    z = tv(g, [0b0000, 0b0011, 0b1100, 0b1111])
-    fib = fiber_of(g, z)
-    fg = fiber_graph(fib, 2)
-    for i, j in fg.adjacency:
-        assert (fib.elements[i] - fib.elements[j]).l1() <= 4
-
-
-def test_fiber_graph_adjacency_matches_vector_differences():
-    g = cycle_graph("abcde")
-    fib = fiber_of(g, tv(g, [0, 1, 2, 8, 10, 11, 15, 21]))
-    for k in (1, 2, 3, 4):
-        expected = tuple(
-            (i, j) for i in range(fib.size) for j in range(i + 1, fib.size)
-            if (fib.elements[i] - fib.elements[j]).l1() <= 2 * k)
-        assert fiber_graph(fib, k).adjacency == expected
-
+# -- fiber components --------------------------------------------------
 
 def test_components_refine_with_degree():
     g = cycle_graph("abcd")
@@ -226,11 +206,9 @@ def test_extract_moves_build_no_vectors(monkeypatch):
 @pytest.mark.parametrize("k", [0, -2])
 def test_degree_bound_below_one_rejected(k):
     fib = fiber_of(P5, tv(P5, [3, 6, 8, 16, 29, 29]))
-    for analyse in (extract_moves, fiber_graph, fiber_components):
+    for analyse in (extract_moves, fiber_components):
         with pytest.raises(ValueError, match="degree bound must be >= 1"):
             analyse(fib, k)
-    with pytest.raises(ValueError, match="degree bound must be >= 1"):
-        witness_disconnected_fiber(P5, k, 2)
     with pytest.raises(ValueError, match="degree bound must be >= 1"):
         search_width(P5, 2, k)
 
@@ -244,8 +222,6 @@ def test_table_total_below_one_rejected(total):
         search_width(g, total, 3)
     with pytest.raises(ValueError, match="table total must be >= 1"):
         min_connecting_degree(g, total)
-    with pytest.raises(ValueError, match="table total must be >= 1"):
-        witness_disconnected_fiber(g, 3, total)
 
 
 # the fibers of test_extract_moves_matches_pairwise_oracle
@@ -330,7 +306,7 @@ def test_extract_moves_are_kernel_elements():
     z = tv(g, [0b0000, 0b0011, 0b1100, 0b1111])
     fib = fiber_of(g, z)
     for mv in extract_moves(fib, 4):
-        assert is_kernel_element(mv.vector, g)
+        assert has_zero_marginals(mv.vector, g)
         assert 1 <= mv.degree <= 4
 
 
@@ -339,7 +315,7 @@ def test_extract_moves_are_kernel_elements():
 def test_path_connects_at_degree_2():
     g = Graph(("a", "b", "c"), [(0, 1), (1, 2)])
     assert min_connecting_degree(g, 4) == 2
-    assert witness_disconnected_fiber(g, 2, 4) is None
+    assert search_width(g, 4, 2)[1] is None
 
 
 def _cells(g, table):
@@ -359,7 +335,7 @@ def test_marginal_cells_are_the_kernels_keys():
 
 def test_witness_marginals_are_its_key():
     g = cycle_graph("abcde")
-    fib, (za, zb) = witness_disconnected_fiber(g, 3, 4)
+    fib, (za, zb) = search_width(g, 4, 3)[1]
     assert fib.marginals == graph_marginals(za, g) == graph_marginals(zb, g)
     assert all(graph_marginals(e, g) == fib.marginals for e in fib.elements)
 
@@ -367,7 +343,7 @@ def test_witness_marginals_are_its_key():
 def test_c4_needs_degree_4():
     g = cycle_graph("abcd")
     assert min_connecting_degree(g, 4) == 4
-    fibw = witness_disconnected_fiber(g, 3, 4)
+    fibw = search_width(g, 4, 3)[1]
     assert fibw is not None
     fib, (za, zb) = fibw
     assert za in fib.elements and zb in fib.elements

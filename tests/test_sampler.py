@@ -8,9 +8,9 @@ from markov_atlas import (Graph, TableVector, cycle_graph, extract_moves,
                           fiber_of, graph_marginals, random_walk,
                           walk_states)
 from markov_atlas.errors import GroundSetMismatch, NotKernelMove
-from markov_atlas.sampler import RNG_ALGORITHM, WalkConfig, visit_counts
+from markov_atlas.sampler import RNG_ALGORITHM, WalkConfig
 
-from helpers import oracle_walk
+from helpers import oracle_walk, visit_counts
 
 
 def c4_setup(total_units):
@@ -63,13 +63,44 @@ def test_moves_checked_in_order_ground_set_first():
         list(walk_states(g, moves + [other, bad], z0, cfg))
 
 
+OTHER_ORDER = r"^\('b', 'a', 'c', 'd'\) vs \('a', 'b', 'c', 'd'\)$"
+
+
 def test_start_over_other_vertices_rejected():
+    """With moves or without: without them nothing is proposed, but the
+    start is still checked."""
     g, _, _, moves = c4_setup([0b0101, 0b0101, 0b1111, 0b1111])
     z0 = TableVector.from_units(("b", "a", "c", "d"), [0b0101, 0b1111])
-    with pytest.raises(GroundSetMismatch):
-        random_walk(g, moves, z0, WalkConfig(steps=5, seed=0))
-    with pytest.raises(GroundSetMismatch):
-        list(walk_states(g, moves, z0, WalkConfig(steps=5, seed=0)))
+    for given in (moves, []):
+        with pytest.raises(GroundSetMismatch, match=OTHER_ORDER):
+            random_walk(g, given, z0, WalkConfig(steps=5, seed=0))
+        with pytest.raises(GroundSetMismatch, match=OTHER_ORDER):
+            list(walk_states(g, given, z0, WalkConfig(steps=5, seed=0)))
+
+
+def test_start_checked_before_moves():
+    """The start is checked for negative counts, then for its vertices,
+    and only then are the moves read: with the start and a move both
+    over other vertices, the start is the one reported."""
+    g, _, _, moves = c4_setup([0b0101, 0b0101, 0b1111, 0b1111])
+    other = TableVector(("d", "c", "b", "a"), moves[0].vector.entries)
+    read = []
+
+    def lazy():
+        for mv in [other] + moves:
+            read.append(mv)
+            yield mv
+
+    cfg = WalkConfig(steps=5, seed=0)
+    z0 = TableVector.from_units(("b", "a", "c", "d"), [0b0101, 0b1111])
+    with pytest.raises(GroundSetMismatch, match=OTHER_ORDER):
+        random_walk(g, lazy(), z0, cfg)
+    with pytest.raises(GroundSetMismatch, match=OTHER_ORDER):
+        list(walk_states(g, lazy(), z0, cfg))
+    negative = TableVector(z0.vertices, {0b0101: -1})
+    with pytest.raises(ValueError, match="must be non-negative"):
+        random_walk(g, lazy(), negative, cfg)
+    assert not read
 
 
 def test_marginals_conserved_along_trajectory():
