@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from math import comb
-from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import InvariantViolation
@@ -117,15 +115,31 @@ def extract_moves(f: Fiber, k: int) -> List[Move]:
             for items in _kernel.fiber_moves(f.tables, 2 * k)]
 
 
-def _flips(g: Graph, edges):
-    """(mask, perm) for every flip of vertices that have an edge: the
-    fiber with marginal cells `cells` flipped by `mask` in every unit
-    has the cells `itemgetter(*perm)(cells)`."""
-    touched = 0
-    for i, j in edges:
-        touched |= (1 << i) | (1 << j)
-    return [(mask, [k ^ c for k in edge_cells(mask, edges) for c in range(4)])
-            for mask in range(1 << g.n) if not mask & ~touched]
+def _least_flip(edges, flips, fibers) -> Tuple[Tuple[int, ...], int]:
+    """The (cells, mask) of the smallest (image, cells, mask) over the
+    marginal cells `fibers` and every flip `mask` of vertices with an
+    edge, where the image is the cells of the flipped fiber and
+    `flips[mask]` the `edge_cells` of labeling `mask`.
+
+    Flipping the vertices of `mask` xors edge e's cell index with
+    2 f_i + f_j, so the smallest image is found edge by edge: every
+    (cells, mask on the vertices seen so far) whose image agrees with
+    the smallest one up to edge e is kept, and the smallest (cells,
+    mask) of the survivors is taken."""
+    best = [(cells, 0) for cells in fibers]
+    seen = 0
+    for e, (i, j) in enumerate(edges):
+        free = ((1 << i) | (1 << j)) & ~seen
+        seen |= free
+        subsets = {0, free & (1 << i), free & (1 << j), free}
+        images = []
+        for c, part in best:
+            for mask in (part | s for s in subsets):
+                x = flips[mask][e]
+                images.append(((c[x], c[x ^ 1], c[x ^ 2], c[x ^ 3]), c, mask))
+        least = min(images)[0]
+        best = [(c, mask) for image, c, mask in images if image == least]
+    return min(best)
 
 
 def _witness(g: Graph, edges, k: int, split):
@@ -136,20 +150,28 @@ def _witness(g: Graph, edges, k: int, split):
 
     `split` leaves out the fibers whose tables share a unit, but at the
     lowest split total none of them is split (see `_search_fibers`), so
-    the minimum is over every split fiber.  Each fiber's cells are the
-    marginals of its first table.  A flip's image of the cells is
-    `itemgetter(*perm)(cells)`, and equal images are the same fiber, so
-    the minimum is taken in C builtins."""
-    fibers = {graph_marginals(TableVector.from_units(g.vertices, tabs[0]),
-                              g).cells: tabs for tabs in split}
-    image, cells, mask = min(
-        min(zip(map(itemgetter(*perm), fibers), fibers, repeat(mask)))
-        for mask, perm in _flips(g, edges))
+    the minimum is over every split fiber.  A fiber's cells are those
+    of its first table, read from one packed sum of per-labeling
+    increments with one byte per cell; equal images are the same
+    fiber, and `_least_flip` finds the smallest."""
+    total = len(split[0][0])
+    if total > 255:
+        raise ValueError("cell counts above 255 do not fit a byte field")
+    flips = [edge_cells(mask, edges) for mask in range(1 << g.n)]
+    inc = _kernel._packed(flips, 8)
+
+    def cells_of(table):
+        return tuple(sum(map(inc.__getitem__, table)).to_bytes(
+            4 * len(edges), "little"))
+
+    fibers = {cells_of(tabs[0]): tabs for tabs in split}
+    cells, mask = _least_flip(edges, flips, fibers)
     tables = sorted(tuple(sorted(m ^ mask for m in t)) for t in fibers[cells])
     labels = _kernel.component_labels(tables, 2 * k)
     za, zb = (TableVector.from_units(g.vertices, tables[labels.index(r)])
               for r in sorted(set(labels))[:2])
-    marginals = MarginalSet(g.vertices, edges, image, len(tables[0]))
+    marginals = MarginalSet(g.vertices, edges, cells_of(tables[0]),
+                            len(tables[0]))
     return Fiber(g, marginals, tuple(tables)), (za, zb)
 
 

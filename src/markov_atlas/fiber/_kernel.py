@@ -6,8 +6,11 @@ counts are in the layout of `lattice.edge_cells`, the one definition of
 which cell a labeling falls in at each sorted edge: the budgets
 `fiber_tables` takes are `MarginalSet.cells`.
 
-`group_tables` (every fiber of a total) and `fiber_tables` (one fiber)
-set up one walk, `_walk`, over a packed counter.  Distances are taken
+`group_tables` (every fiber of a total) counts the 1s at each vertex
+and the units that are 1 at both ends of each edge, which with the
+total fix every cell; `fiber_tables` (one fiber) counts every cell
+against its budget.  Both set up one walk, `_walk`, over a packed
+counter whose fields are sized from the total.  Distances are taken
 on occupancy ints (`_occupancy`): the L1 distance of two tables is one
 `^` and `bit_count`.  `fiber_moves` also packs each table's counts, so
 that the difference of two tables is one subtraction.
@@ -94,21 +97,29 @@ def group_tables(n: int, edges,
     a fiber.  All C(2^n + total - 1, total) tables bound the work;
     callers check that number before calling.
 
-    The walk counts these 1s in the low bytes from 127 - total // 2, so
-    that passing total // 2 sets a top bit, and the cells in one byte
-    each above them, so that the walk's groups are the fibers."""
-    if edges and total > 255:
-        raise ValueError("cell counts above 255 do not fit a byte field")
+    The walk counts, per vertex with an edge, its 1s c, in a field of
+    h.bit_length() + 1 bits (h = total // 2) started so that passing h
+    sets the field's top bit; and per edge (i, j), above every vertex
+    field, the units x that are 1 at both ends, in h.bit_length() bits.
+    The edge's cells (00, 01, 10, 11) are (total - c_i - c_j + x,
+    c_j - x, c_i - x, x), so the walk's groups are the fibers.  A table
+    the walk keeps has x <= c_i <= h; an add that takes x past h takes
+    c_i past h too and is discarded, and its carry stays above the
+    vertex fields."""
     touched = sorted({v for e in edges for v in e})
-    low = 8 * len(touched)
-    ones = [0]  # the vertex bytes of each labeling, one vertex at a time
+    half = total // 2
+    width = half.bit_length()
+    low = (width + 1) * len(touched)
+    ones = [0]  # the vertex fields of each labeling, one vertex at a time
     for v in range(n):
-        field = 1 << 8 * touched.index(v) if v in touched else 0
+        field = 1 << (width + 1) * touched.index(v) if v in touched else 0
         ones += [x + field for x in ones]
-    cells = _packed([edge_cells(m, edges) for m in range(1 << n)], 8)
-    inc = [x + (c << low) for x, c in zip(ones, cells)]
-    return _walk(range(1 << n), inc, total, ones[-1] * (127 - total // 2),
-                 ones[-1] << 7)
+    both = _packed([[c >> 2 for c in edge_cells(m, edges) if c & 3 == 3]
+                    for m in range(1 << n)], width)
+    inc = [x + (c << low) for x, c in zip(ones, both)]
+    top = 1 << width
+    return _walk(range(1 << n), inc, total, ones[-1] * (top - 1 - half),
+                 ones[-1] * top)
 
 
 def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,

@@ -8,13 +8,14 @@ import functools
 import itertools
 import random
 from collections import Counter
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from markov_atlas import (Fiber, Graph, Move, TableVector, WalkConfig,
                           fiber_of, graph_marginals, project, walk_states)
 from markov_atlas.errors import InvariantViolation
 from markov_atlas.fiber import _kernel
-from markov_atlas.lattice import as_moves
+from markov_atlas.lattice import as_moves, edge_cells
 
 
 def brute_has_k4_minor(g: Graph) -> bool:
@@ -132,6 +133,60 @@ def all_grouped_tables(n: int, edges, total: int
 
     rec(0, 0)
     return groups
+
+
+@functools.lru_cache(maxsize=None)
+def _every_table(n: int, total: int):
+    """Every table of `total` units over n vertices in lexicographic
+    order, and its count of each labeling, one row per table."""
+    import numpy as np
+
+    tables = list(itertools.combinations_with_replacement(range(1 << n),
+                                                          total))
+    counts = np.zeros((len(tables), 1 << n), dtype=np.int8)
+    if total:
+        np.add.at(counts, (np.arange(len(tables))[:, None],
+                           np.array(tables)), 1)
+    return tables, counts
+
+
+def flip_cut_fibers(n: int, edges, total: int) -> List[List[Tuple[int, ...]]]:
+    """Every table whose vertices with an edge are each 1 in at most
+    total // 2 units (the flip cut), grouped blindly by its `edge_cells`
+    cells, in the order of each fiber's first table."""
+    import numpy as np
+
+    tables, counts = _every_table(n, total)
+    labelings = range(1 << n)
+    bits = np.array([[(m >> v) & 1 for v in range(n)] for m in labelings])
+    touched = sorted({v for e in edges for v in e})
+    kept = np.flatnonzero((counts @ bits[:, touched] <= total // 2).all(1))
+    cell = np.zeros((1 << n, 4 * len(edges)), dtype=np.int64)
+    for m in labelings:
+        cell[m, edge_cells(m, edges)] = 1
+    groups: Dict[tuple, List[Tuple[int, ...]]] = {}
+    for row, cells in zip(kept.tolist(), (counts[kept] @ cell).tolist()):
+        groups.setdefault(tuple(cells), []).append(tables[row])
+    return list(groups.values())
+
+
+def least_flip_image(g: Graph, split) -> Tuple[tuple, tuple, int]:
+    """The smallest (image, cells, mask) over the fibers `split` and
+    every flip `mask` of vertices with an edge: `cells` are the
+    `graph_marginals` cells of a fiber's first table and `image` those
+    of the fiber flipped by `mask`, taken as `itemgetter` images of
+    `cells`, over every (fiber, flip) pair."""
+    edges = sorted(g.edges)
+    touched = 0
+    for i, j in edges:
+        touched |= (1 << i) | (1 << j)
+    flips = [(mask, [k ^ c for k in edge_cells(mask, edges) for c in range(4)])
+             for mask in range(1 << g.n) if not mask & ~touched]
+    fibers = [graph_marginals(TableVector.from_units(g.vertices, tabs[0]),
+                              g).cells for tabs in split]
+    return min(min(zip(map(itemgetter(*perm), fibers), fibers,
+                       itertools.repeat(mask)))
+               for mask, perm in flips)
 
 
 def _norm(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:

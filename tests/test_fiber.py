@@ -13,13 +13,14 @@ from markov_atlas import (Graph, TableVector, cycle_graph, enumerate_fiber,
 from markov_atlas import fiber
 from markov_atlas.errors import InvariantViolation, ResourceLimitError
 from markov_atlas.graphs import _sum_pieces
-from markov_atlas.lattice import MarginalSet
+from markov_atlas.lattice import MarginalSet, edge_cells
 from markov_atlas.fiber import _kernel
 
 from helpers import (all_graphs, all_grouped_tables, all_trees,
-                     has_zero_marginals, ladder_graph, merge_moves,
-                     mst_bottleneck, naive_search, nonisomorphic_graphs,
-                     pairwise_moves, rejection_fiber, triangle_cactus)
+                     flip_cut_fibers, has_zero_marginals, ladder_graph,
+                     least_flip_image, merge_moves, mst_bottleneck,
+                     naive_search, nonisomorphic_graphs, pairwise_moves,
+                     rejection_fiber, triangle_cactus)
 
 
 def tv(g, units):
@@ -323,8 +324,9 @@ def _cells(g, table):
 
 
 def test_marginal_cells_are_the_kernels_keys():
-    """`MarginalSet.cells` tells the kernel's fibers apart: the tables
-    of one fiber share their marginal cells, and different fibers have
+    """`MarginalSet.cells` tells the kernel's fibers apart, though the
+    walk's keys are vertex and (1, 1) counts, not cells: the tables of
+    one fiber share their marginal cells, and different fibers have
     different cells."""
     g = Graph(("a", "b", "c", "d"), [(0, 1), (1, 2), (0, 2), (2, 3)])
     fibers = list(_kernel.group_tables(g.n, sorted(g.edges), 3).values())
@@ -387,6 +389,90 @@ def test_group_tables_keeps_one_fiber_per_flip_orbit(g, total):
         for flips in range(1 << g.n):
             covered.add(key_of[tuple(sorted(m ^ flips for m in tabs[0]))])
     assert covered == set(oracle)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_group_tables_matches_blind_grouping(n):
+    """`group_tables` gives the fibers of a grouping of every table by
+    its marginal cells, less those the flip cut drops, fiber for fiber
+    and in the same order (the order the search and the witness
+    follow): every labelled graph on 1-4 vertices at totals 0-6, and
+    one graph per isomorphism class on 5 vertices at totals 0-4.  The
+    sweep takes in graphs with isolated vertices and total 1, where
+    the walk's vertex fields are 1 bit wide."""
+    graphs = all_graphs(n) if n <= 4 else nonisomorphic_graphs(n)
+    isolated = 0
+    for g in graphs:
+        edges = sorted(g.edges)
+        isolated += len({v for e in edges for v in e}) < n
+        for total in range(7 if n <= 4 else 5):
+            got = list(_kernel.group_tables(n, edges, total).values())
+            assert got == flip_cut_fibers(n, edges, total), (edges, total)
+    assert isolated
+
+
+def _recorded_witnesses(monkeypatch):
+    """Every `_witness` call of a search: (g, split, witness)."""
+    calls = []
+    real = fiber._witness
+
+    def recorded(g, edges, k, split):
+        witness = real(g, edges, k, split)
+        calls.append((g, split, witness))
+        return witness
+
+    monkeypatch.setattr(fiber, "_witness", recorded)
+    return calls
+
+
+def _flipped(tables, mask):
+    return tuple(sorted(tuple(sorted(m ^ mask for m in t)) for t in tables))
+
+
+def _assert_least_flip(g, split, witness):
+    """`_least_flip` gives the oracle's (cells, mask), and the witness
+    its image and the fiber of those cells flipped by that mask."""
+    image, cells, mask = least_flip_image(g, split)
+    fibers = [_cells(g, tabs[0]) for tabs in split]
+    edges = sorted(g.edges)
+    flips = [edge_cells(m, edges) for m in range(1 << g.n)]
+    assert fiber._least_flip(edges, flips, fibers) == (cells, mask)
+    fib = witness[0]
+    assert fib.marginals.cells == image
+    assert fib.tables == _flipped(split[fibers.index(cells)], mask)
+
+
+def test_least_flip_matches_itemgetter_minimum(monkeypatch):
+    """The edge-by-edge minimum of `_witness` is the smallest
+    (image, cells, mask) over every (fiber, flip) `itemgetter` image,
+    on the split sets of every connected graph on 2-5 vertices at
+    k = 1, 2, 3."""
+    calls = _recorded_witnesses(monkeypatch)
+    for n in range(2, 6):
+        for g in nonisomorphic_graphs(n):
+            if g.is_connected():
+                for k in (1, 2, 3):
+                    search_width(g, 6 if n <= 4 else 4, k)
+    assert len(calls) > 40
+    for g, split, witness in calls:
+        _assert_least_flip(g, split, witness)
+
+
+def test_least_flip_breaks_ties_as_the_minimum():
+    """A split set whose smallest image is reached by several (cells,
+    mask) pairs: the C4 fiber split at degree 3 and its flip images.
+    The tie goes to the smallest cells, then the smallest mask."""
+    g = cycle_graph("abcd")
+    edges = sorted(g.edges)
+    tables = search_width(g, 4, 3)[1][0].tables
+    split = list({_cells(g, t[0]): t for t in (
+        _flipped(tables, mask) for mask in range(16))}.values())
+    image = least_flip_image(g, split)[0]
+    ties = [(_cells(g, t[0]), mask) for t in split for mask in range(16)
+            if _cells(g, _flipped(t, mask)[0]) == image]
+    # several fibers reach it, and some fiber under several flips
+    assert len(ties) > len({c for c, _ in ties}) > 1
+    _assert_least_flip(g, split, fiber._witness(g, edges, 3, split))
 
 
 @pytest.mark.parametrize("g,total", ORBIT_CASES)
