@@ -51,7 +51,7 @@ parallel join interpolate the pole marginal one exchange at a time.
 The three gluing primitives (`glue_cutsame`, `glue_swaps`,
 `glue_cutchange`) work over arbitrary overlapping vertex sets and are
 exact: the produced vectors meet their stated norm identities, which
-`verify_sequence` re-checks at every step when requested.
+`verify_sequence` re-checks at every step of a chain.
 `glue_cutsame` is the lift of one step with one group; the connector
 runs the cores of the other two on its own tables.
 """
@@ -360,12 +360,12 @@ class MoveSequence:
         return obj
 
 
-def verify_sequence(seq: MoveSequence, max_norm: int = 8) -> dict:
+def verify_sequence(seq: MoveSequence) -> dict:
     """Machine-check a MoveSequence; raises InvariantViolation on any
     failure, returns summary statistics otherwise.
 
     Checks: non-negativity and constant marginals of every state, then
-    step norms in (0, max_norm], and (when poles are set) that every
+    step norms in (0, 8], and (when poles are set) that every
     step changing the pole marginal has norm exactly 4.  Only state 0
     is read whole: once state k - 1 has passed, state k can go negative
     only where the step into it is nonzero, and it has state 0's
@@ -393,8 +393,8 @@ def verify_sequence(seq: MoveSequence, max_norm: int = 8) -> dict:
         norm = sum(map(abs, step.values()))
         if norm == 0:
             raise InvariantViolation(f"step {k} is a no-op")
-        if norm > max_norm:
-            raise InvariantViolation(f"step {k} has norm {norm} > {max_norm}")
+        if norm > 8:
+            raise InvariantViolation(f"step {k} has norm {norm} > 8")
         max_step = max(max_step, norm)
         if seq.poles is not None and project(
                 TableVector(g.vertices, step), seq.poles).entries:
@@ -810,8 +810,7 @@ def _validate_pair(g: Graph, z: TableVector, zp: TableVector):
         raise ProjectionMismatch("tables have different marginals")
 
 
-def connect_graph(g: Graph, z: TableVector, zp: TableVector,
-                  verify: bool = False) -> MoveSequence:
+def connect_graph(g: Graph, z: TableVector, zp: TableVector) -> MoveSequence:
     """Chain z .. zp with every step of norm <= 8, for any graph without
     a K4 minor.  Raises NotK4MinorFree otherwise."""
     _validate_pair(g, z, zp)
@@ -820,15 +819,11 @@ def connect_graph(g: Graph, z: TableVector, zp: TableVector,
     trees = {j: _nodes(block_sp_tree(g.vertices, p.edges), bit)
              for j, p in enumerate(pieces) if len(p.edges) > 1}
     states = _connect_pieces(g, pieces, trees, z.entries, zp.entries)
-    seq = MoveSequence(g, [TableVector(g.vertices, s) for s in states])
-    if verify:
-        verify_sequence(seq)
-    return seq
+    return MoveSequence(g, [TableVector(g.vertices, s) for s in states])
 
 
 def connect_two_terminal(g: Graph, upole: str, vpole: str,
-                         z: TableVector, zp: TableVector,
-                         verify: bool = False) -> MoveSequence:
+                         z: TableVector, zp: TableVector) -> MoveSequence:
     """Connector for a two-terminal series-parallel graph; the returned
     sequence carries the pole pair and obeys the pole discipline.
 
@@ -839,11 +834,10 @@ def connect_two_terminal(g: Graph, upole: str, vpole: str,
     _validate_pair(g, z, zp)
     if not g.is_connected():
         raise ValueError("two-terminal connector needs a connected graph")
-    return connect_sp(sp_decompose(g, (upole, vpole)), z, zp, verify)
+    return connect_sp(sp_decompose(g, (upole, vpole)), z, zp)
 
 
-def connect_sp(tree: SPTree, z: TableVector, zp: TableVector,
-               verify: bool = False) -> MoveSequence:
+def connect_sp(tree: SPTree, z: TableVector, zp: TableVector) -> MoveSequence:
     """Connector driven by a series-parallel decomposition tree, as
     `sp_decompose` returns it.
 
@@ -855,8 +849,5 @@ def connect_sp(tree: SPTree, z: TableVector, zp: TableVector,
     _validate_pair(g, z, zp)
     states = _connect_two_terminal(_nodes(tree, _bit_of(z.vertices)),
                                    z.entries, zp.entries)
-    seq = MoveSequence(g, [TableVector(z.vertices, s) for s in states],
-                       poles=tree.poles)
-    if verify:
-        verify_sequence(seq)
-    return seq
+    return MoveSequence(g, [TableVector(z.vertices, s) for s in states],
+                        poles=tree.poles)

@@ -454,17 +454,15 @@ class SPTree:
         return root[0]
 
 
-def realize(tree: SPTree, vertex_order: Optional[Sequence[str]] = None) -> Graph:
-    """Graph realized by a decomposition tree: the edges of its leaves."""
+def realize(tree: SPTree, vertex_order: Sequence[str]) -> Graph:
+    """Graph realized by a decomposition tree: the edges of its leaves,
+    over the labels of `vertex_order` that the tree uses."""
     edges = {(a, b) if a <= b else (b, a)
              for kind, (a, b), _, _ in tree._shape() if kind == "leaf"}
     labels = {v for e in edges for v in e}
-    if vertex_order is None:
-        order = sorted(labels)
-    else:
-        order = [v for v in vertex_order if v in labels]
-        if set(order) != labels:
-            raise ValueError("vertex_order does not cover the tree")
+    order = [v for v in vertex_order if v in labels]
+    if set(order) != labels:
+        raise ValueError("vertex_order does not cover the tree")
     index = {v: i for i, v in enumerate(order)}
     return Graph(order, [(index[a], index[b]) for a, b in edges])
 

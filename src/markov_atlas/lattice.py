@@ -41,10 +41,6 @@ class TableVector:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def zero(cls, vertices) -> "TableVector":
-        return cls(vertices, {})
-
-    @classmethod
     def from_units(cls, vertices, units: Iterable[int]) -> "TableVector":
         entries: Dict[int, int] = {}
         for m in units:

@@ -203,18 +203,23 @@ def red_blue_vectors(t: Triangulation,
     return zr, zb
 
 
-def _clique_masks(t: Triangulation) -> List[int]:
-    """Masks of all cliques of the skeleton of a clean triangulation
-    with at most 3 vertices: the empty set, the vertices, the edges and
-    the faces, since every triangle of the skeleton is a face.
+def _face_masks(t: Triangulation) -> List[int]:
+    """The empty labeling and the face masks of a clean,
+    2-face-colorable triangulation: every unit of every table with the
+    red vector's complete-graph marginals is one of them.
 
-    Any table sharing the red vector's complete-graph marginals is
-    supported on such masks: a support labeling with two set bits off
-    the skeleton would charge an empty (1,1) marginal cell.
+    Such a table has the red vector's (1,1) cells: 0 at a non-edge of
+    the skeleton, so no unit holds a non-edge, and 1 at an edge, so
+    each edge lies in exactly one unit.  Vertex v lies in deg(v)/2
+    units, as many as the red faces at v.  The skeleton has no K4: its
+    four triangles would all be faces, and their dual component, a K4,
+    has no 2-coloring.  So a unit holding v is a clique of at most
+    three vertices and covers at most two of v's deg(v) edges.  Its
+    deg(v)/2 units cover each of those edges once, so each covers
+    exactly two: every unit holding a vertex is a triangle of the
+    skeleton, that is a face.
     """
-    masks = {0, *(1 << i for i in range(t.n)), *map(_face_mask, t.faces)}
-    masks.update((1 << i) | (1 << j) for i, j in t._edge_faces)
-    return sorted(masks)
+    return [0, *sorted(map(_face_mask, t.faces))]
 
 
 @dataclass
@@ -243,8 +248,8 @@ class CertificateReport:
         }
 
 
-def certify_lower_bound(t: Triangulation, verify_fiber: bool = False,
-                        restrict_support: bool = True) -> CertificateReport:
+def certify_lower_bound(t: Triangulation,
+                        verify_fiber: bool = False) -> CertificateReport:
     """Check cleanness and 2-face-colorability; on success the bound
     max_i m_i/3, over the components of the dual graph with m_i edges
     each (m/3 for a connected dual), applies to the complete graph over
@@ -252,10 +257,10 @@ def certify_lower_bound(t: Triangulation, verify_fiber: bool = False,
 
     With `verify_fiber`, additionally enumerate the complete-graph fiber
     of the red vector and confirm it is exactly the 2^c tables that
-    pick red or blue faces in each of the c dual components.  By
-    default the enumeration restricts candidate supports to cliques of
-    the skeleton (a provably sufficient set); `restrict_support=False`
-    forces the blind search for cross-checking.
+    pick red or blue faces in each of the c dual components.  The
+    enumeration places only the empty unit and the faces
+    (`_face_masks`), which is sound once the triangulation is clean
+    and 2-face-colorable, as checked first.
     """
     t.validate()
     clean = is_clean(t)
@@ -278,10 +283,9 @@ def certify_lower_bound(t: Triangulation, verify_fiber: bool = False,
         return report
     zr, zb = red_blue_vectors(t, coloring)
     kn = complete_graph(t.vertices)
-    candidates = _clique_masks(t) if restrict_support else None
     try:
         fib = fiber_mod.enumerate_fiber(kn, graph_marginals(zr, kn),
-                                        candidates=candidates)
+                                        candidates=_face_masks(t))
     except ResourceLimitError as exc:
         report.skip_reason = str(exc)
         return report

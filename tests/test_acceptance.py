@@ -13,14 +13,15 @@ import pytest
 
 from markov_atlas import (Graph, TableVector, classify_width, complete_graph,
                           connect_graph, connect_two_terminal, cut_vertices,
-                          cycle_graph,
+                          cycle_graph, enumerate_fiber,
                           extract_moves, fiber_of, find_parallel3_poles,
                           glue_cutchange, glue_cutsame, glue_swaps,
                           graph_marginals, is_k4_minor_free,
                           kn_lower_bound_report, min_connecting_degree,
                           project, search_width, verify_sequence)
 from markov_atlas.errors import NoSuchPoles, ProjectionMismatch
-from markov_atlas.triangulation import certify_lower_bound, double_wheel
+from markov_atlas.triangulation import (certify_lower_bound, double_wheel,
+                                        red_blue_vectors, two_face_coloring)
 
 from helpers import all_trees, nonisomorphic_graphs
 
@@ -118,14 +119,14 @@ def test_acceptance_4_connector_on_random_graphs():
         try:
             # Properties 1-3: same-marginal chain, non-negative states,
             # every step norm <= 8 (checked by verify_sequence)
-            connect_graph(g, z, zp, verify=True)
+            verify_sequence(connect_graph(g, z, zp))
             # Property 4 (pole discipline) on two-terminal runs, which
             # apply to 2-connected pieces
             if g.is_connected() and not cut_vertices(g):
                 try:
                     u, v, _ = find_parallel3_poles(g)
-                    connect_two_terminal(g, g.vertices[u], g.vertices[v],
-                                         z, zp, verify=True)
+                    verify_sequence(connect_two_terminal(
+                        g, g.vertices[u], g.vertices[v], z, zp))
                 except NoSuchPoles:
                     pass
         except Exception:
@@ -237,12 +238,14 @@ def test_acceptance_5_gluing_oracles():
 # -- 6: octahedron certificate ------------------------------------------
 
 def test_acceptance_6_octahedron_certificate():
-    rep = certify_lower_bound(double_wheel(4), verify_fiber=True)
-    blind = certify_lower_bound(double_wheel(4), verify_fiber=True,
-                                restrict_support=False)
+    t = double_wheel(4)
+    rep = certify_lower_bound(t, verify_fiber=True)
+    zr, zb = red_blue_vectors(t, two_face_coloring(t))
+    kn = complete_graph(t.vertices)
+    blind = enumerate_fiber(kn, graph_marginals(zr, kn))
     ok = (rep.clean and rep.colorable and rep.bound == 4
           and rep.fiber_verified and rep.fiber_size == 2
-          and blind.fiber_verified and blind.fiber_size == 2)
+          and set(blind.tables) == {tuple(zr.units()), tuple(zb.units())})
     verdict(6, ok,
             "octahedron: clean, 2-face-colorable, bound 4, and the red "
             "vector's K6 fiber is exactly the red/blue pair (structured "

@@ -270,7 +270,8 @@ def test_connect_cycle_matches_bfs_oracle():
                     picks.append((tabs[-1], tabs[len(tabs) // 2]))
                 for z, zp in picks:
                     assert bfs_connected(g, z, zp) is not None
-                    seq = connect_graph(g, z, zp, verify=True)
+                    seq = connect_graph(g, z, zp)
+                    verify_sequence(seq)
                     assert seq.states[0] == z and seq.states[-1] == zp
                     pairs += 1
     assert pairs > 3000
@@ -316,7 +317,8 @@ def test_connect_ignores_resource_caps(monkeypatch):
     z = tv(g.vertices, random_units(rng, 6, 6))
     zp = swap_partner(g, z, rng, tries=300)
     assert zp != z
-    seq = connect_graph(g, z, zp, verify=True)
+    seq = connect_graph(g, z, zp)
+    verify_sequence(seq)
     assert seq.states[-1] == zp
 
 
@@ -339,7 +341,8 @@ def test_connect_all_small_k4_minor_free_graphs():
         if not is_k4_minor_free(g):
             continue
         for z, zp in fiber_pairs(g, 2, rng):
-            seq = connect_graph(g, z, zp, verify=True)
+            seq = connect_graph(g, z, zp)
+            verify_sequence(seq)
             assert seq.states[0] == z and seq.states[-1] == zp
 
 
@@ -355,7 +358,8 @@ def test_connect_named_shapes():
     for text in shapes:
         g = parse_graph(text)
         for z, zp in fiber_pairs(g, 3, rng):
-            seq = connect_graph(g, z, zp, verify=True)
+            seq = connect_graph(g, z, zp)
+            verify_sequence(seq)
             assert seq.states[-1] == zp
 
 
@@ -365,7 +369,8 @@ def test_connect_disconnected_graph():
     # same marginals on both components, the other joint pairing
     z2 = tv(g.vertices, [0b0000, 0b1111])
     assert graph_marginals(z2, g) == graph_marginals(z, g)
-    seq = connect_graph(g, z, z2, verify=True)
+    seq = connect_graph(g, z, z2)
+    verify_sequence(seq)
     assert seq.states[-1] == z2
 
 
@@ -405,7 +410,8 @@ def test_connect_lifts_steps_that_move_several_cut_vertices():
                 zp = swap_partner(g, z, rng, tries=6 * g.n)
                 if zp == z:
                     continue
-                seq = connect_graph(g, z, zp, verify=True)
+                seq = connect_graph(g, z, zp)
+                verify_sequence(seq)
                 assert seq.states[0] == z and seq.states[-1] == zp
                 pairs += 1
                 joint_moves += sum(project(a, cuts) != project(b, cuts)
@@ -440,7 +446,8 @@ def test_connect_steers_toward_the_target(edges, units, target, most):
     header = "vertices: " + " ".join(g.vertices) + "\n"
     z, zp = (parse_vector(header + "".join(f"{b} 1\n" for b in bits))
              for bits in (units, target))
-    seq = connect_graph(g, z, zp, verify=True)
+    seq = connect_graph(g, z, zp)
+    verify_sequence(seq)
     assert seq.states[0] == z and seq.states[-1] == zp
     assert seq.length <= most
 
@@ -454,7 +461,8 @@ def test_connect_long_path_within_recursion_limit(default_recursion_limit):
     z = tv(g.vertices, random_units(rng, n, 2))
     zp = swap_partner(g, z, rng, tries=200)
     assert zp != z
-    seq = connect_graph(g, z, zp, verify=True)
+    seq = connect_graph(g, z, zp)
+    verify_sequence(seq)
     assert seq.states[0] == z and seq.states[-1] == zp
 
 
@@ -466,7 +474,8 @@ def test_connect_large_random_tree(default_recursion_limit):
     z = tv(g.vertices, random_units(rng, n, 4))
     zp = swap_partner(g, z, rng, tries=400)
     assert zp != z
-    seq = connect_graph(g, z, zp, verify=True)
+    seq = connect_graph(g, z, zp)
+    verify_sequence(seq)
     assert seq.states[0] == z and seq.states[-1] == zp
 
 
@@ -480,7 +489,8 @@ def test_connect_long_ladder_within_recursion_limit(default_recursion_limit):
         z = tv(g.vertices, random_units(rng, g.n, 4))
         zp = swap_partner(g, z, rng, tries=100)
         assert zp != z
-        seq = connect_graph(g, z, zp, verify=True)
+        seq = connect_graph(g, z, zp)
+        verify_sequence(seq)
         assert seq.states[0] == z and seq.states[-1] == zp
 
 
@@ -488,7 +498,8 @@ def test_connect_forest_steps_stay_small():
     g = parse_graph("a b\nb c\nb d\n")
     rng = random.Random(3)
     for z, zp in fiber_pairs(g, 3, rng, max_pairs=4):
-        seq = connect_graph(g, z, zp, verify=True)
+        seq = connect_graph(g, z, zp)
+        verify_sequence(seq)
         for step in seq.steps:
             assert step.l1() <= 4
 
@@ -510,7 +521,8 @@ def test_forest_pieces_need_no_piece_chain(monkeypatch):
     for _ in range(10):
         z = tv(g.vertices, random_units(rng, g.n, 4))
         zp = swap_partner(g, z, rng, tries=20 * g.n)
-        seq = connect_graph(g, z, zp, verify=True)
+        seq = connect_graph(g, z, zp)
+        verify_sequence(seq)
         assert seq.states[0] == z and seq.states[-1] == zp
         pairs += zp != z
     assert pairs and not calls
@@ -584,8 +596,9 @@ def test_connect_output_pinned():
     with given poles: any change to a chain shows here."""
     digest = hashlib.sha256()
     for _, g, z, zp, poles in pinned_connect_inputs():
-        seq = (connect_graph(g, z, zp, verify=True) if poles is None else
-               connect_two_terminal(g, *poles, z, zp, verify=True))
+        seq = (connect_graph(g, z, zp) if poles is None else
+               connect_two_terminal(g, *poles, z, zp))
+        verify_sequence(seq)
         digest.update((json.dumps(seq.to_json(), indent=2) + "\n").encode())
     assert digest.hexdigest() == CONNECT_DIGEST
 
@@ -626,7 +639,8 @@ def test_connect_sp_mirrored_trees_pinned():
     differ = 0
     for g, tree, mirror, z, zp in mirrored_inputs():
         assert mirror != tree and realize(mirror, g.vertices) == g
-        seq = connect_sp(mirror, z, zp, verify=True)
+        seq = connect_sp(mirror, z, zp)
+        verify_sequence(seq)
         assert seq.poles == mirror.poles
         differ += seq.states != connect_sp(tree, z, zp).states
         digest.update((json.dumps(seq.to_json(), indent=2) + "\n").encode())
@@ -642,7 +656,7 @@ def test_two_terminal_pole_discipline_theta():
     rng = random.Random(19)
     checked = 0
     for z, zp in fiber_pairs(g, 3, rng, max_pairs=6):
-        seq = connect_two_terminal(g, "a", "b", z, zp, verify=True)
+        seq = connect_two_terminal(g, "a", "b", z, zp)
         assert seq.poles == ("a", "b")
         stats = verify_sequence(seq)
         checked += stats["pole_changing_steps"]
@@ -668,7 +682,8 @@ def test_connect_sp_drives_from_tree():
     tree = sp_decompose(g, poles=("a", "b"))
     rng = random.Random(29)
     for z, zp in fiber_pairs(g, 2, rng):
-        seq = connect_sp(tree, z, zp, verify=True)
+        seq = connect_sp(tree, z, zp)
+        verify_sequence(seq)
         assert seq.states[-1] == zp
 
 

@@ -148,7 +148,7 @@ def test_vertex_and_total_caps():
     g = Graph(tuple("abcdefghijklmnopq"), [])
     with pytest.raises(ResourceLimitError,
                        match="max_vertices.*MARKOV_ATLAS_LIMITS"):
-        fiber_of(g, TableVector.zero(g.vertices))
+        fiber_of(g, TableVector(g.vertices, {}))
     g2 = Graph(("a",), [])
     with pytest.raises(ResourceLimitError,
                        match="max_total.*MARKOV_ATLAS_LIMITS"):

@@ -178,7 +178,7 @@ def test_degree_2_path_move():
 
 
 def test_kernel_test_zero_vector_and_edgeless_graph():
-    assert passes_kernel_test(TableVector.zero(VERTS), path_graph())
+    assert passes_kernel_test(TableVector(VERTS, {}), path_graph())
     edgeless = Graph(VERTS, [])
     # without edges only the total has to vanish
     assert passes_kernel_test(vec([1, 2]) - vec([4, 8]), edgeless)
@@ -216,7 +216,7 @@ def test_canonical_sign():
     u = vec([1]) - vec([2])
     assert canonical_sign(u) == u
     assert canonical_sign(-u) == u
-    assert canonical_sign(TableVector.zero(VERTS)).l1() == 0
+    assert canonical_sign(TableVector(VERTS, {})).l1() == 0
 
 
 # -- formats -----------------------------------------------------------

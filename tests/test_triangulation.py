@@ -5,11 +5,13 @@ import itertools
 import pytest
 
 from markov_atlas import (certify_lower_bound, complete_graph, double_wheel,
-                          graph_marginals, is_clean, load_triangulation,
-                          red_blue_vectors, two_face_coloring)
+                          enumerate_fiber, graph_marginals, is_clean,
+                          load_triangulation, red_blue_vectors,
+                          two_face_coloring)
+from markov_atlas import triangulation
 from markov_atlas.errors import (InvalidTriangulation, NotTwoFaceColorable,
                                  ParseError)
-from markov_atlas.triangulation import Triangulation, _clique_masks
+from markov_atlas.triangulation import Triangulation, _face_mask, _face_masks
 
 TETRA = "a b c\na b d\na c d\nb c d\n"
 
@@ -103,11 +105,12 @@ def test_red_blue_vectors_properties():
     assert (zr - zb).l1() == 2 * t.m // 3
 
 
-def test_clique_candidates_cover_both_vectors():
+def test_face_candidates_cover_both_vectors():
     t = octahedron()
     coloring = two_face_coloring(t)
     zr, zb = red_blue_vectors(t, coloring)
-    cand = set(_clique_masks(t))
+    cand = set(_face_masks(t))
+    assert cand == {0, *map(_face_mask, t.faces)}
     assert set(zr.support()) <= cand
     assert set(zb.support()) <= cand
 
@@ -118,14 +121,6 @@ def test_octahedron_certificate():
     rep = certify_lower_bound(octahedron(), verify_fiber=True)
     assert rep.clean and rep.colorable
     assert rep.bound == 4
-    assert rep.fiber_verified and rep.fiber_size == 2
-
-
-def test_octahedron_blind_cross_check():
-    """Blind fiber enumeration over all 2^6 labelings agrees with the
-    clique-restricted search."""
-    rep = certify_lower_bound(octahedron(), verify_fiber=True,
-                              restrict_support=False)
     assert rep.fiber_verified and rep.fiber_size == 2
 
 
@@ -163,6 +158,59 @@ def test_disconnected_dual_bounds_the_largest_component(shared_apex):
     assert rep.bound == 4
     assert rep.fiber_verified and rep.fiber_size == 4
     assert not rep.fiber_is_pair
+
+
+def difference_triangulation(n_mod, a, b, c):
+    """Three copies x, y, z of Z_N, with x-y when y - x is in A, y-z
+    when z - y is in B and x-z when z - x is in C; the faces are all
+    the triangles."""
+    text = "".join(f"x{x} y{(x + i) % n_mod} z{(x + i + j) % n_mod}\n"
+                   for x in range(n_mod) for i in a for j in b
+                   if (i + j) % n_mod in c)
+    return load_triangulation(text)
+
+
+@pytest.mark.parametrize("make", [
+    octahedron,
+    lambda: octahedra(True),
+    lambda: octahedra(False),
+    lambda: double_wheel(6),
+    lambda: double_wheel(8),
+], ids=["octahedron", "octahedra-glued", "octahedra-disjoint",
+        "wheel-n8", "wheel-n10"])
+def test_face_search_matches_blind_enumeration(make, monkeypatch):
+    """The fiber certify enumerates over the faces is the fiber of a
+    blind search over every labeling (the octahedron is the double
+    wheel for n = 6)."""
+    t = make()
+    searched = []
+
+    def recording(*args, **kwargs):
+        searched.append(enumerate_fiber(*args, **kwargs))
+        return searched[-1]
+
+    monkeypatch.setattr(triangulation.fiber_mod, "enumerate_fiber",
+                        recording)
+    rep = certify_lower_bound(t, verify_fiber=True)
+    assert rep.fiber_verified
+    zr, _ = red_blue_vectors(t, two_face_coloring(t))
+    kn = complete_graph(t.vertices)
+    blind = enumerate_fiber(kn, graph_marginals(zr, kn))
+    assert sorted(searched[0].tables) == sorted(blind.tables)
+    assert blind.size == rep.fiber_size
+
+
+def test_difference_set_member_n12(monkeypatch):
+    """N = 4 with A = B = C = {1, 2, 3}: 12 vertices, 36 edges, 24
+    faces and a connected dual, so bound 12; the fiber of total 12 is
+    the red/blue pair."""
+    t = difference_triangulation(4, {1, 2, 3}, {1, 2, 3}, {1, 2, 3})
+    assert (t.n, t.m, t.f) == (12, 36, 24)
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_total=12")
+    rep = certify_lower_bound(t, verify_fiber=True)
+    assert rep.clean and rep.colorable and rep.dual_components == 1
+    assert rep.bound == 12
+    assert rep.fiber_verified and rep.fiber_size == 2 and rep.fiber_is_pair
 
 
 def test_tetrahedron_certificate_fails():
