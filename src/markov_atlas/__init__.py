@@ -11,18 +11,18 @@ from .errors import (GroundSetMismatch, InconsistentMarginals,
                      MarkovAtlasError, NoSuchPoles, NotK4MinorFree,
                      NotKernelMove, NotSeriesParallel, NotTwoFaceColorable,
                      ParseError, ProjectionMismatch, ResourceLimitError)
-from .graphs import (Graph, SPTree, blocks, bridges, complete_graph,
-                     cut_vertices, cycle_graph, find_parallel3_poles,
-                     is_k4_minor_free, parse_graph, realize, sp_decompose)
+from .graphs import (Graph, blocks, bridges, complete_graph, cut_vertices,
+                     cycle_graph, find_parallel3_poles, is_k4_minor_free,
+                     parse_graph, sp_decompose)
 from .lattice import (MarginalSet, Move, TableVector, format_vector,
                       graph_marginals, parse_vector, project,
                       vector_from_json, vector_to_json)
 from .limits import Limits, default_limits
 from .fiber import (Fiber, enumerate_fiber, extract_moves, fiber_components,
                     fiber_of, min_connecting_degree, search_width)
-from .connector import (MoveSequence, connect_graph, connect_sp,
-                        connect_two_terminal, glue_cutchange, glue_cutsame,
-                        glue_swaps, verify_sequence)
+from .connector import (MoveSequence, connect_graph, connect_two_terminal,
+                        glue_cutchange, glue_cutsame, glue_swaps,
+                        verify_sequence)
 from .triangulation import (Triangulation, certify_lower_bound, double_wheel,
                             is_clean, load_triangulation, red_blue_vectors,
                             two_face_coloring)

@@ -137,7 +137,7 @@ def _cmd_width(args) -> int:
 def _cmd_decompose(args) -> int:
     g = _load_graph(args.graph)
     poles = tuple(args.poles) if args.poles else None
-    _emit(args, sp_decompose(g, poles=poles).to_json())
+    _emit(args, sp_decompose(g, poles=poles))
     return 0
 
 

@@ -32,16 +32,17 @@ series-parallel tree (`graphs.block_sp_tree`, from the same reduction
 that decides the K4 test): a serial node splits the tables at its join,
 a parallel node between its children, each side taking the part of the
 tables on the vertices of its subtree, and the cases run from a work
-stack rather than by Python recursion.  The tree is converted once,
-where the connector receives it, into nodes in the same bits (`_Node`):
-each holds its pole bits, its join bit and the mask of its subtree's
-vertices, so no case walks a subtree, and the nodes that the cases
-build for their sub-problems carry masks too.  A pole edge with one
-serial child closes a ring, which is re-poled at one of its parallel
-nodes or, when it is a cycle, split into two paths.  The base case is the
-triangle K3: the binary K3 model is the 2x2x2 no-three-way-interaction
-model, whose lattice kernel is spanned by one degree-4 move, so each K3
-fiber is a segment walked one move at a time.
+stack rather than by Python recursion.  The reduction builds the tree
+bottom-up straight into nodes in the same bits (`_Node`): each holds
+its pole bits, its join bit and the mask of its subtree's vertices, so
+no case walks a subtree, and the nodes that the cases build for their
+sub-problems carry masks too.  `connect_two_terminal` builds its tree
+the same way, from the reduction between its given poles.  A pole edge
+with one serial child closes a ring, which is re-poled at one of its
+parallel nodes or, when it is a cycle, split into two paths.  The base
+case is the triangle K3: the binary K3 model is the 2x2x2
+no-three-way-interaction model, whose lattice kernel is spanned by one
+degree-4 move, so each K3 fiber is a segment walked one move at a time.
 
 For a piece with poles (u, v) the produced sequence additionally
 guarantees: whenever a step changes the joint (u, v) marginal, that
@@ -63,8 +64,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import GroundSetMismatch, InvariantViolation, ProjectionMismatch
-from .graphs import (Graph, Piece, SPTree, block_cut_forest, block_sp_tree,
-                     realize, sp_decompose)
+from .graphs import (Graph, Piece, _sp_reduction, _tree, block_cut_forest,
+                     block_sp_tree)
 from .lattice import (TableVector, _kernel_test, graph_marginals, project,
                       vector_to_json)
 
@@ -466,20 +467,11 @@ class _Node:
         self.mask = mask or u | v
 
 
-def _nodes(tree: SPTree, bit: Dict[str, int]) -> _Node:
-    """`tree` as nodes over the bits that `bit` gives its labels, with
-    the tree's child order and pole orientation, built in one walk
-    (`SPTree._shape` read backwards, children before their parent).
-    Only serial nodes look up a join, so one without a join fails
-    here."""
-    built: List[_Node] = []
-    for kind, (p, q), w, count in reversed(list(tree._shape())):
-        cut = len(built) - count
-        children = tuple(built[cut:])
-        del built[cut:]
-        built.append(_Node(kind, bit[p], bit[q], children,
-                           bit[w] if kind == "serial" else 0))
-    return built[0]
+def _node(kind: str, p: int, q: int, children: Tuple[_Node, ...],
+          w: Optional[int]) -> _Node:
+    """A node of `graphs._tree`, given by vertex indices, as a `_Node`
+    over the bits of the whole graph."""
+    return _Node(kind, 1 << p, 1 << q, children, 0 if w is None else 1 << w)
 
 
 def _connect_two_terminal(tree: _Node, z: Counts,
@@ -815,8 +807,7 @@ def connect_graph(g: Graph, z: TableVector, zp: TableVector) -> MoveSequence:
     a K4 minor.  Raises NotK4MinorFree otherwise."""
     _validate_pair(g, z, zp)
     pieces = block_cut_forest(g)
-    bit = _bit_of(g.vertices)
-    trees = {j: _nodes(block_sp_tree(g.vertices, p.edges), bit)
+    trees = {j: block_sp_tree(p.edges, _node)
              for j, p in enumerate(pieces) if len(p.edges) > 1}
     states = _connect_pieces(g, pieces, trees, z.entries, zp.entries)
     return MoveSequence(g, [TableVector(g.vertices, s) for s in states])
@@ -834,20 +825,7 @@ def connect_two_terminal(g: Graph, upole: str, vpole: str,
     _validate_pair(g, z, zp)
     if not g.is_connected():
         raise ValueError("two-terminal connector needs a connected graph")
-    return connect_sp(sp_decompose(g, (upole, vpole)), z, zp)
-
-
-def connect_sp(tree: SPTree, z: TableVector, zp: TableVector) -> MoveSequence:
-    """Connector driven by a series-parallel decomposition tree, as
-    `sp_decompose` returns it.
-
-    The tree's realized graph is taken over the ground set of `z`.
-    """
-    g = realize(tree, z.vertices)
-    if g.vertices != z.vertices:
-        raise ProjectionMismatch("tree does not span the table's vertices")
-    _validate_pair(g, z, zp)
-    states = _connect_two_terminal(_nodes(tree, _bit_of(z.vertices)),
-                                   z.entries, zp.entries)
-    return MoveSequence(g, [TableVector(z.vertices, s) for s in states],
-                        poles=tree.poles)
+    tree = _tree(*_sp_reduction(g, (upole, vpole)), _node)
+    states = _connect_two_terminal(tree, z.entries, zp.entries)
+    return MoveSequence(g, [TableVector(g.vertices, s) for s in states],
+                        poles=(upole, vpole))

@@ -3,15 +3,20 @@
 Vertex order is significant throughout the package: it fixes the bit
 positions of labelings, so every derived graph (block, bridge, induced
 subgraph) keeps its vertices in the parent's order.
+
+Series-parallel structure comes from one reduction, `_reduce` (series
+and parallel steps, Duffin 1965), which `_tree` turns into a tree
+bottom-up through a node constructor its caller passes: `sp_decompose`
+builds the dicts that `decompose` prints, and the connector its own
+nodes in the bits of its tables.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Sequence, Set, Tuple)
 
 from .errors import (NoSuchPoles, NotK4MinorFree, NotSeriesParallel,
@@ -395,78 +400,6 @@ def find_parallel3_poles(g: Graph):
 
 # -- series-parallel decomposition ------------------------------------
 
-@dataclass(frozen=True)
-class SPTree:
-    """Two-terminal series-parallel decomposition tree.
-
-    Leaves carry an edge; serial nodes have exactly two children glued
-    at `join`; parallel nodes have two or more children sharing both
-    poles.  Vertices are stored as labels of the realized graph.
-
-    One walk, `_shape`, visits the nodes from an explicit stack; it
-    drives `==`, `hash` and `realize`, and the connector builds its own
-    nodes, in the bits of its tables, from it.  `to_json` also runs
-    from an explicit stack, so no method is bounded by the recursion
-    limit.  `decompose` writes that JSON; nothing reads it back.
-    """
-
-    kind: str  # "leaf" | "serial" | "parallel"
-    poles: Tuple[str, str]
-    children: Tuple["SPTree", ...] = ()
-    join: Optional[str] = None
-
-    def _shape(self) -> Iterator[tuple]:
-        """Kind, poles, join and child count of every node in pre-order,
-        last child first, from an explicit stack.  This determines the
-        tree: read backwards, each node follows its children, first
-        child first."""
-        stack = [self]
-        while stack:
-            t = stack.pop()
-            yield t.kind, t.poles, t.join, len(t.children)
-            stack.extend(t.children)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(a == b for a, b in itertools.zip_longest(
-            self._shape(), other._shape()))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._shape()))
-
-    def to_json(self) -> dict:
-        """Nested dicts: kind, poles, join (serial nodes), children.
-        Built from an explicit stack, so depth is not bounded by the
-        recursion limit."""
-        root: List[dict] = []
-        stack = [(self, root)]
-        while stack:
-            t, siblings = stack.pop()
-            obj = {"kind": t.kind, "poles": list(t.poles)}
-            siblings.append(obj)
-            if t.kind == "leaf":
-                continue
-            if t.kind == "serial":
-                obj["join"] = t.join
-            obj["children"] = []
-            stack.extend((c, obj["children"]) for c in reversed(t.children))
-        return root[0]
-
-
-def realize(tree: SPTree, vertex_order: Sequence[str]) -> Graph:
-    """Graph realized by a decomposition tree: the edges of its leaves,
-    over the labels of `vertex_order` that the tree uses."""
-    edges = {(a, b) if a <= b else (b, a)
-             for kind, (a, b), _, _ in tree._shape() if kind == "leaf"}
-    labels = {v for e in edges for v in e}
-    order = [v for v in vertex_order if v in labels]
-    if set(order) != labels:
-        raise ValueError("vertex_order does not cover the tree")
-    index = {v: i for i, v in enumerate(order)}
-    return Graph(order, [(index[a], index[b]) for a, b in edges])
-
-
 def _reduce(edges: Iterable[Edge], keep: Sequence[int] = ()):
     """Series-parallel reduction of a simple graph, one heap operation
     per step.
@@ -515,14 +448,15 @@ def _reduce(edges: Iterable[Edge], keep: Sequence[int] = ()):
     return nodes, left
 
 
-def _tree(nodes: List[list], vertices: Sequence[str],
-          poles: Tuple[int, int]) -> SPTree:
-    """The last node of a reduction as an SPTree with the given poles.
+def _tree(nodes: List[list], poles: Tuple[int, int], make: Callable):
+    """The last node of a reduction as a tree with the given poles,
+    each node built bottom-up as `make(kind, p, q, children, join)`:
+    p and q are its pole indices, children a tuple of built nodes, and
+    join the join vertex of a serial node (None otherwise).
 
     Parallel children are sorted by (smallest vertex, edge count),
     stably, which gives one deterministic tree per reduction order.
-    The tree is built bottom-up after a top-down pass that orients
-    every node from its parent's poles.
+    A top-down pass first orients every node from its parent's poles.
     """
     order = []
     stack = [(len(nodes) - 1, poles[0], poles[1])]
@@ -537,18 +471,16 @@ def _tree(nodes: List[list], vertices: Sequence[str],
                                              key=lambda c: nodes[c][5:])]
         order.append((k, p, q, [c for c, _, _ in sub]))
         stack.extend(sub)
-    built: Dict[int, SPTree] = {}
+    built: Dict[int, object] = {}
     for k, p, q, kids in reversed(order):
-        w = nodes[k][4]
-        built[k] = SPTree(nodes[k][0], (vertices[p], vertices[q]),
-                          tuple(built.pop(c) for c in kids),
-                          None if w is None else vertices[w])
+        kind, _, _, _, w = nodes[k][:5]
+        built[k] = make(kind, p, q, tuple(built.pop(c) for c in kids), w)
     return built[len(nodes) - 1]
 
 
-def sp_decompose(g: Graph,
-                 poles: Optional[Tuple[str, str]] = None) -> SPTree:
-    """Decompose a two-terminal series-parallel graph.
+def _sp_reduction(g: Graph, poles: Optional[Tuple[str, str]]):
+    """The reduction of a two-terminal series-parallel graph and its
+    pole indices, as `_tree` takes them.
 
     Runs series/parallel reductions: merge parallel edge pairs,
     suppress degree-2 non-pole vertices.  Succeeds iff a single edge
@@ -570,19 +502,43 @@ def sp_decompose(g: Graph,
         raise NotSeriesParallel(
             f"reduction ended at {g.vertices[a]},{g.vertices[b]}, "
             f"not at the requested poles")
-    return _tree(nodes, g.vertices, keep or (a, b))
+    return nodes, keep or (a, b)
 
 
-def block_sp_tree(vertices: Sequence[str], edges: Iterable[Edge]) -> SPTree:
-    """The series-parallel tree of a 2-connected block whose edges
-    index into `vertices` (a subset of them may be used), reduced in
-    the order of `sp_decompose`.  Raises NotK4MinorFree if the block
-    does not reduce to one edge: a block has a K4 minor exactly then.
+def sp_decompose(g: Graph, poles: Optional[Tuple[str, str]] = None) -> dict:
+    """The series-parallel decomposition tree of a two-terminal graph,
+    between `poles` if given, as nested dicts of plain JSON data.
+
+    Each node has "kind" ("leaf", "serial" or "parallel") and "poles"
+    (two labels); a serial node also has "join", the label its two
+    children meet at, and every inner node "children".  A leaf carries
+    one edge; a parallel node has two or more children sharing both
+    poles.  Raises NotSeriesParallel if the graph does not reduce to one
+    edge (between the poles).
+    """
+    labels = g.vertices
+
+    def node(kind, p, q, children, w):
+        obj = {"kind": kind, "poles": [labels[p], labels[q]]}
+        if kind == "serial":
+            obj["join"] = labels[w]
+        if kind != "leaf":
+            obj["children"] = list(children)
+        return obj
+
+    return _tree(*_sp_reduction(g, poles), node)
+
+
+def block_sp_tree(edges: Iterable[Edge], make: Callable):
+    """The series-parallel tree of a 2-connected block, reduced in the
+    order of `sp_decompose` and built through `make` as `_tree` builds
+    it.  Raises NotK4MinorFree if the block does not reduce to one
+    edge: a block has a K4 minor exactly then.
     """
     nodes, left = _reduce(edges)
     if left != 1:
         raise NotK4MinorFree("graph contains a K4 minor")
-    return _tree(nodes, vertices, nodes[-1][1:3])
+    return _tree(nodes, nodes[-1][1:3], make)
 
 
 def is_k4_minor_free(g: Graph) -> bool:

@@ -68,8 +68,14 @@ def _checked_moves(g: Graph,
     g's vertices, then for zero marginals.  `moves` may be lazy; it is
     read once.  A Move from `extract_moves` hands over its items as the
     kernel made them, equal items one tuple: a large fiber has
-    thousands of moves over a few dozen."""
-    return [mv.items for mv in _kernel_checked(moves, g)]
+    thousands of moves over a few dozen.  The zero vector is in the
+    kernel but moves nothing: once every move has passed the kernel
+    test, a ValueError names the position of the first zero one."""
+    deltas = [mv.items for mv in _kernel_checked(moves, g)]
+    if not all(deltas):
+        k = next(k for k, d in enumerate(deltas, 1) if not d)
+        raise ValueError(f"move {k} is zero")
+    return deltas
 
 
 def _steps(g: Graph, moves: Iterable[Move], z0: TableVector,

@@ -450,6 +450,25 @@ def swap_partner(g: Graph, z: TableVector, rng, tries: int) -> TableVector:
     return TableVector.from_units(z.vertices, units)
 
 
+def tree_graph(tree: dict, vertex_order: Sequence[str]) -> Graph:
+    """The graph of a decomposition tree as `sp_decompose` returns it:
+    the edges of its leaves, read from an explicit stack so that no
+    depth is bounded by the recursion limit, over the labels of
+    `vertex_order` that the tree uses."""
+    edges = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node["kind"] == "leaf":
+            edges.add(frozenset(node["poles"]))
+        stack.extend(node.get("children", ()))
+    labels = set().union(*edges)
+    index = {v: i for i, v in enumerate(v for v in vertex_order
+                                        if v in labels)}
+    assert len(index) == len(labels), "vertex_order does not cover the tree"
+    return Graph(list(index), [tuple(index[v] for v in e) for e in edges])
+
+
 def ladder_graph(k: int) -> Graph:
     """The 2 x k ladder: rails v0..v(k-1) and vk..v(2k-1), and rungs."""
     return Graph([f"v{i}" for i in range(2 * k)],

@@ -127,7 +127,7 @@ def test_decompose_long_ladder(files, monkeypatch, default_recursion_limit):
     assert main(["decompose", files("ladder.txt", text), "--json"]) == 0
     assert out.size > 10 ** 8
     again = _Digest()
-    again.writelines(_json_chunks(sp_decompose(parse_graph(text)).to_json()))
+    again.writelines(_json_chunks(sp_decompose(parse_graph(text))))
     again.write("\n")
     assert (again.size, again.sha.digest()) == (out.size, out.sha.digest())
 
@@ -429,6 +429,18 @@ def test_sample_moves_file_bad_block(files, capsys, blocks, message):
                          "--seed", "1", "--moves",
                          files("m.vec", "".join(blocks)))
     assert (code, out, err) == (1, "", message)
+
+
+def test_sample_zero_move_rejected(files, capsys):
+    """A header-only block is the zero vector: in the kernel, but no
+    move, so the walk refuses it, by position, rather than accept every
+    step with the table unchanged."""
+    graph = files("c3.txt", "a b\nb c\nc a\n")
+    code, out, err = run(capsys, "sample", graph,
+                         files("z.vec", "vertices: a b c\n000 2\n"),
+                         "--steps", "3", "--seed", "1", "--moves",
+                         files("m.vec", "vertices: a b c\n"))
+    assert (code, out, err) == (1, "", "error: move 1 is zero\n")
 
 
 @pytest.mark.parametrize("before, message", [

@@ -7,12 +7,11 @@ import random
 
 import pytest
 
-from markov_atlas import (Graph, SPTree, TableVector, connect_graph,
-                          connect_sp, connect_two_terminal,
-                          cut_vertices, cycle_graph, complete_graph,
-                          glue_cutchange, glue_cutsame, glue_swaps,
-                          graph_marginals, is_k4_minor_free, parse_graph,
-                          parse_vector, project, realize, sp_decompose,
+from markov_atlas import (Graph, TableVector, connect_graph,
+                          connect_two_terminal, cut_vertices, cycle_graph,
+                          complete_graph, glue_cutchange, glue_cutsame,
+                          glue_swaps, graph_marginals, is_k4_minor_free,
+                          parse_graph, parse_vector, project,
                           verify_sequence)
 from markov_atlas import connector
 from markov_atlas.connector import MoveSequence
@@ -603,50 +602,6 @@ def test_connect_output_pinned():
     assert digest.hexdigest() == CONNECT_DIGEST
 
 
-def mirrored(tree):
-    """`tree` with every node's poles swapped and its children reversed,
-    built with the `SPTree` constructor."""
-    return SPTree(tree.kind, tree.poles[::-1],
-                  tuple(map(mirrored, reversed(tree.children))), tree.join)
-
-
-MIRRORED_DIGEST = (
-    "7fc97b87436b5217ea6ee545c0373527b1df127772d59137a821326c606269d8")
-
-
-def mirrored_inputs():
-    """(graph, canonical tree, mirrored tree, z, zp) on a theta with a
-    pole edge, a 2x5 ladder and a random series-parallel block, three
-    pairs each: the canonical tree is `sp_decompose`'s."""
-    theta = parse_graph("a b\na c\nc e\ne b\na d\nd f\nf b\n")
-    rng = random.Random(44)
-    for g, poles in ((theta, ("a", "b")), (ladder_graph(5), ("v0", "v5")),
-                     (random_sp_block(12, random.Random(12)), None)):
-        tree = sp_decompose(g, poles)
-        for _ in range(3):
-            z = tv(g.vertices, random_units(rng, g.n, 5))
-            yield (g, tree, mirrored(tree), z,
-                   swap_partner(g, z, rng, tries=50 * g.n))
-
-
-def test_connect_sp_mirrored_trees_pinned():
-    """`connect_sp` on trees that `sp_decompose` never returns: every
-    node mirrored, poles swapped and children reversed.  The connector
-    keeps a tree's child order and pole orientation, and on some of
-    these pairs a mirrored tree gives another chain than the canonical
-    one, so a conversion that reorders a tree shows here."""
-    digest = hashlib.sha256()
-    differ = 0
-    for g, tree, mirror, z, zp in mirrored_inputs():
-        assert mirror != tree and realize(mirror, g.vertices) == g
-        seq = connect_sp(mirror, z, zp)
-        verify_sequence(seq)
-        assert seq.poles == mirror.poles
-        differ += seq.states != connect_sp(tree, z, zp).states
-        digest.update((json.dumps(seq.to_json(), indent=2) + "\n").encode())
-    assert differ and digest.hexdigest() == MIRRORED_DIGEST
-
-
 # -- two-terminal pole discipline --------------------------------------
 
 def test_two_terminal_pole_discipline_theta():
@@ -677,14 +632,30 @@ def test_two_terminal_rejects_bad_poles_up_front():
             connect_two_terminal(g, "c", "d", z, zp)
 
 
-def test_connect_sp_drives_from_tree():
+def test_connect_two_terminal_with_pole_edge():
     g = parse_graph("a b\na c\nc b\na d\nd b\n")
-    tree = sp_decompose(g, poles=("a", "b"))
     rng = random.Random(29)
     for z, zp in fiber_pairs(g, 2, rng):
-        seq = connect_sp(tree, z, zp)
+        seq = connect_two_terminal(g, "a", "b", z, zp)
         verify_sequence(seq)
-        assert seq.states[-1] == zp
+        assert seq.poles == ("a", "b") and seq.states[-1] == zp
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ladder_graph(1000),
+    lambda: cycle_graph([f"v{i}" for i in range(3000)]),
+], ids=["ladder-2x1000", "C3000"])
+def test_connect_two_terminal_deep(make, default_recursion_limit):
+    """The two-terminal connector on trees thousands of levels deep,
+    with poles v0 and v1, under the default recursion limit."""
+    g = make()
+    rng = random.Random(g.n)
+    z = tv(g.vertices, random_units(rng, g.n, 4))
+    zp = swap_partner(g, z, rng, tries=100)
+    assert zp != z
+    seq = connect_two_terminal(g, "v0", "v1", z, zp)
+    verify_sequence(seq)
+    assert seq.states[0] == z and seq.states[-1] == zp
 
 
 def test_verify_sequence_catches_bad_chain():

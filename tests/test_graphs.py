@@ -9,16 +9,15 @@ import sys
 
 import pytest
 
-from markov_atlas import (Graph, SPTree, TableVector, blocks, bridges,
+from markov_atlas import (Graph, TableVector, blocks, bridges,
                           complete_graph, connect_two_terminal, cut_vertices,
                           cycle_graph, find_parallel3_poles,
-                          is_k4_minor_free, parse_graph, realize,
-                          sp_decompose)
+                          is_k4_minor_free, parse_graph, sp_decompose)
 from markov_atlas.errors import NoSuchPoles, NotSeriesParallel, ParseError
 from markov_atlas.graphs import _sum_pieces, block_cut_forest
 
 from helpers import (all_graphs, brute_has_k4_minor, ladder_graph,
-                     nonisomorphic_graphs, random_sp_block)
+                     nonisomorphic_graphs, random_sp_block, tree_graph)
 
 
 # -- parsing -----------------------------------------------------------
@@ -218,8 +217,8 @@ def test_every_2connected_sp_noncycle_has_poles():
 def test_sp_tree_roundtrip_graph():
     g = parse_graph("a b\na c\nc b\na d\nd b\n")
     tree = sp_decompose(g, poles=("a", "b"))
-    assert tree.poles == ("a", "b")
-    assert realize(tree, g.vertices) == g
+    assert tree["poles"] == ["a", "b"]
+    assert tree_graph(tree, g.vertices) == g
 
 
 def test_sp_decompose_rejects_k4():
@@ -230,8 +229,8 @@ def test_sp_decompose_rejects_k4():
 def test_sp_decompose_respects_requested_poles():
     g = cycle_graph("abcd")
     tree = sp_decompose(g, poles=("b", "d"))
-    assert tree.poles == ("b", "d")
-    assert realize(tree, g.vertices) == g
+    assert tree["poles"] == ["b", "d"]
+    assert tree_graph(tree, g.vertices) == g
 
 
 def test_pole_that_is_not_a_vertex():
@@ -245,7 +244,7 @@ def test_pole_that_is_not_a_vertex():
         connect_two_terminal(g, "y", "b", z, z)
 
 
-# sha256 over (poles, to_json()) of every decomposition below, as the
+# sha256 over (poles, tree) of every decomposition below, as the
 # recursive reduction it replaced printed them; the iterative reduction
 # must reproduce every tree exactly
 DECOMPOSE_DIGEST = \
@@ -266,7 +265,8 @@ def test_decompose_output_pinned():
             except NotSeriesParallel:
                 continue
             count += 1
-            digest.update(json.dumps([poles, tree.to_json()]).encode())
+            assert json.loads(json.dumps(tree)) == tree
+            digest.update(json.dumps([poles, tree]).encode())
     assert count == 487
     assert digest.hexdigest() == DECOMPOSE_DIGEST
 
@@ -277,34 +277,18 @@ def test_decompose_output_pinned():
     lambda: random_sp_block(2000, random.Random(2000)),
 ], ids=["ladder-2x1000", "C5000", "sp-block-2000"])
 def test_sp_decompose_deep_inputs(make, default_recursion_limit):
-    """Trees up to thousands of levels deep decompose, realize back to
-    the graph and pass the K4 test, under the default recursion limit."""
+    """Trees up to thousands of levels deep decompose, their leaves give
+    back the graph, and the graph passes the K4 test, under the default
+    recursion limit."""
     g = make()
     tree = sp_decompose(g)
-    assert realize(tree, g.vertices) == g
+    assert tree_graph(tree, g.vertices) == g
     assert is_k4_minor_free(g)
-
-
-def test_sp_tree_equality_and_hash_deep(default_recursion_limit):
-    """Trees compare and hash from an explicit stack: the 2x1000
-    ladder's tree, thousands of levels deep, under the default
-    recursion limit."""
-    a, b = sp_decompose(ladder_graph(1000)), sp_decompose(ladder_graph(1000))
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert a != sp_decompose(ladder_graph(999))
-    leaf = SPTree("leaf", ("a", "b"))
-    assert leaf == SPTree("leaf", ("a", "b")) != SPTree("leaf", ("b", "a"))
-    assert leaf != ("leaf", ("a", "b"))
-    serial = SPTree("serial", ("a", "c"),
-                    (leaf, SPTree("leaf", ("b", "c"))), "b")
-    assert serial != SPTree("serial", ("a", "c"), serial.children, "c")
-    assert serial != SPTree("parallel", ("a", "c"), serial.children, "b")
 
 
 def test_sp_decompose_all_small_sp_graphs():
     """Reduction succeeds exactly on the 2-connected K4-minor-free
-    blocks, and the realized graph always matches."""
+    blocks, and the tree's leaves always give back the graph."""
     for g in nonisomorphic_graphs(5):
         if not g.is_connected() or g.m == 0:
             continue
@@ -314,7 +298,7 @@ def test_sp_decompose_all_small_sp_graphs():
         except NotSeriesParallel:
             ok = False
         if ok:
-            assert realize(tree, g.vertices) == g
+            assert tree_graph(tree, g.vertices) == g
             assert not brute_has_k4_minor(g)
 
 

@@ -46,6 +46,17 @@ def test_nonkernel_move_rejected_at_load():
         random_walk(g, [bad], z0, WalkConfig(steps=1, seed=0))
 
 
+def test_zero_move_rejected_by_position():
+    """The zero vector passes the kernel check but moves nothing; the
+    walk names its position instead of counting it accepted."""
+    g, z0, _, moves = c4_setup([0b0101, 0b0101, 0b1111, 0b1111])
+    zero = TableVector(g.vertices, {})
+    for walk in (random_walk, lambda *a: list(walk_states(*a))):
+        with pytest.raises(ValueError, match=r"^move 2 is zero$"):
+            walk(g, [moves[0], zero, moves[0]], z0,
+                 WalkConfig(steps=3, seed=1))
+
+
 def test_moves_checked_in_order_ground_set_first():
     """Each move is checked against the graph's vertices, then for zero
     marginals, in list order, before any step."""
