@@ -6,11 +6,11 @@ certificates for complete-graph lower bounds, and a fiber random-walk
 sampler.
 """
 
-from .errors import (GroundSetMismatch, InconsistentMarginals,
-                     InvalidTriangulation, InvariantViolation,
-                     MarkovAtlasError, NoSuchPoles, NotK4MinorFree,
-                     NotKernelMove, NotSeriesParallel, NotTwoFaceColorable,
-                     ParseError, ProjectionMismatch, ResourceLimitError)
+from .errors import (GroundSetMismatch, InvalidTriangulation,
+                     InvariantViolation, MarkovAtlasError, NoSuchPoles,
+                     NotK4MinorFree, NotKernelMove, NotSeriesParallel,
+                     NotTwoFaceColorable, ParseError, ProjectionMismatch,
+                     ResourceLimitError)
 from .graphs import (Graph, blocks, bridges, complete_graph, cut_vertices,
                      cycle_graph, find_parallel3_poles, is_k4_minor_free,
                      parse_graph, sp_decompose)
@@ -18,8 +18,8 @@ from .lattice import (MarginalSet, Move, TableVector, format_vector,
                       graph_marginals, parse_vector, project,
                       vector_from_json, vector_to_json)
 from .limits import Limits, default_limits
-from .fiber import (Fiber, enumerate_fiber, extract_moves, fiber_components,
-                    fiber_of, min_connecting_degree, search_width)
+from .fiber import (Fiber, extract_moves, fiber_components, fiber_of,
+                    min_connecting_degree, search_width)
 from .connector import (MoveSequence, connect_graph, connect_two_terminal,
                         glue_cutchange, glue_cutsame, glue_swaps,
                         verify_sequence)

@@ -823,8 +823,6 @@ def connect_two_terminal(g: Graph, upole: str, vpole: str,
     raised before the connector starts.
     """
     _validate_pair(g, z, zp)
-    if not g.is_connected():
-        raise ValueError("two-terminal connector needs a connected graph")
     tree = _tree(*_sp_reduction(g, (upole, vpole)), _node)
     states = _connect_two_terminal(tree, z.entries, zp.entries)
     return MoveSequence(g, [TableVector(g.vertices, s) for s in states],

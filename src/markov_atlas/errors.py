@@ -39,10 +39,6 @@ class NotKernelMove(MarkovAtlasError):
     """A supplied move vector has nonzero marginals."""
 
 
-class InconsistentMarginals(MarkovAtlasError):
-    """Edge tables are negative or do not share a common total."""
-
-
 class InvalidTriangulation(MarkovAtlasError):
     """Face list does not describe a closed simple triangulated surface."""
 

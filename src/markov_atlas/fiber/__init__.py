@@ -1,16 +1,18 @@
 """Fiber enumeration and degree-bounded connectivity evidence.
 
-The fiber of a marginal set is the complete list of non-negative integer
-tables sharing those marginals.  Enumeration is exhaustive (depth-first
-placement of units with per-edge budget pruning) and either returns the
-whole fiber or raises `ResourceLimitError` — never a truncated result.
+The fiber of a non-negative table is the complete list of non-negative
+integer tables sharing its edge marginals.  Enumeration is exhaustive
+(depth-first placement of units with per-edge budget pruning) and
+either returns the whole fiber or raises `ResourceLimitError` — never a
+truncated result.
 
 The enumeration and analysis loops live in `markov_atlas.fiber._kernel`,
 and the layer speaks its format: a fiber holds the kernel's tables
 (sorted tuples of unit labelings), a move the kernel's sorted
 (mask, coefficient) items.  Vectors are built only when asked for.
-The caps come from `default_limits()`, read at the two entry points
-`enumerate_fiber` and `search_width`.
+The caps come from `default_limits()`, read by `fiber_of`, the one way
+into a single fiber, and by `search_width`, which walks every fiber up
+to a total.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import InvariantViolation
 from ..graphs import Graph, _sum_pieces
-from ..lattice import (MarginalSet, Move, TableVector, edge_cells,
-                       graph_marginals)
+from ..lattice import Move, TableVector, edge_cells, graph_marginals
 from ..limits import default_limits
 from . import _kernel
 
@@ -32,12 +33,10 @@ KERNEL_ID = _kernel.KERNEL_ID
 
 @dataclass(frozen=True)
 class Fiber:
-    """Exhaustive fiber of a marginal set: its tables as the kernel
-    gives them, sorted tuples of unit labelings in lexicographic
-    order."""
+    """Exhaustive fiber of a table: its tables as the kernel gives
+    them, sorted tuples of unit labelings in lexicographic order."""
 
     graph: Graph
-    marginals: MarginalSet
     tables: Tuple[Tuple[int, ...], ...]
 
     @cached_property
@@ -52,22 +51,19 @@ class Fiber:
         return len(self.tables)
 
 
-def enumerate_fiber(g: Graph, m: MarginalSet,
-                    candidates: Optional[Sequence[int]] = None) -> Fiber:
-    """Every non-negative table over V(g) whose marginals equal `m`.
-    `m` must be taken over g's vertices and edges (ValueError
-    otherwise).
+def fiber_of(g: Graph, z: TableVector,
+             candidates: Optional[Sequence[int]] = None) -> Fiber:
+    """Every non-negative table over V(g) with the edge marginals of
+    the non-negative table `z` (ValueError on a negative entry).
 
     `candidates` optionally restricts the support labelings considered;
     it must be a superset of every feasible support (callers use it only
     with provably sufficient sets).
     """
+    if not z.is_nonnegative():
+        raise ValueError("a fiber is taken through a non-negative table")
+    m = graph_marginals(z, g)
     limits = default_limits()
-    if m.vertices != g.vertices:
-        raise ValueError("marginals were taken over a different vertex order")
-    if m.edges != tuple(sorted(g.edges)):
-        raise ValueError("marginals were taken over a different edge set")
-    m.validate()
     limits.check_vertices(g.n)
     limits.check_total(m.total)
     try:
@@ -77,12 +73,7 @@ def enumerate_fiber(g: Graph, m: MarginalSet,
     except _kernel.CapExceeded:
         raise limits.exceeded(
             "max_fiber", f"the fiber of total {m.total}") from None
-    return Fiber(g, m, tuple(tables))
-
-
-def fiber_of(g: Graph, z: TableVector) -> Fiber:
-    """Fiber through a given non-negative table."""
-    return enumerate_fiber(g, graph_marginals(z, g))
+    return Fiber(g, tuple(tables))
 
 
 def _check_degree(k: int):
@@ -170,9 +161,7 @@ def _witness(g: Graph, edges, k: int, split):
     labels = _kernel.component_labels(tables, 2 * k)
     za, zb = (TableVector.from_units(g.vertices, tables[labels.index(r)])
               for r in sorted(set(labels))[:2])
-    marginals = MarginalSet(g.vertices, edges, cells_of(tables[0]),
-                            len(tables[0]))
-    return Fiber(g, marginals, tuple(tables)), (za, zb)
+    return Fiber(g, tuple(tables)), (za, zb)
 
 
 def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .errors import (GroundSetMismatch, InconsistentMarginals, NotKernelMove,
-                     ParseError)
+from .errors import GroundSetMismatch, NotKernelMove, ParseError
 
 
 class TableVector:
@@ -73,9 +72,6 @@ class TableVector:
         for m in sorted(self.entries):
             out.extend([m] * self.entries[m])
         return out
-
-    def support(self) -> List[int]:
-        return sorted(self.entries)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -178,16 +174,6 @@ class MarginalSet:
         except ValueError:
             raise KeyError((i, j)) from None
         return self.cells[4 * e:4 * e + 4]
-
-    def validate(self):
-        """Check non-negativity and a common per-edge total."""
-        for e, edge in enumerate(self.edges):
-            cells = self.cells[4 * e:4 * e + 4]
-            if any(c < 0 for c in cells):
-                raise InconsistentMarginals(f"negative cell on edge {edge}")
-            if sum(cells) != self.total:
-                raise InconsistentMarginals(
-                    f"edge {edge} sums to {sum(cells)}, expected {self.total}")
 
 
 def graph_marginals(z: TableVector, g) -> MarginalSet:

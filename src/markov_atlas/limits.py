@@ -39,7 +39,8 @@ class Limits:
             f"raise it with {_ENV_VAR}=\"{key}=...\"")
 
 
-def _from_env() -> Limits:
+def default_limits() -> Limits:
+    """Limits from the environment, re-read on every call."""
     raw = os.environ.get(_ENV_VAR, "")
     limits = Limits()
     if not raw.strip():
@@ -62,8 +63,3 @@ def _from_env() -> Limits:
             raise ResourceLimitError(
                 f"limit {key!r} in {_ENV_VAR} must be at least 1")
     return replace(limits, **overrides)
-
-
-def default_limits() -> Limits:
-    """Limits from the environment, re-read on every call."""
-    return _from_env()

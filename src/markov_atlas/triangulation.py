@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .errors import (InvalidTriangulation, NotTwoFaceColorable, ParseError,
                      ResourceLimitError)
 from .graphs import Graph, complete_graph
-from .lattice import TableVector, graph_marginals
+from .lattice import TableVector
 from . import fiber as fiber_mod
 
 Face = Tuple[int, int, int]
@@ -284,8 +284,7 @@ def certify_lower_bound(t: Triangulation,
     zr, zb = red_blue_vectors(t, coloring)
     kn = complete_graph(t.vertices)
     try:
-        fib = fiber_mod.enumerate_fiber(kn, graph_marginals(zr, kn),
-                                        candidates=_face_masks(t))
+        fib = fiber_mod.fiber_of(kn, zr, candidates=_face_masks(t))
     except ResourceLimitError as exc:
         report.skip_reason = str(exc)
         return report

@@ -13,10 +13,9 @@ import pytest
 
 from markov_atlas import (Graph, TableVector, classify_width, complete_graph,
                           connect_graph, connect_two_terminal, cut_vertices,
-                          cycle_graph, enumerate_fiber,
-                          extract_moves, fiber_of, find_parallel3_poles,
-                          glue_cutchange, glue_cutsame, glue_swaps,
-                          graph_marginals, is_k4_minor_free,
+                          cycle_graph, extract_moves, fiber_of,
+                          find_parallel3_poles, glue_cutchange, glue_cutsame,
+                          glue_swaps, graph_marginals, is_k4_minor_free,
                           kn_lower_bound_report, min_connecting_degree,
                           project, search_width, verify_sequence)
 from markov_atlas.errors import NoSuchPoles, ProjectionMismatch
@@ -242,7 +241,7 @@ def test_acceptance_6_octahedron_certificate():
     rep = certify_lower_bound(t, verify_fiber=True)
     zr, zb = red_blue_vectors(t, two_face_coloring(t))
     kn = complete_graph(t.vertices)
-    blind = enumerate_fiber(kn, graph_marginals(zr, kn))
+    blind = fiber_of(kn, zr)
     ok = (rep.clean and rep.colorable and rep.bound == 4
           and rep.fiber_verified and rep.fiber_size == 2
           and set(blind.tables) == {tuple(zr.units()), tuple(zb.units())})

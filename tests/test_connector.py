@@ -12,7 +12,7 @@ from markov_atlas import (Graph, TableVector, connect_graph,
                           complete_graph, glue_cutchange, glue_cutsame,
                           glue_swaps, graph_marginals, is_k4_minor_free,
                           parse_graph, parse_vector, project,
-                          verify_sequence)
+                          sp_decompose, verify_sequence)
 from markov_atlas import connector
 from markov_atlas.connector import MoveSequence
 from markov_atlas.errors import (InvariantViolation, NotK4MinorFree,
@@ -630,6 +630,18 @@ def test_two_terminal_rejects_bad_poles_up_front():
         zp = swap_partner(g, z, rng, tries=40)
         with pytest.raises(NotSeriesParallel):
             connect_two_terminal(g, "c", "d", z, zp)
+
+
+def test_two_terminal_disconnected_graph_not_series_parallel():
+    """A disconnected graph is not series-parallel: the two-terminal
+    connector raises the reduction's error, as `sp_decompose` does."""
+    g = parse_graph("a b\nb c\nc a\nd e\n")
+    z = tv(g.vertices, [0b00000, 0b11111])
+    zp = tv(g.vertices, [0b00111, 0b11000])
+    with pytest.raises(NotSeriesParallel, match="connected"):
+        sp_decompose(g, ("a", "b"))
+    with pytest.raises(NotSeriesParallel, match="connected"):
+        connect_two_terminal(g, "a", "b", z, zp)
 
 
 def test_connect_two_terminal_with_pole_edge():

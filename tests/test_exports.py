@@ -1,6 +1,7 @@
 """Every name the package exports, and every function, method and
 class of its modules, private ones included, has a caller outside the
-tests; and every parameter with a default is set by such a caller."""
+tests (a method one that reads it as an attribute); and every
+parameter with a default is set by such a caller."""
 
 import ast
 import pathlib
@@ -49,28 +50,39 @@ def modules():
 
 
 def defined():
-    """The functions, methods and classes of the package's modules,
+    """(functions and classes, methods) of the package's modules,
     nested ones included; dunder methods are called by Python."""
-    return {node.name for tree in modules() for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))}
+    functions, methods = set(), set()
+    for tree in modules():
+        in_class = {id(f) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) for f in cls.body
+                    if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            (methods if id(node) in in_class else functions).add(node.name)
+    return functions, methods
 
 
 def referenced(tree, strings=False):
-    """Every Name, Attribute and imported name in `tree`, and with
-    `strings` every string constant too."""
-    out = set()
+    """(attributes, names) in `tree`: the names it reads as attributes
+    (`x.name`), and with `strings` every string constant, which the
+    benchmark's tracer passes to getattr; and its other Names and
+    imported names."""
+    attributes, names = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            out.update(alias.name.rpartition(".")[2] for alias in node.names)
+            names.update(alias.name.rpartition(".")[2]
+                         for alias in node.names)
         elif strings and isinstance(node, ast.Constant) \
                 and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+            attributes.add(node.value)
+    return attributes, names
 
 
 def caller_trees():
@@ -89,12 +101,15 @@ def caller_trees():
 
 
 def callers():
-    """Names referenced by the caller trees; the benchmark's tracer
-    looks its functions up by their names as strings."""
-    names = set()
+    """(attributes, names) referenced by the caller trees; the
+    benchmark's tracer looks its functions up by their names as
+    strings."""
+    attributes, names = set(), set()
     for tree, bench in caller_trees():
-        names |= referenced(tree, strings=bench)
-    return names
+        a, n = referenced(tree, strings=bench)
+        attributes |= a
+        names |= n
+    return attributes, names
 
 
 def defaulted():
@@ -161,8 +176,13 @@ def passing(trees, params):
 
 def test_every_export_has_a_caller():
     """Exported names and functions, methods and classes alike: a
-    helper left behind by a change fails here."""
-    uncalled = (exported() | defined()) - callers()
+    helper left behind by a change fails here.  A method counts as
+    called only where something reads it as an attribute, so a local
+    variable of the same name does not hide it."""
+    functions, methods = defined()
+    attributes, names = callers()
+    uncalled = ((exported() | functions) - attributes - names
+                | methods - attributes)
     assert sorted(uncalled - set(KEPT)) == []
     # a kept name that gains a caller or is no longer defined leaves KEPT
     assert sorted(set(KEPT) - uncalled) == []

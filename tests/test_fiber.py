@@ -6,14 +6,13 @@ import random
 
 import pytest
 
-from markov_atlas import (Graph, TableVector, cycle_graph, enumerate_fiber,
-                          extract_moves, fiber_components, fiber_of,
-                          graph_marginals, min_connecting_degree,
-                          search_width)
+from markov_atlas import (Graph, TableVector, cycle_graph, extract_moves,
+                          fiber_components, fiber_of, graph_marginals,
+                          min_connecting_degree, search_width)
 from markov_atlas import fiber
 from markov_atlas.errors import InvariantViolation, ResourceLimitError
 from markov_atlas.graphs import _sum_pieces
-from markov_atlas.lattice import MarginalSet, edge_cells
+from markov_atlas.lattice import edge_cells
 from markov_atlas.fiber import _kernel
 
 from helpers import (all_graphs, all_grouped_tables, all_trees,
@@ -80,23 +79,17 @@ def test_empty_graph_fiber_is_value_partition():
         itertools.combinations_with_replacement(range(4), 3)))
 
 
-def test_inconsistent_marginals_rejected():
-    g = Graph(("a", "b", "c"), [(0, 1), (1, 2)])
-    bad = MarginalSet(g.vertices, ((0, 1), (1, 2)),
-                      (1, 0, 0, 0, 2, 0, 0, 0), 1)
-    with pytest.raises(Exception):
-        enumerate_fiber(g, bad)
-
-
-def test_marginals_of_another_graph_rejected():
-    """The marginals of the path a-b-c do not describe a fiber of the
-    edge a-b on the same vertices, nor the other way round."""
-    edge = Graph(("a", "b", "c"), [(0, 1)])
-    path = Graph(("a", "b", "c"), [(0, 1), (1, 2)])
-    z = tv(path, [0b011, 0b100])
-    for g, other in ((edge, path), (path, edge)):
-        with pytest.raises(ValueError, match="different edge set"):
-            enumerate_fiber(g, graph_marginals(z, other))
+def test_negative_table_rejected():
+    """z = t - (t' - t) on C4 has t's marginals but a negative entry,
+    so it is in no fiber; t's fiber has 12 tables."""
+    g = cycle_graph("abcd")
+    t = tv(g, [0b0000, 0b0101, 0b1010, 0b1111])
+    tp = tv(g, [0b0011, 0b0110, 0b1001, 0b1100])
+    z = t - (tp - t)
+    assert graph_marginals(z, g) == graph_marginals(t, g)
+    assert fiber_of(g, t).size == 12
+    with pytest.raises(ValueError, match="non-negative"):
+        fiber_of(g, z)
 
 
 def test_fiber_cap_raises(monkeypatch):
@@ -104,15 +97,16 @@ def test_fiber_cap_raises(monkeypatch):
     g = Graph(("a", "b", "c", "d"), [])
     z = tv(g, [0] * 5)
     with pytest.raises(ResourceLimitError, match="max_fiber"):
-        enumerate_fiber(g, graph_marginals(z, g))
+        fiber_of(g, z)
 
 
 def test_fiber_cap_boundary(monkeypatch):
     """A fiber of exactly `cap` tables is returned, and one of cap + 1
     tables raises, in the kernel (with and without candidates) and
-    through `enumerate_fiber` under MARKOV_ATLAS_LIMITS."""
+    through `fiber_of` under MARKOV_ATLAS_LIMITS."""
     g = cycle_graph("abcd")
-    m = graph_marginals(tv(g, [0, 2, 4, 5, 7, 9, 11, 14]), g)
+    z = tv(g, [0, 2, 4, 5, 7, 9, 11, 14])
+    m = graph_marginals(z, g)
     tables = _kernel.fiber_tables(g.n, m.edges, m.cells, m.total)
     size = len(tables)
     assert size == 40
@@ -124,10 +118,10 @@ def test_fiber_cap_boundary(monkeypatch):
             _kernel.fiber_tables(g.n, m.edges, m.cells, m.total,
                                  candidates, cap=size - 1)
     monkeypatch.setenv("MARKOV_ATLAS_LIMITS", f"max_fiber={size}")
-    assert enumerate_fiber(g, m).tables == tuple(tables)
+    assert fiber_of(g, z).tables == tuple(tables)
     monkeypatch.setenv("MARKOV_ATLAS_LIMITS", f"max_fiber={size - 1}")
     with pytest.raises(ResourceLimitError, match=f"max_fiber = {size - 1}"):
-        enumerate_fiber(g, m)
+        fiber_of(g, z)
 
 
 def test_table_count_cap_raises_before_enumerating(monkeypatch):
@@ -292,9 +286,10 @@ def test_fiber_tables_are_the_kernels():
     """A fiber holds the kernel's tables; its vectors are those tables,
     in the same order, built on first use."""
     g = cycle_graph("abcd")
-    fib = fiber_of(g, tv(g, [0, 2, 4, 5, 7, 9, 11, 14]))
+    z = tv(g, [0, 2, 4, 5, 7, 9, 11, 14])
+    fib = fiber_of(g, z)
     edges = sorted(g.edges)
-    budgets = fib.marginals.cells
+    budgets = graph_marginals(z, g).cells
     assert list(fib.tables) == _kernel.fiber_tables(g.n, edges, budgets, 8)
     assert "elements" not in vars(fib)
     assert [tuple(e.units()) for e in fib.elements] == list(fib.tables)
@@ -338,8 +333,9 @@ def test_marginal_cells_are_the_kernels_keys():
 def test_witness_marginals_are_its_key():
     g = cycle_graph("abcde")
     fib, (za, zb) = search_width(g, 4, 3)[1]
-    assert fib.marginals == graph_marginals(za, g) == graph_marginals(zb, g)
-    assert all(graph_marginals(e, g) == fib.marginals for e in fib.elements)
+    m = graph_marginals(fib.elements[0], g)
+    assert m == graph_marginals(za, g) == graph_marginals(zb, g)
+    assert all(graph_marginals(e, g) == m for e in fib.elements)
 
 
 def test_c4_needs_degree_4():
@@ -438,7 +434,7 @@ def _assert_least_flip(g, split, witness):
     flips = [edge_cells(m, edges) for m in range(1 << g.n)]
     assert fiber._least_flip(edges, flips, fibers) == (cells, mask)
     fib = witness[0]
-    assert fib.marginals.cells == image
+    assert _cells(g, fib.tables[0]) == image
     assert fib.tables == _flipped(split[fibers.index(cells)], mask)
 
 
@@ -579,7 +575,7 @@ def _witness_bytes(witness):
     if witness is None:
         return None
     fib, (za, zb) = witness
-    return (fib.graph, fib.marginals, fib.tables, za.key(), zb.key())
+    return (fib.graph, fib.tables, za.key(), zb.key())
 
 
 def test_search_by_pieces_matches_whole_graph_search():

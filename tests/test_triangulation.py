@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from markov_atlas import (certify_lower_bound, complete_graph, double_wheel,
-                          enumerate_fiber, graph_marginals, is_clean,
+                          fiber_of, graph_marginals, is_clean,
                           load_triangulation, red_blue_vectors,
                           two_face_coloring)
 from markov_atlas import triangulation
@@ -111,8 +111,8 @@ def test_face_candidates_cover_both_vectors():
     zr, zb = red_blue_vectors(t, coloring)
     cand = set(_face_masks(t))
     assert cand == {0, *map(_face_mask, t.faces)}
-    assert set(zr.support()) <= cand
-    assert set(zb.support()) <= cand
+    assert set(zr.entries) <= cand
+    assert set(zb.entries) <= cand
 
 
 # -- certificates -------------------------------------------------------
@@ -186,16 +186,15 @@ def test_face_search_matches_blind_enumeration(make, monkeypatch):
     searched = []
 
     def recording(*args, **kwargs):
-        searched.append(enumerate_fiber(*args, **kwargs))
+        searched.append(fiber_of(*args, **kwargs))
         return searched[-1]
 
-    monkeypatch.setattr(triangulation.fiber_mod, "enumerate_fiber",
-                        recording)
+    monkeypatch.setattr(triangulation.fiber_mod, "fiber_of", recording)
     rep = certify_lower_bound(t, verify_fiber=True)
     assert rep.fiber_verified
     zr, _ = red_blue_vectors(t, two_face_coloring(t))
     kn = complete_graph(t.vertices)
-    blind = enumerate_fiber(kn, graph_marginals(zr, kn))
+    blind = fiber_of(kn, zr)
     assert sorted(searched[0].tables) == sorted(blind.tables)
     assert blind.size == rep.fiber_size
 
