@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator, List, Optional, Tuple
 
 from . import connector, fiber, sampler, triangulation, width
-from .errors import MarkovAtlasError, ParseError
+from .errors import MarkovAtlasError, ParseError, _fields
 from .graphs import parse_graph, sp_decompose
 from .lattice import (TableVector, _parse_lines, format_vector, parse_vector,
                       vector_to_json)
@@ -32,14 +32,6 @@ def _read(path: str) -> str:
         raise MarkovAtlasError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load_graph(path: str):
-    return parse_graph(_read(path))
-
-
-def _load_vector(path: str):
-    return parse_vector(_read(path))
-
-
 def _load_moves(path: str) -> Iterator[TableVector]:
     """A moves file is a concatenation of vector blocks, each starting
     with its own 'vertices:' header; only comments and blank lines may
@@ -47,15 +39,13 @@ def _load_moves(path: str) -> Iterator[TableVector]:
     the walk, which checks each vector as it reads it, reports errors
     block by block with its one kernel test.  Errors give the file's
     line numbers."""
-    blocks: List[List[Tuple[int, str]]] = []
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("vertices:"):
+    blocks: List[List[Tuple[int, List[str]]]] = []
+    for lineno, fields in _fields(_read(path)):
+        if fields[0].startswith("vertices:"):
             blocks.append([])
-        elif stripped and not blocks:
+        elif not blocks:
             raise ParseError("expected 'vertices:' header", lineno)
-        if stripped:
-            blocks[-1].append((lineno, raw))
+        blocks[-1].append((lineno, fields))
     if not blocks:
         raise MarkovAtlasError(f"no move vectors found in {path}")
     return (_parse_lines(b) for b in blocks)
@@ -123,7 +113,7 @@ def _emit(args, obj: dict, text: Optional[str] = None):
 # -- subcommands -------------------------------------------------------
 
 def _cmd_width(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     report = width.classify_width(
         g, evidence_max_total=args.max_total if args.evidence else None)
     text = f"{report.kind} {report.value} ({report.reason})"
@@ -135,16 +125,16 @@ def _cmd_width(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     poles = tuple(args.poles) if args.poles else None
     _emit(args, sp_decompose(g, poles=poles))
     return 0
 
 
 def _cmd_connect(args) -> int:
-    g = _load_graph(args.graph)
-    z = _load_vector(args.vec_a)
-    zp = _load_vector(args.vec_b)
+    g = parse_graph(_read(args.graph))
+    z = parse_vector(_read(args.vec_a))
+    zp = parse_vector(_read(args.vec_b))
     seq = connector.connect_graph(g, z, zp)
     obj = seq.to_json()
     if args.verify:
@@ -175,7 +165,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_search_width(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     degrees, witness = fiber.search_width(g, args.max_total, args.max_degree)
     rows = list(enumerate(degrees, start=1))
     out = {"per_total": [{"total": t, "min_degree": d} for t, d in rows]}
@@ -200,8 +190,8 @@ def _cmd_search_width(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    g = _load_graph(args.graph)
-    z0 = _load_vector(args.vec)
+    g = parse_graph(_read(args.graph))
+    z0 = parse_vector(_read(args.vec))
     # the inputs are checked before the fiber, which can take seconds
     if not z0.is_nonnegative():
         raise ValueError("initial table must be non-negative")

@@ -443,10 +443,8 @@ def _join_sides(z: Counts, zp: Counts, m1: int, m2: int,
 
 def _uv_cells(x: Counts, ubit: int, vbit: int) -> Tuple[int, ...]:
     """The (u, v) marginal of `x`, u's value in the low bit."""
-    cells = [0, 0, 0, 0]
-    for m, c in x.items():
-        cells[bool(m & ubit) + 2 * bool(m & vbit)] += c
-    return tuple(cells)
+    part = _part_counts(x, ubit | vbit)
+    return tuple(part.get(m, 0) for m in (0, ubit, vbit, ubit | vbit))
 
 
 class _Node:

@@ -1,4 +1,6 @@
-"""Exception hierarchy for markov_atlas."""
+"""Exception hierarchy for markov_atlas, and its text formats' line reader."""
+
+from typing import Iterator, List, Tuple
 
 
 class MarkovAtlasError(Exception):
@@ -13,6 +15,15 @@ class ParseError(MarkovAtlasError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def _fields(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, fields) of every line of `text` with text before
+    its `#`: every text format's rule for comments and blank lines."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
 
 
 class GroundSetMismatch(MarkovAtlasError):

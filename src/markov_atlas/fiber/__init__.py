@@ -28,7 +28,7 @@ from ..lattice import Move, TableVector, edge_cells, graph_marginals
 from ..limits import default_limits
 from . import _kernel
 
-KERNEL_ID = _kernel.KERNEL_ID
+KERNEL_ID = "py"
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,6 @@ def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
     limits = default_limits()
     limits.check_vertices(g.n)
     limits.check_total(max_total)
-    edges = tuple(sorted(g.edges))
     cells = 1 << g.n
     degrees: List[int] = []
     best = 1
@@ -196,7 +195,7 @@ def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
                 "max_fiber",
                 f"C({cells}+{total - 1}, {total}) = {count} tables")
         split = []
-        for tables in _kernel.group_tables(g.n, edges, total).values():
+        for tables in _kernel.group_tables(g.n, g.edges, total).values():
             # a fiber of one table is the cheap common case of the test
             if len(tables) < 2 or set(tables[0]).intersection(*tables[1:]):
                 continue
@@ -207,7 +206,7 @@ def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
                 split.append(tables)
         degrees.append(best)
         if witness is None and split:
-            witness = _witness(g, edges, k, split)
+            witness = _witness(g, g.edges, k, split)
     return degrees, witness
 
 
@@ -257,7 +256,7 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     searched = {}
     for verts, edges in pieces:
         piece = g.subgraph(verts, edges)
-        shape = (piece.n, tuple(sorted(piece.edges)))
+        shape = (piece.n, piece.edges)
         if shape not in searched:
             searched[shape] = _search_fibers(piece, max_total)[0]
     degrees = [max(*ds, 2 if t else 1)

@@ -25,8 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lattice import edge_cells
 
-KERNEL_ID = "py"
-
 
 class CapExceeded(Exception):
     pass
@@ -245,6 +243,15 @@ def fiber_moves(tables: Sequence[Tuple[int, ...]],
     return moves
 
 
+def _find(parent: List[int], x: int) -> int:
+    """The root of x in the union-find forest `parent`, halving the
+    path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def component_labels(tables: Sequence[Tuple[int, ...]],
                      max_norm: int) -> List[int]:
     """Union-find labels of the graph joining tables at L1 distance
@@ -252,21 +259,14 @@ def component_labels(tables: Sequence[Tuple[int, ...]],
     f = len(tables)
     parent = list(range(f))
     occupancy = _occupancy(tables)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i in range(f):
         oi = occupancy[i]
         for j in range(i + 1, f):
-            if find(i) == find(j):
+            if _find(parent, i) == _find(parent, j):
                 continue
             if (oi ^ occupancy[j]).bit_count() <= max_norm:
-                parent[find(i)] = find(j)
-    return [find(i) for i in range(f)]
+                parent[_find(parent, i)] = _find(parent, j)
+    return [_find(parent, i) for i in range(f)]
 
 
 def bottleneck_norm(tables: Sequence[Tuple[int, ...]], floor: int = 1) -> int:
@@ -291,13 +291,6 @@ def bottleneck_norm(tables: Sequence[Tuple[int, ...]], floor: int = 1) -> int:
         return max((a ^ b).bit_count(), 2 * floor)
     size = len(tables[0])
     parent = list(range(f))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     parts = f
     for d in range(floor, size):
         first: Dict[Tuple[int, ...], int] = {}
@@ -306,7 +299,7 @@ def bottleneck_norm(tables: Sequence[Tuple[int, ...]], floor: int = 1) -> int:
                 other = first.setdefault(sub, idx)
                 if other == idx:
                     continue
-                a, b = find(other), find(idx)
+                a, b = _find(parent, other), _find(parent, idx)
                 if a != b:
                     parent[a] = b
                     parts -= 1

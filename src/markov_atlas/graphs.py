@@ -20,7 +20,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Sequence, Set, Tuple)
 
 from .errors import (NoSuchPoles, NotK4MinorFree, NotSeriesParallel,
-                     ParseError)
+                     ParseError, _fields)
 
 Edge = Tuple[int, int]
 
@@ -30,7 +30,8 @@ def _norm_edge(i: int, j: int) -> Edge:
 
 
 class Graph:
-    """Immutable simple graph over an ordered vertex list."""
+    """Immutable simple graph over an ordered vertex list; `edges` is the
+    sorted tuple of its (i, j), i < j, pairs, in cell-layout order."""
 
     __slots__ = ("vertices", "edges", "_adj")
 
@@ -46,7 +47,7 @@ class Graph:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range")
             es.add(_norm_edge(i, j))
-        self.edges: FrozenSet[Edge] = frozenset(es)
+        self.edges: Tuple[Edge, ...] = tuple(sorted(es))
         self._adj: Optional[Dict[int, Set[int]]] = None
 
     # -- basics --------------------------------------------------------
@@ -75,15 +76,11 @@ class Graph:
             self._adj = a
         return self._adj
 
-    def degree(self, i: int) -> int:
-        return len(self.adj()[i])
-
     def has_edge(self, i: int, j: int) -> bool:
-        return _norm_edge(i, j) in self.edges
+        return j in self.adj().get(i, ())
 
     def edge_labels(self) -> List[Tuple[str, str]]:
-        return [(self.vertices[i], self.vertices[j])
-                for i, j in sorted(self.edges)]
+        return [(self.vertices[i], self.vertices[j]) for i, j in self.edges]
 
     def subgraph(self, vertex_idxs: Iterable[int],
                  edges: Optional[Iterable[Edge]] = None) -> "Graph":
@@ -107,7 +104,7 @@ class Graph:
         return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
-        return f"Graph({list(self.vertices)}, {sorted(self.edges)})"
+        return f"Graph({list(self.vertices)}, {list(self.edges)})"
 
     # -- global structure ----------------------------------------------
 
@@ -151,11 +148,7 @@ def parse_graph(text: str) -> Graph:
     labels: List[str] = []
     index: Dict[str, int] = {}
     edges: List[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _fields(text):
         if len(parts) != 2:
             raise ParseError(f"expected two vertex labels, got {parts!r}",
                              lineno)

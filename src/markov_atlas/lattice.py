@@ -7,10 +7,10 @@ total ``N`` at no more than ``N`` support entries regardless of the number
 of vertices.
 
 :func:`edge_cells` is the one definition of the cell layout: the e-th
-sorted edge (i, j) owns cells 4e to 4e + 3, and a labeling falls in cell
-4e + 2 * bit_i + bit_j.  :class:`MarginalSet` stores its counts in that
-layout, the enumeration kernel takes them as budgets, and the kernel
-test packs them.  The kernel's fibers carry no key: the cells of a
+edge (i, j) of `g.edges` owns cells 4e to 4e + 3, and a labeling falls
+in cell 4e + 2 * bit_i + bit_j.  :class:`MarginalSet` stores its counts
+in that layout, the enumeration kernel takes them as budgets, and the
+kernel test packs them.  The kernel's fibers carry no key: the cells of a
 fiber are the marginals of any of its tables.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .errors import GroundSetMismatch, NotKernelMove, ParseError
+from .errors import GroundSetMismatch, NotKernelMove, ParseError, _fields
 
 
 class TableVector:
@@ -75,13 +75,10 @@ class TableVector:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _require_same_ground(self, other: "TableVector"):
+    def __add__(self, other: "TableVector") -> "TableVector":
         if self.vertices != other.vertices:
             raise GroundSetMismatch(
                 f"{self.vertices} vs {other.vertices}")
-
-    def __add__(self, other: "TableVector") -> "TableVector":
-        self._require_same_ground(other)
         entries = dict(self.entries)
         for m, c in other.entries.items():
             entries[m] = entries.get(m, 0) + c
@@ -114,15 +111,6 @@ class TableVector:
 
 # -- projections -------------------------------------------------------
 
-def restrict_mask(mask: int, positions: Sequence[int]) -> int:
-    """Repack the bits at `positions` into a contiguous mask."""
-    out = 0
-    for j, i in enumerate(positions):
-        if (mask >> i) & 1:
-            out |= 1 << j
-    return out
-
-
 def project(z: TableVector, targets: Sequence[str]) -> TableVector:
     """Linear projection restricting every labeling to `targets`.
 
@@ -137,7 +125,10 @@ def project(z: TableVector, targets: Sequence[str]) -> TableVector:
         raise GroundSetMismatch(f"{exc} not in {z.vertices}") from None
     out: Dict[int, int] = {}
     for mask, c in z.entries.items():
-        nm = restrict_mask(mask, positions)
+        nm = 0  # the bits at `positions`, repacked contiguously
+        for j, i in enumerate(positions):
+            if (mask >> i) & 1:
+                nm |= 1 << j
         out[nm] = out.get(nm, 0) + c
     return TableVector(tuple(targets), out)
 
@@ -180,12 +171,11 @@ def graph_marginals(z: TableVector, g) -> MarginalSet:
     """All edge marginals of `z` with respect to graph `g`."""
     if z.vertices != g.vertices:
         raise GroundSetMismatch(f"{z.vertices} vs {g.vertices}")
-    edges = tuple(sorted(g.edges))
-    cells = [0] * (4 * len(edges))
+    cells = [0] * (4 * g.m)
     for mask, c in z.entries.items():
-        for k in edge_cells(mask, edges):
+        for k in edge_cells(mask, g.edges):
             cells[k] += c
-    return MarginalSet(z.vertices, edges, tuple(cells), z.total())
+    return MarginalSet(z.vertices, g.edges, tuple(cells), z.total())
 
 
 @dataclass(frozen=True)
@@ -205,10 +195,6 @@ class Move:
     def vector(self) -> TableVector:
         return TableVector(self.vertices, dict(self.items))
 
-    @property
-    def degree(self) -> int:
-        return sum(abs(c) for _, c in self.items) // 2
-
 
 def _kernel_test(g) -> Callable[..., bool]:
     """A test of whether (mask, coefficient) items over `vertices` have
@@ -224,7 +210,6 @@ def _kernel_test(g) -> Callable[..., bool]:
     labeling's increment (1 in the field of each of its `edge_cells`)
     is computed once per width for the life of the test.
     """
-    edges = sorted(g.edges)
     # per width, each labeling's increment
     increments: Dict[int, Dict[int, int]] = {}
 
@@ -247,8 +232,8 @@ def _kernel_test(g) -> Callable[..., bool]:
             if step is None:
                 # digit by digit, linear in the edge count where a sum
                 # of shifts is quadratic; one spare digit parses no edges
-                digits = bytearray(b"0" * (1 + 4 * len(edges) * width))
-                for k in edge_cells(m, edges):
+                digits = bytearray(b"0" * (1 + 4 * g.m * width))
+                for k in edge_cells(m, g.edges):
                     digits[-1 - width * k] = 49  # "1"
                 step = row[m] = int(digits, 2)
             packed += c * step
@@ -301,26 +286,22 @@ def format_vector(z: TableVector) -> str:
 
 
 def parse_vector(text: str) -> TableVector:
-    return _parse_lines(enumerate(text.splitlines(), start=1))
+    return _parse_lines(_fields(text))
 
 
-def _parse_lines(lines: Iterable[Tuple[int, str]]) -> TableVector:
-    """A vector from its (line number, line) pairs, so that the blocks
-    of a moves file report errors by the file's line numbers."""
+def _parse_lines(records: Iterable[Tuple[int, List[str]]]) -> TableVector:
+    """A vector from the (line number, fields) records of `_fields`, so
+    that the blocks of a moves file report errors by its line numbers."""
     vertices = None
     entries: Dict[int, int] = {}
-    for lineno, raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, parts in records:
         if vertices is None:
-            if not line.startswith("vertices:"):
+            if not parts[0].startswith("vertices:"):
                 raise ParseError("expected 'vertices:' header", lineno)
-            vertices = tuple(line[len("vertices:"):].split())
+            vertices = tuple(" ".join(parts)[len("vertices:"):].split())
             if len(set(vertices)) != len(vertices):
                 raise ParseError("duplicate vertex label", lineno)
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError("expected '<bits> <count>'", lineno)
         bits, count = parts

@@ -19,7 +19,7 @@ from itertools import permutations
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (InvalidTriangulation, NotTwoFaceColorable, ParseError,
-                     ResourceLimitError)
+                     ResourceLimitError, _fields)
 from .graphs import Graph, complete_graph
 from .lattice import TableVector
 from . import fiber as fiber_mod
@@ -85,11 +85,7 @@ def load_triangulation(text: str) -> Triangulation:
     labels: List[str] = []
     index: Dict[str, int] = {}
     faces: List[Face] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _fields(text):
         if len(parts) != 3:
             raise ParseError(f"expected three vertex labels, got {parts!r}",
                              lineno)
@@ -142,12 +138,6 @@ class FaceColoring:
     red: Tuple[bool, ...]
     component: Tuple[int, ...]
 
-    def red_faces(self, t: Triangulation) -> List[Face]:
-        return [f for f, r in zip(t.faces, self.red) if r]
-
-    def blue_faces(self, t: Triangulation) -> List[Face]:
-        return [f for f, r in zip(t.faces, self.red) if not r]
-
 
 def _dual_adjacency(t: Triangulation) -> List[Set[int]]:
     adj: List[Set[int]] = [set() for _ in t.faces]
@@ -196,11 +186,9 @@ def red_blue_vectors(t: Triangulation,
                      coloring: FaceColoring) -> Tuple[TableVector, TableVector]:
     """Indicator sums of the red and the blue faces; both have norm m/3
     and equal marginals on the complete graph."""
-    zr = TableVector.from_units(
-        t.vertices, [_face_mask(f) for f in coloring.red_faces(t)])
-    zb = TableVector.from_units(
-        t.vertices, [_face_mask(f) for f in coloring.blue_faces(t)])
-    return zr, zb
+    masks = list(zip(map(_face_mask, t.faces), coloring.red))
+    return (TableVector.from_units(t.vertices, [m for m, r in masks if r]),
+            TableVector.from_units(t.vertices, [m for m, r in masks if not r]))
 
 
 def _face_masks(t: Triangulation) -> List[int]:

@@ -404,6 +404,12 @@ def test_sample_with_moves_file(files, capsys):
                        "--json")
     assert code == 0
     assert json.loads(out)["proposed"] == 50
+    # comments, blank lines and a header with no space after its colon
+    spaced = ("# move\n\nvertices:a b c d  # header\n0101 2\n  \n"
+              "1111 2 # twice\n0111 -2\n\t1101 -2\n")
+    assert run(capsys, "sample", files("c4.txt", C4),
+               files("a.vec", VEC_C4), "--steps", "50", "--seed", "1",
+               "--moves", files("m2.vec", spaced), "--json") == (0, out, "")
 
 
 MOVE_C4 = "vertices: a b c d\n0101 2\n1111 2\n0111 -2\n1101 -2\n"
@@ -415,12 +421,16 @@ NOT_KERNEL_C4 = "vertices: a b c d\n0101 1\n0111 -1\n"
      "error: TableVector(e[1010] + -1*e[1110]) has nonzero marginals\n"),
     ((MOVE_C4, "vertices: a b c d\n011 1\n"),
      "error: line 7: bitstring must have 4 binary digits\n"),
+    # comments and blank lines count in the line numbers
+    ((MOVE_C4, "# second\n\nvertices:a b c d  # header\n011 1 # short\n"),
+     "error: line 9: bitstring must have 4 binary digits\n"),
     ((MOVE_C4, "vertices: a b c\n010 1\n"),
      "error: ('a', 'b', 'c') vs ('a', 'b', 'c', 'd')\n"),
     # a bad first block is reported before a malformed second one
     ((NOT_KERNEL_C4, "vertices: a b c d\n011 1\n"),
      "error: TableVector(e[1010] + -1*e[1110]) has nonzero marginals\n"),
-], ids=["kernel", "parse", "vertices", "first-block-first"])
+], ids=["kernel", "parse", "parse-after-comments", "vertices",
+        "first-block-first"])
 def test_sample_moves_file_bad_block(files, capsys, blocks, message):
     """A moves file is parsed and checked block by block, in order: the
     first bad block's error is the one reported."""

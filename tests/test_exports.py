@@ -67,15 +67,16 @@ def defined():
 
 def referenced(tree, strings=False):
     """(attributes, names) in `tree`: the names it reads as attributes
-    (`x.name`), and with `strings` every string constant, which the
-    benchmark's tracer passes to getattr; and its other Names and
-    imported names."""
+    (`x.name`) other than the CLI's parsed options (`args.name`), and
+    with `strings` every string constant, which the benchmark's tracer
+    passes to getattr; and its other Names and imported names."""
     attributes, names = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            attributes.add(node.attr)
+            if getattr(node.value, "id", None) != "args":
+                attributes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name.rpartition(".")[2]
                          for alias in node.names)

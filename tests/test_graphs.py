@@ -12,7 +12,8 @@ import pytest
 from markov_atlas import (Graph, TableVector, blocks, bridges,
                           complete_graph, connect_two_terminal, cut_vertices,
                           cycle_graph, find_parallel3_poles,
-                          is_k4_minor_free, parse_graph, sp_decompose)
+                          graph_marginals, is_k4_minor_free, parse_graph,
+                          sp_decompose)
 from markov_atlas.errors import NoSuchPoles, NotSeriesParallel, ParseError
 from markov_atlas.graphs import _sum_pieces, block_cut_forest
 
@@ -26,6 +27,14 @@ def test_parse_first_appearance_order():
     g = parse_graph("x y\ny z\n# comment\nz x\n")
     assert g.vertices == ("x", "y", "z")
     assert g.m == 3
+    # comment-only, blank and indented lines carry nothing, a trailing
+    # comment is cut off, and the edges come sorted whatever their order
+    g = parse_graph("# c a b\n\nc a  # first\n   \n\tb a\nc b#last\n")
+    assert g.vertices == ("c", "a", "b")
+    assert g.edges == ((0, 1), (0, 2), (1, 2))
+    z = TableVector(g.vertices, {0b011: 1, 0b100: 2})
+    assert graph_marginals(z, g).edges == g.edges
+    assert Graph("abc", [(2, 0), (1, 0)]).edges == ((0, 1), (0, 2))
 
 
 def test_parse_collapses_duplicates():
@@ -37,6 +46,9 @@ def test_parse_rejects_loop():
     with pytest.raises(ParseError) as err:
         parse_graph("a b\nc c\n")
     assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
+        parse_graph("# g\n\na b  # edge\n  # indented\nc c # loop\n")
+    assert err.value.line == 5
 
 
 def test_parse_rejects_malformed():
@@ -92,7 +104,8 @@ def test_cut_vertices_oracle():
         base = len(g.connected_components())
         for v in range(g.n):
             rest = g.subgraph([x for x in range(g.n) if x != v])
-            if len(rest.connected_components()) > base - (g.degree(v) == 0):
+            if len(rest.connected_components()) > base - (
+                    len(g.adj()[v]) == 0):
                 expect.add(v)
         assert cut_vertices(g) == expect, repr(g)
 

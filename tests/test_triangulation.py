@@ -26,12 +26,18 @@ def test_load_tetrahedron():
     t = load_triangulation(TETRA)
     assert (t.n, t.m, t.f) == (4, 6, 4)
     assert t.euler == 2
+    # comment-only and blank lines carry nothing; trailing comments go
+    assert load_triangulation("# tetrahedron\n\na b c  # top\n   \n"
+                              "a b d\n\ta c d#\nb c d\n") == t
 
 
 def test_load_rejects_bad_line():
     with pytest.raises(ParseError) as err:
         load_triangulation("a b c\na b\n")
     assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
+        load_triangulation("# faces\n\na b c # one\n  \na b  # short\n")
+    assert err.value.line == 5
 
 
 def test_open_surface_rejected():

@@ -88,7 +88,8 @@ def test_find_k4_minor_searches_only_the_block_with_the_minor(monkeypatch):
                         lambda h: sizes.append(h.m) or real(h))
     ladder = ladder_graph(200)
     k4 = itertools.combinations([0, 400, 401, 402], 2)
-    g = Graph(ladder.vertices + ("k1", "k2", "k3"), ladder.edges | set(k4))
+    g = Graph(ladder.vertices + ("k1", "k2", "k3"),
+              set(ladder.edges) | set(k4))
     assert (g.n, g.m) == (403, 604)
     assert_k4_minor(g, find_k4_minor(g))
     assert 0 < len(sizes) <= 11 and max(sizes) <= 6, sizes
