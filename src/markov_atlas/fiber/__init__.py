@@ -11,7 +11,7 @@ and the layer speaks its format: a fiber holds the kernel's tables
 (sorted tuples of unit labelings), a move the kernel's sorted
 (mask, coefficient) items.  Vectors are built only when asked for.
 The caps come from `default_limits()`, read by `fiber_of`, the one way
-into a single fiber, and by `search_width`, which walks every fiber up
+into a single fiber, and by `search_width`, which walks the fibers up
 to a total.
 """
 
@@ -135,16 +135,18 @@ def _least_flip(edges, flips, fibers) -> Tuple[Tuple[int, ...], int]:
 
 def _witness(g: Graph, edges, k: int, split):
     """The fiber with the smallest marginal cells among the flip images
-    of the fibers `split` (the first split fibers of a search over
-    every fiber), with one representative per side of its first two
-    components.
+    of the fibers `split` (the split fibers of the lowest split total),
+    with one representative per side of its first two components.
 
-    `split` leaves out the fibers whose tables share a unit, but at the
-    lowest split total none of them is split (see `_search_fibers`), so
-    the minimum is over every split fiber.  A fiber's cells are those
-    of its first table, read from one packed sum of per-labeling
-    increments with one byte per cell; equal images are the same
-    fiber, and `_least_flip` finds the smallest."""
+    `split` holds at least one fiber of every flip orbit of split
+    fibers, in any order: those of the whole graph's walk
+    (`_search_fibers`, which leaves out the fibers whose tables share a
+    unit, none of them split at the lowest split total), or the same
+    fibers from the walks over the split fibers of g's pieces
+    (`_search_lifted`).  So the minimum is over every split fiber.  A
+    fiber's cells are those of its first table, read from one packed
+    sum of per-labeling increments with one byte per cell; equal images
+    are the same fiber, and `_least_flip` finds the smallest."""
     total = len(split[0][0])
     if total > 255:
         raise ValueError("cell counts above 255 do not fit a byte field")
@@ -162,6 +164,35 @@ def _witness(g: Graph, edges, k: int, split):
     za, zb = (TableVector.from_units(g.vertices, tables[labels.index(r)])
               for r in sorted(set(labels))[:2])
     return Fiber(g, tuple(tables)), (za, zb)
+
+
+def _check_tables(limits, n: int, total: int):
+    """The max_fiber error if the C(2^n + total - 1, total) tables of
+    `total` units on n vertices, which bound a walk of that total, are
+    more than the cap."""
+    cells = 1 << n
+    count = comb(cells + total - 1, total)
+    if count > limits.max_fiber:
+        raise limits.exceeded(
+            "max_fiber", f"C({cells}+{total - 1}, {total}) = {count} tables")
+
+
+def _analyse(fibers, best: int, k: Optional[int]):
+    """The running degree `best` raised to the bottlenecks of `fibers`,
+    and those of them split by moves of degree <= k (none if k is
+    None), skipping the fibers that cannot raise it (see
+    `_search_fibers`)."""
+    split = []
+    for tables in fibers:
+        # a fiber of one table is the cheap common case of the test
+        if len(tables) < 2 or set(tables[0]).intersection(*tables[1:]):
+            continue
+        b = _kernel.bottleneck_norm(tables,
+                                    best if k is None else min(best, k))
+        best = max(best, b // 2)
+        if k is not None and b > 2 * k:
+            split.append(tables)
+    return best, split
 
 
 def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
@@ -184,30 +215,59 @@ def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
     limits = default_limits()
     limits.check_vertices(g.n)
     limits.check_total(max_total)
-    cells = 1 << g.n
     degrees: List[int] = []
     best = 1
     witness = None
     for total in range(1, max_total + 1):
-        count = comb(cells + total - 1, total)
-        if count > limits.max_fiber:
-            raise limits.exceeded(
-                "max_fiber",
-                f"C({cells}+{total - 1}, {total}) = {count} tables")
-        split = []
-        for tables in _kernel.group_tables(g.n, g.edges, total).values():
-            # a fiber of one table is the cheap common case of the test
-            if len(tables) < 2 or set(tables[0]).intersection(*tables[1:]):
-                continue
-            b = _kernel.bottleneck_norm(
-                tables, best if k is None else min(best, k))
-            best = max(best, b // 2)
-            if k is not None and b > 2 * k:
-                split.append(tables)
+        _check_tables(limits, g.n, total)
+        best, split = _analyse(
+            _kernel.group_tables(g.n, g.edges, total).values(), best, k)
         degrees.append(best)
         if witness is None and split:
             witness = _witness(g, g.edges, k, split)
     return degrees, witness
+
+
+def _search_lifted(g: Graph, pieces, first: int, k: int):
+    """`_search_fibers(g, first, k)` for k >= 2 and `first` the lowest
+    total whose degree exceeds k, where g is the clique sum of
+    `pieces`.  The totals below `first` are searched whole.  At
+    `first`, only the fibers of g whose cells on some piece P are those
+    of a split fiber of P are walked (`_kernel.group_tables` with the
+    piece's cells fixed), one walk per split fiber of P.
+
+    A fiber of g is split by moves of degree <= k exactly when it lies
+    over a split piece fiber.  A move of g of degree <= k restricts to
+    a move of P of no larger degree, so a split piece fiber splits
+    every fiber over it; and if every piece's fiber is connected, the
+    lifts of their moves and the degree-2 swaps (2 <= k) connect the
+    fiber of g.  Flipping the vertices with more than first // 2 ones
+    takes a split fiber of g to one over split piece fibers that
+    `group_tables` returns, and the walks keep the same flip cut, so
+    they give the split fibers of g's whole walk, and `_witness` the
+    same fiber.  The degree at `first` is the largest bottleneck among
+    them."""
+    degrees, _ = _search_fibers(g, first - 1, k)  # checks the vertex cap
+    _check_tables(default_limits(), g.n, first)
+    lifted = {}
+    split_of = {}
+    for verts, edges in pieces:
+        piece = g.subgraph(verts, edges)
+        shape = (piece.n, piece.edges)
+        if shape not in split_of:
+            split_of[shape] = _analyse(_kernel.group_tables(
+                piece.n, piece.edges, first).values(), k, k)[1]
+        for tables in split_of[shape]:
+            cells = [0] * (4 * len(edges))
+            for m in tables[0]:
+                for c in edge_cells(m, piece.edges):
+                    cells[c] += 1
+            for fib in _kernel.group_tables(g.n, g.edges, first,
+                                            (edges, cells)).values():
+                lifted.setdefault(fib[0], fib)
+    best, split = _analyse(lifted.values(), max(degrees, default=1), k)
+    witness = _witness(g, g.edges, k, split) if split else None
+    return degrees + [best], witness
 
 
 def search_width(g: Graph, max_total: int, k: Optional[int] = None):
@@ -241,10 +301,17 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     pieces with the same number of vertices and the same re-indexed
     edges are searched once; the caps apply to each searched graph.  A
     graph that does not split (one piece, a disconnected graph, a graph
-    without edges) is searched whole.  The witness needs the whole
-    graph: if some d(t) exceeds k, the whole graph is searched up to
-    the first such total t*, which gives the witness and must give the
-    pieces' degrees up to t* (InvariantViolation otherwise).
+    without edges) is searched whole.  The witness is a fiber of the
+    whole graph: if some d(t) exceeds k, the whole graph is searched up
+    to the first such total t*, which gives the witness and must give
+    the pieces' degrees up to t* (InvariantViolation otherwise).  For
+    k >= 2 the search at t* walks only the fibers of g that lie over a
+    split fiber of a piece (`_search_lifted`): a fiber of g is split by
+    moves of degree <= k if and only if one of its pieces' fibers is,
+    since a move restricts to each piece at no larger degree, and lifts
+    and degree-2 swaps connect g's fiber when every piece's fiber is
+    connected.  For k = 1 the swaps split fibers that no piece splits,
+    and the whole graph is walked at t* too.
     """
     if max_total < 1:
         raise ValueError("table total must be >= 1")
@@ -264,7 +331,9 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     if k is None or degrees[-1] <= k:
         return degrees, None
     first = next(t for t, d in enumerate(degrees, 1) if d > k)
-    whole, witness = _search_fibers(g, first, k)
+    # degree-2 swaps split fibers that no piece splits
+    whole, witness = (_search_fibers(g, first, k) if k == 1
+                      else _search_lifted(g, pieces, first, k))
     if whole != degrees[:first]:
         raise InvariantViolation(
             f"whole-graph degrees {whole} differ from the pieces' "

@@ -9,7 +9,9 @@ which cell a labeling falls in at each sorted edge: the budgets
 `group_tables` (every fiber of a total) counts the 1s at each vertex
 and the units that are 1 at both ends of each edge, which with the
 total fix every cell; `fiber_tables` (one fiber) counts every cell
-against its budget.  Both set up one walk, `_walk`, over a packed
+against its budget (`_budget_fields`), and `group_tables` can count
+the cells of some edges so too, to walk only the fibers with those
+cells.  Both set up one walk, `_walk`, over a packed
 counter whose fields are sized from the total.  Distances are taken
 on occupancy ints (`_occupancy`): the L1 distance of two tables is one
 `^` and `bit_count`.  `fiber_moves` also packs each table's counts, so
@@ -78,8 +80,21 @@ def _walk(masks: Sequence[int], inc: Sequence[int], total: int, start: int,
     return groups
 
 
-def group_tables(n: int, edges,
-                 total: int) -> Dict[int, List[Tuple[int, ...]]]:
+def _budget_fields(budgets: Sequence[int]) -> Tuple[int, int, int, int]:
+    """(width, start, over, full) of counter fields that count cells
+    against `budgets`, one field per cell: each field is started at
+    top - 1 - budget, so that passing the budget sets its top bit, and
+    a table that meets every budget ends with every field at top - 1."""
+    width = max(budgets, default=0).bit_length() + 1
+    top = 1 << (width - 1)
+    fields = _packed([range(len(budgets))], width)[0]
+    full = (top - 1) * fields
+    start = full - sum(b << (width * idx) for idx, b in enumerate(budgets))
+    return width, start, top * fields, full
+
+
+def group_tables(n: int, edges, total: int, fixed=None
+                 ) -> Dict[int, List[Tuple[int, ...]]]:
     """The fibers of tables with exactly `total` units, at least one
     per orbit of vertex flips, as the walk groups them: each a list of
     tables, keyed by the walk's final counter, in the order of their
@@ -103,7 +118,15 @@ def group_tables(n: int, edges,
     c_j - x, c_i - x, x), so the walk's groups are the fibers.  A table
     the walk keeps has x <= c_i <= h; an add that takes x past h takes
     c_i past h too and is discarded, and its carry stays above the
-    vertex fields."""
+    vertex fields.
+
+    With `fixed`, a pair (sub_edges, cells) of some of `edges` and their
+    `edge_cells` counts, only the fibers with those cells on sub_edges
+    are walked and returned.  The counter gets one field per cell of
+    sub_edges above the edge fields, counted against `cells` as
+    `fiber_tables` counts, and only the groups that end with those
+    fields full are kept: a labeling or a prefix that overfills a cell
+    is skipped with every table through it."""
     touched = sorted({v for e in edges for v in e})
     half = total // 2
     width = half.bit_length()
@@ -116,8 +139,19 @@ def group_tables(n: int, edges,
                     for m in range(1 << n)], width)
     inc = [x + (c << low) for x, c in zip(ones, both)]
     top = 1 << width
-    return _walk(range(1 << n), inc, total, ones[-1] * (top - 1 - half),
-                 ones[-1] * top)
+    start, over = ones[-1] * (top - 1 - half), ones[-1] * top
+    if fixed is None:
+        return _walk(range(1 << n), inc, total, start, over)
+    sub_edges, cells = fixed
+    shift = low + width * len(edges)
+    cell_width, cell_start, cell_over, full = _budget_fields(cells)
+    counts = _packed([edge_cells(m, sub_edges) for m in range(1 << n)],
+                     cell_width)
+    inc = [x + (c << shift) for x, c in zip(inc, counts)]
+    groups = _walk(range(1 << n), inc, total, start + (cell_start << shift),
+                   over + (cell_over << shift))
+    return {key: tables for key, tables in groups.items()
+            if key >> shift == full}
 
 
 def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
@@ -129,20 +163,14 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
     increments are built.  CapExceeded if there are more than `cap`
     (no cap at 0).
 
-    The counter holds each cell's count from top - 1 - budget, so that
-    passing the budget sets the field's top bit; the fiber is the group
-    that ends with every field at top - 1."""
-    ncells = 4 * len(edges)
-    if len(budgets) != ncells:
+    The counter holds one `_budget_fields` field per cell; the fiber is
+    the group that ends with every field full."""
+    if len(budgets) != 4 * len(edges):
         raise ValueError("budgets length mismatch")
-    width = max(budgets, default=0).bit_length() + 1
-    top = 1 << (width - 1)
-    fields = _packed([range(ncells)], width)[0]
-    full = (top - 1) * fields
-    start = full - sum(b << (width * idx) for idx, b in enumerate(budgets))
+    width, start, over, full = _budget_fields(budgets)
     masks = range(1 << n) if candidates is None else sorted(candidates)
     inc = _packed([edge_cells(m, edges) for m in masks], width)
-    return _walk(masks, inc, total, start, top * fields, cap).get(full, [])
+    return _walk(masks, inc, total, start, over, cap).get(full, [])
 
 
 def _occupancy(tables: Sequence[Tuple[int, ...]]) -> List[int]:

@@ -620,6 +620,109 @@ def _record_group_tables(monkeypatch):
     return calls
 
 
+def _record_walks(monkeypatch):
+    """(n, total, whole) of every `group_tables` call, `whole` False
+    for a walk with some cells fixed."""
+    calls = []
+    real = _kernel.group_tables
+
+    def recorded(n, edges, total, fixed=None):
+        calls.append((n, total, fixed is None))
+        return real(n, edges, total, fixed)
+
+    monkeypatch.setattr(_kernel, "group_tables", recorded)
+    return calls
+
+
+def _edge_counts(edges, table):
+    cells = [0] * (4 * len(edges))
+    for m in table:
+        for c in edge_cells(m, edges):
+            cells[c] += 1
+    return tuple(cells)
+
+
+def test_group_tables_with_fixed_cells_walks_the_fibers_over_them():
+    """With a piece's cells fixed, `group_tables` gives exactly the
+    fibers of the flip-cut grouping with those cells on the piece's
+    edges, in the same order: for every piece of the bowtie at totals
+    2-4 and of C4 with a hung path at total 3, and every cells of the
+    piece's edges that some fiber has.  Cells of a larger total fit no
+    table, though no cell is overfilled."""
+    walks = 0
+    for g, totals in ((BOWTIE, (2, 3, 4)), (C4_TAIL, (3,))):
+        for _, sub in _sum_pieces(g):
+            for total in totals:
+                over = {}
+                for tabs in flip_cut_fibers(g.n, g.edges, total):
+                    over.setdefault(_edge_counts(sub, tabs[0]),
+                                    []).append(tabs)
+                for cells, want in over.items():
+                    got = _kernel.group_tables(g.n, g.edges, total,
+                                               (sub, list(cells)))
+                    assert list(got.values()) == want, (g, sub, cells)
+                    assert _kernel.group_tables(g.n, g.edges, total - 1,
+                                                (sub, list(cells))) == {}
+                    walks += 1
+    assert walks > 100
+
+
+def test_split_graph_witness_walks_over_split_piece_fibers(monkeypatch):
+    """For k >= 2 the bowtie's witness at total 4 comes from walks
+    with a triangle's cells fixed: the whole graph is walked at totals
+    1-3 only.  For k = 1 degree-2 swaps split fibers that no piece
+    splits, and the whole graph is walked at the first split total."""
+    calls = _record_walks(monkeypatch)
+    assert search_width(BOWTIE, 4, 3)[1][0].size == 2
+    assert [t for n, t, whole in calls if n == 5 and whole] == [1, 2, 3]
+    assert (5, 4, False) in calls
+    calls.clear()
+    assert search_width(BOWTIE, 4, 1)[1][0].size == 2
+    assert [t for n, t, whole in calls if n == 5 and whole] == [1, 2]
+    assert all(whole for _, _, whole in calls)
+
+
+def _orbits(g, split):
+    """The least flip image (`_least_flip`) of each fiber of `split`:
+    one set element per flip orbit."""
+    flips = [edge_cells(m, g.edges) for m in range(1 << g.n)]
+    images = set()
+    for tabs in split:
+        cells, mask = fiber._least_flip(g.edges, flips, [_cells(g, tabs[0])])
+        images.add(_cells(g, _flipped(tabs, mask)[0]))
+    return images
+
+
+def test_lifted_split_fibers_meet_every_split_orbit(monkeypatch):
+    """At the first total whose degree exceeds k, the split fibers
+    walked over the pieces' split fibers meet the same flip orbits as
+    the whole-graph search's split fibers (they are the same fibers):
+    every connected graph on 3-5 vertices with 2 or more pieces
+    (totals 6 and 4), and the bowtie, the 2x3 ladder and C4 with a hung
+    path at total 4, for k = 2, 3."""
+    calls = _recorded_witnesses(monkeypatch)
+    cases = [(g, 6 if n <= 4 else 4) for n in range(3, 6)
+             for g in nonisomorphic_graphs(n)
+             if g.is_connected() and len(_sum_pieces(g)) > 1]
+    cases += [(g, 4) for g in (BOWTIE, ladder_graph(3), C4_TAIL)]
+    compared = 0
+    for g, max_total in cases:
+        for k in (2, 3):
+            calls.clear()
+            degrees, witness = search_width(g, max_total, k)
+            if witness is None:
+                assert not calls
+                continue
+            first = next(t for t, d in enumerate(degrees, 1) if d > k)
+            fiber._search_fibers(g, first, k)
+            (_, lifted, _), (_, whole, _) = calls
+            assert len(lifted[0][0]) == first
+            assert sorted(lifted) == sorted(whole)
+            assert _orbits(g, lifted) == _orbits(g, whole)
+            compared += 1
+    assert compared == 34
+
+
 def test_cactus_is_searched_one_triangle_at_a_time(monkeypatch):
     """A cactus of 20 triangles on 41 vertices, past the 16-vertex cap
     of a whole-graph search, is searched on triangles alone."""
@@ -650,3 +753,23 @@ def test_pieces_that_disagree_with_the_whole_graph_raise(monkeypatch):
     monkeypatch.setattr(fiber, "_search_fibers", wrong_for_pieces)
     with pytest.raises(InvariantViolation, match="differ"):
         search_width(BOWTIE, 4, 2)
+
+
+def test_lifted_bottleneck_that_disagrees_with_the_pieces_raises(
+        monkeypatch):
+    """At the first total above k the largest bottleneck of the fibers
+    walked over the pieces' split fibers is checked against the
+    pieces' degree: the bowtie's triangles raised from 4 to 5 at total
+    4 are caught at k = 3."""
+    real = fiber._search_fibers
+
+    def wrong_for_pieces(g, max_total, k=None):
+        degrees, witness = real(g, max_total, k)
+        if g.n == 3:
+            degrees[3:] = [5] * len(degrees[3:])
+        return degrees, witness
+
+    monkeypatch.setattr(fiber, "_search_fibers", wrong_for_pieces)
+    with pytest.raises(InvariantViolation,
+                       match=r"\[1, 2, 2, 4\] differ .* \[1, 2, 2, 5\]"):
+        search_width(BOWTIE, 4, 3)
