@@ -133,32 +133,29 @@ def _least_flip(edges, flips, fibers) -> Tuple[Tuple[int, ...], int]:
     return min(best)
 
 
-def _witness(g: Graph, edges, k: int, split):
+def _witness(g: Graph, k: int, split):
     """The fiber with the smallest marginal cells among the flip images
-    of the fibers `split` (the split fibers of the lowest split total),
-    with one representative per side of its first two components.
+    of the fibers `split`, with one representative per side of its
+    first two components.
 
-    `split` holds at least one fiber of every flip orbit of split
-    fibers, in any order: those of the whole graph's walk
-    (`_search_fibers`, which leaves out the fibers whose tables share a
-    unit, none of them split at the lowest split total), or the same
-    fibers from the walks over the split fibers of g's pieces
-    (`_search_lifted`).  So the minimum is over every split fiber.  A
-    fiber's cells are those of its first table, read from one packed
-    sum of per-labeling increments with one byte per cell; equal images
-    are the same fiber, and `_least_flip` finds the smallest."""
+    `split` holds the split fibers of the lowest split total, at least
+    one of every flip orbit, in any order (see `search_width`), so the
+    minimum is over every split fiber.  A fiber's cells are those of
+    its first table, read from one packed sum of per-labeling
+    increments with one byte per cell; equal images are the same
+    fiber, and `_least_flip` finds the smallest."""
     total = len(split[0][0])
     if total > 255:
         raise ValueError("cell counts above 255 do not fit a byte field")
-    flips = [edge_cells(mask, edges) for mask in range(1 << g.n)]
+    flips = [edge_cells(mask, g.edges) for mask in range(1 << g.n)]
     inc = _kernel._packed(flips, 8)
 
     def cells_of(table):
         return tuple(sum(map(inc.__getitem__, table)).to_bytes(
-            4 * len(edges), "little"))
+            4 * g.m, "little"))
 
     fibers = {cells_of(tabs[0]): tabs for tabs in split}
-    cells, mask = _least_flip(edges, flips, fibers)
+    cells, mask = _least_flip(g.edges, flips, fibers)
     tables = sorted(tuple(sorted(m ^ mask for m in t)) for t in fibers[cells])
     labels = _kernel.component_labels(tables, 2 * k)
     za, zb = (TableVector.from_units(g.vertices, tables[labels.index(r)])
@@ -181,7 +178,9 @@ def _analyse(fibers, best: int, k: Optional[int]):
     """The running degree `best` raised to the bottlenecks of `fibers`,
     and those of them split by moves of degree <= k (none if k is
     None), skipping the fibers that cannot raise it (see
-    `_search_fibers`)."""
+    `_search_fibers`).  Whether the fibers are a whole-graph walk's or
+    those over a piece's split fibers, the split ones are the same (see
+    `search_width`)."""
     split = []
     for tables in fibers:
         # a fiber of one table is the cheap common case of the test
@@ -196,8 +195,9 @@ def _analyse(fibers, best: int, k: Optional[int]):
 
 
 def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
-    """The degrees and witness of `search_width` from the fibers of
-    the whole graph g, with the caps checked for g.
+    """The degrees of `search_width` from the fibers of the whole graph
+    g, with the caps checked for g, and the fibers of the lowest total
+    split by moves of degree <= k (none if k is None or none is).
 
     Vertex flips map fibers to fibers and keep L1 distances, so one
     fiber per flip orbit is analysed (see `_kernel.group_tables`).  Of
@@ -209,65 +209,24 @@ def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
     if it is split, a split fiber of a lower total holds the witness.
     Flips keep a common unit common, so at the lowest split total no
     split fiber is skipped, and the witness is the same.  Each analysed
-    fiber's bottleneck starts at the running degree (and at most at k),
-    which changes neither the degree nor the split test.
+    fiber's bottleneck starts at the running degree (and up to the
+    lowest split total at most at k), which changes neither the degree
+    nor the split test.
     """
     limits = default_limits()
     limits.check_vertices(g.n)
     limits.check_total(max_total)
     degrees: List[int] = []
     best = 1
-    witness = None
+    split = []
     for total in range(1, max_total + 1):
         _check_tables(limits, g.n, total)
-        best, split = _analyse(
-            _kernel.group_tables(g.n, g.edges, total).values(), best, k)
+        best, found = _analyse(
+            _kernel.group_tables(g.n, g.edges, total).values(), best,
+            None if split else k)
         degrees.append(best)
-        if witness is None and split:
-            witness = _witness(g, g.edges, k, split)
-    return degrees, witness
-
-
-def _search_lifted(g: Graph, pieces, first: int, k: int):
-    """`_search_fibers(g, first, k)` for k >= 2 and `first` the lowest
-    total whose degree exceeds k, where g is the clique sum of
-    `pieces`.  The totals below `first` are searched whole.  At
-    `first`, only the fibers of g whose cells on some piece P are those
-    of a split fiber of P are walked (`_kernel.group_tables` with the
-    piece's cells fixed), one walk per split fiber of P.
-
-    A fiber of g is split by moves of degree <= k exactly when it lies
-    over a split piece fiber.  A move of g of degree <= k restricts to
-    a move of P of no larger degree, so a split piece fiber splits
-    every fiber over it; and if every piece's fiber is connected, the
-    lifts of their moves and the degree-2 swaps (2 <= k) connect the
-    fiber of g.  Flipping the vertices with more than first // 2 ones
-    takes a split fiber of g to one over split piece fibers that
-    `group_tables` returns, and the walks keep the same flip cut, so
-    they give the split fibers of g's whole walk, and `_witness` the
-    same fiber.  The degree at `first` is the largest bottleneck among
-    them."""
-    degrees, _ = _search_fibers(g, first - 1, k)  # checks the vertex cap
-    _check_tables(default_limits(), g.n, first)
-    lifted = {}
-    split_of = {}
-    for verts, edges in pieces:
-        piece = g.subgraph(verts, edges)
-        shape = (piece.n, piece.edges)
-        if shape not in split_of:
-            split_of[shape] = _analyse(_kernel.group_tables(
-                piece.n, piece.edges, first).values(), k, k)[1]
-        for tables in split_of[shape]:
-            cells = [0] * (4 * len(edges))
-            for m in tables[0]:
-                for c in edge_cells(m, piece.edges):
-                    cells[c] += 1
-            for fib in _kernel.group_tables(g.n, g.edges, first,
-                                            (edges, cells)).values():
-                lifted.setdefault(fib[0], fib)
-    best, split = _analyse(lifted.values(), max(degrees, default=1), k)
-    witness = _witness(g, g.edges, k, split) if split else None
-    return degrees + [best], witness
+        split = split or found
+    return degrees, split
 
 
 def search_width(g: Graph, max_total: int, k: Optional[int] = None):
@@ -303,15 +262,22 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     graph that does not split (one piece, a disconnected graph, a graph
     without edges) is searched whole.  The witness is a fiber of the
     whole graph: if some d(t) exceeds k, the whole graph is searched up
-    to the first such total t*, which gives the witness and must give
-    the pieces' degrees up to t* (InvariantViolation otherwise).  For
-    k >= 2 the search at t* walks only the fibers of g that lie over a
-    split fiber of a piece (`_search_lifted`): a fiber of g is split by
-    moves of degree <= k if and only if one of its pieces' fibers is,
-    since a move restricts to each piece at no larger degree, and lifts
-    and degree-2 swaps connect g's fiber when every piece's fiber is
-    connected.  For k = 1 the swaps split fibers that no piece splits,
-    and the whole graph is walked at t* too.
+    to the first such total t*, and must give the pieces' degrees there
+    (InvariantViolation otherwise).  For k = 1 degree-2 swaps split
+    fibers that no piece splits, and that search gives the witness.
+
+    For k >= 2 the whole graph is walked below t* only.  At t* the
+    search walks only the fibers of g whose cells on a piece P are
+    those of one of the split fibers P's own search found at t*
+    (`_kernel.group_tables` with those cells fixed).  These are all the
+    split fibers of g: a fiber of g is split by moves of degree <= k
+    if and only if a piece's fiber under it is.  A move restricts to
+    each piece at no larger degree, so a split piece fiber splits every
+    fiber over it; and when every piece's fiber is connected, the lifts
+    of their moves and the degree-2 swaps connect g's fiber.  Flipping
+    the vertices with more than t* // 2 ones takes a split fiber of g
+    to one these walks return, so the witness is that of g's whole
+    walk, and the largest bottleneck among them is the degree at t*.
     """
     if max_total < 1:
         raise ValueError("table total must be >= 1")
@@ -319,26 +285,40 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
         _check_degree(k)
     pieces = _sum_pieces(g) if g.m and g.is_connected() else []
     if len(pieces) < 2:
-        return _search_fibers(g, max_total, k)
-    searched = {}
-    for verts, edges in pieces:
-        piece = g.subgraph(verts, edges)
-        shape = (piece.n, piece.edges)
-        if shape not in searched:
-            searched[shape] = _search_fibers(piece, max_total)[0]
-    degrees = [max(*ds, 2 if t else 1)
-               for t, ds in enumerate(zip(*searched.values()))]
-    if k is None or degrees[-1] <= k:
-        return degrees, None
-    first = next(t for t, d in enumerate(degrees, 1) if d > k)
-    # degree-2 swaps split fibers that no piece splits
-    whole, witness = (_search_fibers(g, first, k) if k == 1
-                      else _search_lifted(g, pieces, first, k))
-    if whole != degrees[:first]:
-        raise InvariantViolation(
-            f"whole-graph degrees {whole} differ from the pieces' "
-            f"{degrees[:first]}")
-    return degrees, witness
+        degrees, split = _search_fibers(g, max_total, k)
+    else:
+        searched = {}
+        for verts, edges in pieces:
+            piece = g.subgraph(verts, edges)
+            if (piece.n, piece.edges) not in searched:
+                searched[piece.n, piece.edges] = _search_fibers(
+                    piece, max_total, k)
+        degrees = [max(*ds, 2 if t else 1) for t, ds in
+                   enumerate(zip(*(ds for ds, _ in searched.values())))]
+        if k is None or degrees[-1] <= k:
+            return degrees, None
+        first = next(t for t, d in enumerate(degrees, 1) if d > k)
+        whole, split = _search_fibers(g, first if k == 1 else first - 1, k)
+        if k > 1:
+            _check_tables(default_limits(), g.n, first)
+            lifted = {}
+            for verts, edges in pieces:
+                piece = g.subgraph(verts, edges)
+                for tables in searched[piece.n, piece.edges][1]:
+                    if len(tables[0]) != first:
+                        continue
+                    cells = graph_marginals(TableVector.from_units(
+                        piece.vertices, tables[0]), piece).cells
+                    for fib in _kernel.group_tables(
+                            g.n, g.edges, first, (edges, cells)).values():
+                        lifted.setdefault(fib[0], fib)
+            best, split = _analyse(lifted.values(), whole[-1], k)
+            whole.append(best)
+        if whole != degrees[:first]:
+            raise InvariantViolation(
+                f"whole-graph degrees {whole} differ from the pieces' "
+                f"{degrees[:first]}")
+    return degrees, _witness(g, k, split) if split else None
 
 
 def min_connecting_degree(g: Graph, max_total: int) -> int:

@@ -414,8 +414,8 @@ def _recorded_witnesses(monkeypatch):
     calls = []
     real = fiber._witness
 
-    def recorded(g, edges, k, split):
-        witness = real(g, edges, k, split)
+    def recorded(g, k, split):
+        witness = real(g, k, split)
         calls.append((g, split, witness))
         return witness
 
@@ -461,7 +461,6 @@ def test_least_flip_breaks_ties_as_the_minimum():
     mask) pairs: the C4 fiber split at degree 3 and its flip images.
     The tie goes to the smallest cells, then the smallest mask."""
     g = cycle_graph("abcd")
-    edges = sorted(g.edges)
     tables = search_width(g, 4, 3)[1][0].tables
     split = list({_cells(g, t[0]): t for t in (
         _flipped(tables, mask) for mask in range(16))}.values())
@@ -470,7 +469,7 @@ def test_least_flip_breaks_ties_as_the_minimum():
             if _cells(g, _flipped(t, mask)[0]) == image]
     # several fibers reach it, and some fiber under several flips
     assert len(ties) > len({c for c, _ in ties}) > 1
-    _assert_least_flip(g, split, fiber._witness(g, edges, 3, split))
+    _assert_least_flip(g, split, fiber._witness(g, 3, split))
 
 
 @pytest.mark.parametrize("g,total", ORBIT_CASES)
@@ -534,6 +533,29 @@ def test_search_width_analyses_only_fibers_that_can_raise_it(monkeypatch):
             if len(tabs) >= 2 and not set(tabs[0]).intersection(*tabs[1:])]
     assert analysed == want
     assert 0 < len(want) < len(fibers)
+
+
+def test_floor_past_the_split_total_is_the_running_degree(monkeypatch):
+    """Above the lowest total with a fiber split at degree <= k, each
+    bottleneck starts at the running degree, as in a search without
+    k: on C4 with k = 3 the 122 fibers analysed at totals 5 and 6 start
+    at 4, not at k."""
+    floors = []
+    exact = _kernel.bottleneck_norm
+
+    def recorded(tables, floor=1):
+        floors.append((len(tables[0]), floor))
+        return exact(tables, floor)
+
+    monkeypatch.setattr(_kernel, "bottleneck_norm", recorded)
+    g = cycle_graph("abcd")
+    assert search_width(g, 6, 3)[0] == [1, 2, 2, 4, 4, 4]
+    with_k = [(t, floor) for t, floor in floors if t > 4]
+    floors.clear()
+    search_width(g, 6)
+    assert with_k == [(t, floor) for t, floor in floors if t > 4]
+    assert len(with_k) == 122
+    assert {floor for _, floor in with_k} == {4}
 
 
 def test_search_width_matches_naive_search():
@@ -603,7 +625,8 @@ def test_search_by_pieces_matches_whole_graph_search():
             assert got_degrees == degrees
             first = next((t for t, d in enumerate(degrees, 1)
                           if k is not None and d > k), None)
-            want = first and fiber._search_fibers(g, first, k)[1]
+            want = first and fiber._witness(
+                g, k, fiber._search_fibers(g, first, k)[1])
             assert _witness_bytes(got) == _witness_bytes(want)
     assert split == 29
 
@@ -670,11 +693,14 @@ def test_group_tables_with_fixed_cells_walks_the_fibers_over_them():
 def test_split_graph_witness_walks_over_split_piece_fibers(monkeypatch):
     """For k >= 2 the bowtie's witness at total 4 comes from walks
     with a triangle's cells fixed: the whole graph is walked at totals
-    1-3 only.  For k = 1 degree-2 swaps split fibers that no piece
-    splits, and the whole graph is walked at the first split total."""
+    1-3 only, and the triangle once per total, its search's split
+    fibers seeding the walks.  For k = 1 degree-2 swaps split fibers
+    that no piece splits, and the whole graph is walked at the first
+    split total."""
     calls = _record_walks(monkeypatch)
     assert search_width(BOWTIE, 4, 3)[1][0].size == 2
     assert [t for n, t, whole in calls if n == 5 and whole] == [1, 2, 3]
+    assert [t for n, t, _ in calls if n == 3] == [1, 2, 3, 4]
     assert (5, 4, False) in calls
     calls.clear()
     assert search_width(BOWTIE, 4, 1)[1][0].size == 2
@@ -714,8 +740,8 @@ def test_lifted_split_fibers_meet_every_split_orbit(monkeypatch):
                 assert not calls
                 continue
             first = next(t for t, d in enumerate(degrees, 1) if d > k)
-            fiber._search_fibers(g, first, k)
-            (_, lifted, _), (_, whole, _) = calls
+            whole = fiber._search_fibers(g, first, k)[1]
+            [(_, lifted, _)] = calls
             assert len(lifted[0][0]) == first
             assert sorted(lifted) == sorted(whole)
             assert _orbits(g, lifted) == _orbits(g, whole)
