@@ -2,24 +2,24 @@
 
 The fiber of a non-negative table is the complete list of non-negative
 integer tables sharing its edge marginals.  Enumeration is exhaustive
-(depth-first placement of units with per-edge budget pruning) and
-either returns the whole fiber or raises `ResourceLimitError` — never a
-truncated result.
+(depth-first placement of units, pruned where a cell passes its
+marginal or, in a search, a vertex's 1s pass half the total) and either
+returns the whole fiber or raises `ResourceLimitError`, never a part.
 
 The enumeration and analysis loops live in `markov_atlas.fiber._kernel`,
 and the layer speaks its format: a fiber holds the kernel's tables
 (sorted tuples of unit labelings), a move the kernel's sorted
 (mask, coefficient) items.  Vectors are built only when asked for.
-The caps come from `default_limits()`, read by `fiber_of`, the one way
-into a single fiber, and by `search_width`, which walks the fibers up
-to a total.
+Every walk, that of `fiber_of` (the one way into a single fiber) and
+those of `search_width` (the fibers up to a total), runs inside
+`_capped`, which applies the caps of `default_limits()`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import InvariantViolation
@@ -56,24 +56,34 @@ def fiber_of(g: Graph, z: TableVector,
     """Every non-negative table over V(g) with the edge marginals of
     the non-negative table `z` (ValueError on a negative entry).
 
-    `candidates` optionally restricts the support labelings considered;
-    it must be a superset of every feasible support (callers use it only
-    with provably sufficient sets).
+    `candidates` optionally restricts the support labelings, each placed
+    once (ValueError on one outside range(2^n)); it must be a superset
+    of every feasible support (callers give only sufficient sets).
     """
     if not z.is_nonnegative():
         raise ValueError("a fiber is taken through a non-negative table")
     m = graph_marginals(z, g)
+    with _capped(g.n, m.total, "the fiber") as cap:
+        return Fiber(g, tuple(_kernel.fiber_tables(
+            g.n, m.edges, m.cells, m.total, candidates, cap=cap)))
+
+
+@contextmanager
+def _capped(n: int, total: int, what: str):
+    """The max_fiber cap for walks of up to `total` units on n vertices,
+    once both are within `default_limits()`; a walk's CapExceeded is
+    raised as the max_fiber ResourceLimitError, naming `what` and the
+    walk's total."""
     limits = default_limits()
-    limits.check_vertices(g.n)
-    limits.check_total(m.total)
+    if n > limits.max_vertices:
+        raise limits.exceeded("max_vertices", f"{n} vertices")
+    if total > limits.max_total:
+        raise limits.exceeded("max_total", f"table total {total}")
     try:
-        tables = _kernel.fiber_tables(g.n, m.edges, m.cells, m.total,
-                                      candidates=candidates,
-                                      cap=limits.max_fiber)
-    except _kernel.CapExceeded:
+        yield limits.max_fiber
+    except _kernel.CapExceeded as walk:
         raise limits.exceeded(
-            "max_fiber", f"the fiber of total {m.total}") from None
-    return Fiber(g, tuple(tables))
+            "max_fiber", f"{what} of total {walk.args[0]}") from None
 
 
 def _check_degree(k: int):
@@ -163,17 +173,6 @@ def _witness(g: Graph, k: int, split):
     return Fiber(g, tuple(tables)), (za, zb)
 
 
-def _check_tables(limits, n: int, total: int):
-    """The max_fiber error if the C(2^n + total - 1, total) tables of
-    `total` units on n vertices, which bound a walk of that total, are
-    more than the cap."""
-    cells = 1 << n
-    count = comb(cells + total - 1, total)
-    if count > limits.max_fiber:
-        raise limits.exceeded(
-            "max_fiber", f"C({cells}+{total - 1}, {total}) = {count} tables")
-
-
 def _analyse(fibers, best: int, k: Optional[int]):
     """The running degree `best` raised to the bottlenecks of `fibers`,
     and those of them split by moves of degree <= k (none if k is
@@ -196,8 +195,8 @@ def _analyse(fibers, best: int, k: Optional[int]):
 
 def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
     """The degrees of `search_width` from the fibers of the whole graph
-    g, with the caps checked for g, and the fibers of the lowest total
-    split by moves of degree <= k (none if k is None or none is).
+    g (the caps checked for g and max_total before any walk), and the
+    lowest total's fibers split by moves of degree <= k, if k is given.
 
     Vertex flips map fibers to fibers and keep L1 distances, so one
     fiber per flip orbit is analysed (see `_kernel.group_tables`).  Of
@@ -213,19 +212,16 @@ def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
     lowest split total at most at k), which changes neither the degree
     nor the split test.
     """
-    limits = default_limits()
-    limits.check_vertices(g.n)
-    limits.check_total(max_total)
     degrees: List[int] = []
     best = 1
     split = []
-    for total in range(1, max_total + 1):
-        _check_tables(limits, g.n, total)
-        best, found = _analyse(
-            _kernel.group_tables(g.n, g.edges, total).values(), best,
-            None if split else k)
-        degrees.append(best)
-        split = split or found
+    with _capped(g.n, max_total, "the walk") as cap:
+        for total in range(1, max_total + 1):
+            best, found = _analyse(
+                _kernel.group_tables(g.n, g.edges, total, cap=cap).values(),
+                best, None if split else k)
+            degrees.append(best)
+            split = split or found
     return degrees, split
 
 
@@ -287,9 +283,9 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
     if len(pieces) < 2:
         degrees, split = _search_fibers(g, max_total, k)
     else:
+        pieces = [(edges, g.subgraph(verts, edges)) for verts, edges in pieces]
         searched = {}
-        for verts, edges in pieces:
-            piece = g.subgraph(verts, edges)
+        for _, piece in pieces:
             if (piece.n, piece.edges) not in searched:
                 searched[piece.n, piece.edges] = _search_fibers(
                     piece, max_total, k)
@@ -300,18 +296,18 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
         first = next(t for t, d in enumerate(degrees, 1) if d > k)
         whole, split = _search_fibers(g, first if k == 1 else first - 1, k)
         if k > 1:
-            _check_tables(default_limits(), g.n, first)
             lifted = {}
-            for verts, edges in pieces:
-                piece = g.subgraph(verts, edges)
-                for tables in searched[piece.n, piece.edges][1]:
-                    if len(tables[0]) != first:
-                        continue
-                    cells = graph_marginals(TableVector.from_units(
-                        piece.vertices, tables[0]), piece).cells
-                    for fib in _kernel.group_tables(
-                            g.n, g.edges, first, (edges, cells)).values():
-                        lifted.setdefault(fib[0], fib)
+            with _capped(g.n, first, "the walk") as cap:
+                for edges, piece in pieces:
+                    for tables in searched[piece.n, piece.edges][1]:
+                        if len(tables[0]) != first:
+                            continue
+                        cells = graph_marginals(TableVector.from_units(
+                            piece.vertices, tables[0]), piece).cells
+                        for fib in _kernel.group_tables(
+                                g.n, g.edges, first, (edges, cells),
+                                cap).values():
+                            lifted.setdefault(fib[0], fib)
             best, split = _analyse(lifted.values(), whole[-1], k)
             whole.append(best)
         if whole != degrees[:first]:

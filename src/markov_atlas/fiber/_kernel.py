@@ -11,11 +11,12 @@ and the units that are 1 at both ends of each edge, which with the
 total fix every cell; `fiber_tables` (one fiber) counts every cell
 against its budget (`_budget_fields`), and `group_tables` can count
 the cells of some edges so too, to walk only the fibers with those
-cells.  Both set up one walk, `_walk`, over a packed
-counter whose fields are sized from the total.  Distances are taken
-on occupancy ints (`_occupancy`): the L1 distance of two tables is one
-`^` and `bit_count`.  `fiber_moves` also packs each table's counts, so
-that the difference of two tables is one subtraction.
+cells.  Both set up one walk, `_walk`, over a packed counter whose
+fields are sized from the total, and it counts every table it makes
+against one cap.  Distances are taken on occupancy ints
+(`_occupancy`): the L1 distance of two tables is one `^` and
+`bit_count`.  `fiber_moves` also packs each table's counts, so that
+the difference of two tables is one subtraction.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ..lattice import edge_cells
 
 
 class CapExceeded(Exception):
-    pass
+    """A walk made more tables than its cap; args[0] is its total."""
 
 
 def _packed(rows: Sequence[Sequence[int]], width: int) -> List[int]:
@@ -38,15 +39,15 @@ def _packed(rows: Sequence[Sequence[int]], width: int) -> List[int]:
 
 
 def _walk(masks: Sequence[int], inc: Sequence[int], total: int, start: int,
-          over: int, cap: int = 0) -> Dict[int, List[Tuple[int, ...]]]:
+          over: int, cap: int) -> Dict[int, List[Tuple[int, ...]]]:
     """The tables of `total` units from `masks` (ascending) that keep a
     counter, started at `start` and raised by `inc[i]` for each unit
     `masks[i]`, clear of the bits of `over`, in lexicographic order,
     grouped by the counter's final value in the order of their first
     tables.  Fields only grow, so a labeling that sets a bit of `over`
     is skipped with every table through it.  The last unit is placed in
-    a loop, with no call per table.  CapExceeded when a group would get
-    more than `cap` tables (no cap at 0)."""
+    a loop, with no call per table, and then CapExceeded if the walk
+    has made more than `cap` tables in all (no cap at 0)."""
     fits = [not (start + d) & over for d in inc]
     masks = list(compress(masks, fits))
     inc = list(compress(inc, fits))
@@ -57,8 +58,10 @@ def _walk(masks: Sequence[int], inc: Sequence[int], total: int, start: int,
     units = [0] * total
     groups: Dict[int, List[Tuple[int, ...]]] = {}
     group = groups.setdefault
+    made = 0
 
     def place(depth: int, lo: int, s: int):
+        nonlocal made
         if depth < last:
             for i in range(lo, n):
                 t = s + inc[i]
@@ -71,10 +74,10 @@ def _walk(masks: Sequence[int], inc: Sequence[int], total: int, start: int,
             if t & over:
                 continue
             units[last] = masks[i]
-            tables = group(t, [])
-            if cap and len(tables) >= cap:
-                raise CapExceeded
-            tables.append(tuple(units))
+            group(t, []).append(tuple(units))
+            made += 1
+        if cap and made > cap:
+            raise CapExceeded(total)
 
     place(0, 0, start)
     return groups
@@ -93,7 +96,7 @@ def _budget_fields(budgets: Sequence[int]) -> Tuple[int, int, int, int]:
     return width, start, top * fields, full
 
 
-def group_tables(n: int, edges, total: int, fixed=None
+def group_tables(n: int, edges, total: int, fixed=None, cap: int = 0
                  ) -> Dict[int, List[Tuple[int, ...]]]:
     """The fibers of tables with exactly `total` units, at least one
     per orbit of vertex flips, as the walk groups them: each a list of
@@ -107,8 +110,8 @@ def group_tables(n: int, edges, total: int, fixed=None
     only tables whose every such count is at most total // 2 are
     enumerated.  Each returned fiber is complete, in lexicographic
     order.  Isolated vertices are not pruned: their bits are free inside
-    a fiber.  All C(2^n + total - 1, total) tables bound the work;
-    callers check that number before calling.
+    a fiber.  CapExceeded if the walk makes more than `cap` tables (no
+    cap at 0), those of the groups `fixed` drops included.
 
     The walk counts, per vertex with an edge, its 1s c, in a field of
     h.bit_length() + 1 bits (h = total // 2) started so that passing h
@@ -141,7 +144,7 @@ def group_tables(n: int, edges, total: int, fixed=None
     top = 1 << width
     start, over = ones[-1] * (top - 1 - half), ones[-1] * top
     if fixed is None:
-        return _walk(range(1 << n), inc, total, start, over)
+        return _walk(range(1 << n), inc, total, start, over, cap)
     sub_edges, cells = fixed
     shift = low + width * len(edges)
     cell_width, cell_start, cell_over, full = _budget_fields(cells)
@@ -149,7 +152,7 @@ def group_tables(n: int, edges, total: int, fixed=None
                      cell_width)
     inc = [x + (c << shift) for x, c in zip(inc, counts)]
     groups = _walk(range(1 << n), inc, total, start + (cell_start << shift),
-                   over + (cell_over << shift))
+                   over + (cell_over << shift), cap)
     return {key: tables for key, tables in groups.items()
             if key >> shift == full}
 
@@ -159,16 +162,19 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
                  cap: int = 0) -> List[Tuple[int, ...]]:
     """All tables with exactly `total` units whose per-edge cell counts
     equal `budgets` (length 4 * len(edges)), in lexicographic order.
-    With `candidates`, only those labelings are placed, and only their
-    increments are built.  CapExceeded if there are more than `cap`
-    (no cap at 0).
+    With `candidates`, only those labelings are placed, each once (a
+    ValueError names any outside range(2^n)).  CapExceeded if there are
+    more than `cap` (no cap at 0); every table the walk makes is one.
 
     The counter holds one `_budget_fields` field per cell; the fiber is
     the group that ends with every field full."""
     if len(budgets) != 4 * len(edges):
         raise ValueError("budgets length mismatch")
     width, start, over, full = _budget_fields(budgets)
-    masks = range(1 << n) if candidates is None else sorted(candidates)
+    masks = range(1 << n) if candidates is None else sorted(set(candidates))
+    if masks and (masks[0] >> n or masks[-1] >> n):  # -1 if negative
+        raise ValueError(f"candidates {[m for m in masks if m >> n]} are "
+                         f"not labelings of {n} vertices")
     inc = _packed([edge_cells(m, edges) for m in masks], width)
     return _walk(masks, inc, total, start, over, cap).get(full, [])
 

@@ -24,14 +24,6 @@ class Limits:
     max_total: int = 8
     max_fiber: int = 1_000_000
 
-    def check_vertices(self, n):
-        if n > self.max_vertices:
-            raise self.exceeded("max_vertices", f"{n} vertices")
-
-    def check_total(self, total):
-        if total > self.max_total:
-            raise self.exceeded("max_total", f"table total {total}")
-
     def exceeded(self, key: str, what: str) -> ResourceLimitError:
         """The error for `what` going over the cap named `key`."""
         return ResourceLimitError(

@@ -124,18 +124,84 @@ def test_fiber_cap_boundary(monkeypatch):
         fiber_of(g, z)
 
 
-def test_table_count_cap_raises_before_enumerating(monkeypatch):
-    def enumerate_nothing(*args):
-        raise AssertionError("tables enumerated past the cap")
-
-    monkeypatch.setattr(_kernel, "group_tables", enumerate_nothing)
-    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=10")
-    # four vertices have 16 labelings, so total 1 already has 16 tables
+def test_search_cap_counts_the_tables_a_walk_makes(monkeypatch):
+    """max_fiber bounds the tables one walk makes: a search whose
+    largest walk makes exactly max_fiber tables answers, and with the
+    cap one lower it raises the error that names the walk and the
+    variable that raises the cap.  A fixed-cell walk counts the tables
+    of the groups it drops too."""
+    # four isolated vertices: 16 tables at total 1, 136 at total 2
     g = Graph(("a", "b", "c", "d"), [])
-    with pytest.raises(ResourceLimitError, match="max_fiber") as exc:
-        min_connecting_degree(g, 8)
-    assert "C(16+0, 1) = 16 tables" in str(exc.value)
-    assert "MARKOV_ATLAS_LIMITS" in str(exc.value)
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=136")
+    assert min_connecting_degree(g, 2) == 1
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=135")
+    with pytest.raises(ResourceLimitError) as exc:
+        min_connecting_degree(g, 2)
+    assert str(exc.value) == (
+        "the walk of total 2 exceeds the cap max_fiber = 135; "
+        "raise it with MARKOV_ATLAS_LIMITS=\"max_fiber=...\"")
+    k4 = Graph(tuple("abcd"), list(itertools.combinations(range(4), 2)))
+    made = [sum(map(len, _kernel.group_tables(4, k4.edges, t).values()))
+            for t in range(1, 6)]
+    assert made == [1, 41, 51, 782, 969]
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=969")
+    assert search_width(k4, 5) == ([1, 1, 1, 4, 4], None)
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=968")
+    with pytest.raises(ResourceLimitError,
+                       match="the walk of total 5 exceeds .* = 968;"):
+        search_width(k4, 5)
+    # the bowtie's walks with a triangle's cells fixed at total 4 make
+    # 242 tables each, its whole-graph walks at most 187 below it
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=242")
+    assert search_width(BOWTIE, 4, 3)[1] is not None
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=241")
+    with pytest.raises(ResourceLimitError,
+                       match="the walk of total 4 exceeds .* = 241;"):
+        search_width(BOWTIE, 4, 3)
+    # cells of total 4 under a walk of total 3: the walk makes 10
+    # tables, none of them with those cells
+    fixed = (((0, 1),), [2, 1, 1, 0])
+    path = [(0, 1), (1, 2)]
+    assert _kernel.group_tables(3, path, 3, fixed, cap=10) == {}
+    with pytest.raises(_kernel.CapExceeded):
+        _kernel.group_tables(3, path, 3, fixed, cap=9)
+
+
+def test_fiber_places_each_candidate_once():
+    """A repeated candidate is placed once, and a candidate outside
+    range(2^n) is a ValueError that names it (before, C4's 12-table
+    fiber came back with 192 tables and with 15)."""
+    g = cycle_graph("abcd")
+    z = tv(g, [0b0000, 0b0101, 0b1010, 0b1111])
+    fib = fiber_of(g, z)
+    assert fib.size == 12
+    support = sorted({u for t in fib.tables for u in t})
+    assert fiber_of(g, z, support + support).tables == fib.tables
+    with pytest.raises(ValueError, match=r"candidates \[16\]"):
+        fiber_of(g, z, support + [16])
+    with pytest.raises(ValueError, match=r"candidates \[-1\]"):
+        fiber_of(g, z, [-1] + support)
+
+
+# W4 (hub e), K5, and K4 with the edge a-b subdivided by e
+DEGREE_6_GRAPHS = {
+    "W4": Graph(tuple("abcde"), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4),
+                                 (1, 4), (2, 4), (3, 4)]),
+    "K5": Graph(tuple("abcde"), list(itertools.combinations(range(5), 2))),
+    "K4-subdivided": Graph(tuple("abcde"), [(0, 2), (0, 3), (1, 2), (1, 3),
+                                            (2, 3), (0, 4), (1, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_6_GRAPHS))
+def test_degree_6_under_the_default_caps(monkeypatch, name):
+    """The smallest graphs whose search shows degree 6 answer at total
+    6 under the default caps: each walk of total 6 makes 258,407
+    tables, while all C(37, 6) = 2,324,784 tables on 5 vertices are
+    more than max_fiber."""
+    monkeypatch.delenv("MARKOV_ATLAS_LIMITS", raising=False)
+    want = [1, 1, 1, 4, 4, 6] if name == "K5" else [1, 2, 2, 4, 4, 6]
+    assert search_width(DEGREE_6_GRAPHS[name], 6) == (want, None)
 
 
 def test_vertex_and_total_caps():
@@ -635,9 +701,9 @@ def _record_group_tables(monkeypatch):
     calls = []
     real = _kernel.group_tables
 
-    def recorded(n, edges, total):
+    def recorded(n, edges, total, cap=0):
         calls.append(n)
-        return real(n, edges, total)
+        return real(n, edges, total, cap=cap)
 
     monkeypatch.setattr(_kernel, "group_tables", recorded)
     return calls
@@ -649,9 +715,9 @@ def _record_walks(monkeypatch):
     calls = []
     real = _kernel.group_tables
 
-    def recorded(n, edges, total, fixed=None):
+    def recorded(n, edges, total, fixed=None, cap=0):
         calls.append((n, total, fixed is None))
-        return real(n, edges, total, fixed)
+        return real(n, edges, total, fixed, cap)
 
     monkeypatch.setattr(_kernel, "group_tables", recorded)
     return calls
