@@ -3,7 +3,8 @@
 The fiber of a non-negative table is the complete list of non-negative
 integer tables sharing its edge marginals.  Enumeration is exhaustive
 (depth-first placement of units, pruned where a cell passes its
-marginal or, in a search, a vertex's 1s pass half the total) and either
+marginal, for one fiber also where a cell can no longer reach it, and
+in a search where a vertex's 1s pass half the total) and either
 returns the whole fiber or raises `ResourceLimitError`, never a part.
 
 The enumeration and analysis loops live in `markov_atlas.fiber._kernel`,

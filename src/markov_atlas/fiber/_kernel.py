@@ -8,15 +8,23 @@ which cell a labeling falls in at each sorted edge: the budgets
 
 `group_tables` (every fiber of a total) counts the 1s at each vertex
 and the units that are 1 at both ends of each edge, which with the
-total fix every cell; `fiber_tables` (one fiber) counts every cell
-against its budget (`_budget_fields`), and `group_tables` can count
-the cells of some edges so too, to walk only the fibers with those
-cells.  Both set up one walk, `_walk`, over a packed counter whose
-fields are sized from the total, and it counts every table it makes
-against one cap.  Distances are taken on occupancy ints
-(`_occupancy`): the L1 distance of two tables is one `^` and
-`bit_count`.  `fiber_moves` also packs each table's counts, so that
-the difference of two tables is one subtraction.
+total fix every cell, and can count the cells of some edges against
+budgets (`_budget_fields`), to walk only the fibers with those cells.
+Its walk, `_walk`, places one unit per level over a packed counter
+whose fields are sized from the total, skips a unit that overflows a
+field, and counts every table it makes against one cap.
+`fiber_tables` (one fiber) counts every cell against its budget too,
+but its walk, `_fill`, makes only the fiber's tables: the next unit
+may not pass the last labeling that can still fill the lowest
+unfilled cell (the cells are ordered by that deadline), and the last
+unit is a labeling that fills every cell left, found by one lookup.
+It runs from an explicit stack, so its work follows the fiber, not
+the total, and no total meets the recursion limit.
+
+Distances are taken on occupancy ints (`_occupancy`): the L1 distance
+of two tables is one `^` and `bit_count`.  `fiber_moves` also packs
+each table's counts, so that the difference of two tables is one
+subtraction.
 """
 
 from __future__ import annotations
@@ -157,6 +165,49 @@ def group_tables(n: int, edges, total: int, fixed=None, cap: int = 0
             if key >> shift == full}
 
 
+def _fill(masks: Sequence[int], inc: Sequence[int], total: int, start: int,
+          over: int, full: int, deadline: Sequence[int],
+          cap: int) -> List[Tuple[int, ...]]:
+    """The tables of `total` units from `masks` (ascending) that take a
+    counter from `start` to `full`, raised by `inc[i]` for each unit
+    `masks[i]` and kept clear of the bits of `over`, in lexicographic
+    order; CapExceeded once there are more than `cap` (no cap at 0).
+
+    The next unit's index is at most `deadline[b]`, where bit b - 1 is
+    the lowest set bit of `full ^ s` (b = 0 once every field is full);
+    see `fiber_tables`.  The stack holds (depth, index of the unit just
+    placed, counter), pushed in reverse so that they pop in order."""
+    if not total:
+        return [()] if start == full else []
+    ends: Dict[int, List[int]] = {}
+    for i, d in enumerate(inc):
+        ends.setdefault(d, []).append(i)
+    last = total - 1
+    units = [0] * total
+    tables: List[Tuple[int, ...]] = []
+    stack = [(0, 0, start)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        depth, lo, s = pop()
+        if depth:
+            units[depth - 1] = masks[lo]
+        if depth == last:
+            for i in ends.get(full - s, ()):
+                if i >= lo:
+                    units[last] = masks[i]
+                    tables.append(tuple(units))
+            if cap and len(tables) > cap:
+                raise CapExceeded(total)
+            continue
+        x = full ^ s
+        depth += 1
+        for i in range(deadline[(x & -x).bit_length()], lo - 1, -1):
+            t = s + inc[i]
+            if not t & over:
+                push((depth, i, t))
+    return tables
+
+
 def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
                  candidates: Optional[Sequence[int]] = None,
                  cap: int = 0) -> List[Tuple[int, ...]]:
@@ -164,19 +215,39 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
     equal `budgets` (length 4 * len(edges)), in lexicographic order.
     With `candidates`, only those labelings are placed, each once (a
     ValueError names any outside range(2^n)).  CapExceeded if there are
-    more than `cap` (no cap at 0); every table the walk makes is one.
+    more than `cap` (no cap at 0); the walk makes only these tables.
 
-    The counter holds one `_budget_fields` field per cell; the fiber is
-    the group that ends with every field full."""
+    The counter holds one `_budget_fields` field per cell, ordered by
+    the cell's deadline: the last labeling, in candidate order, that
+    falls in it.  Units are placed in ascending order, so a prefix
+    whose next unit passes the deadline of an unfilled cell can never
+    fill it; the walk (`_fill`) places the next unit only up to the
+    deadline of the lowest unfilled field, and the last unit by one
+    lookup of the increment that fills every field.  Its work follows
+    the fiber, not the total: one edge at total 10,000 is a walk of
+    10,000 nodes, run from an explicit stack, so no total meets the
+    recursion limit."""
     if len(budgets) != 4 * len(edges):
         raise ValueError("budgets length mismatch")
-    width, start, over, full = _budget_fields(budgets)
     masks = range(1 << n) if candidates is None else sorted(set(candidates))
     if masks and (masks[0] >> n or masks[-1] >> n):  # -1 if negative
         raise ValueError(f"candidates {[m for m in masks if m >> n]} are "
                          f"not labelings of {n} vertices")
-    inc = _packed([edge_cells(m, edges) for m in masks], width)
-    return _walk(masks, inc, total, start, over, cap).get(full, [])
+    rows = [edge_cells(m, edges) for m in masks]
+    fits = [all(map(budgets.__getitem__, row)) for row in rows]
+    masks = list(compress(masks, fits))
+    rows = list(compress(rows, fits))
+    last = [-1] * len(budgets)  # a cell no labeling reaches is never filled
+    for i, row in enumerate(rows):
+        for c in row:
+            last[c] = i
+    order = sorted(range(len(budgets)), key=last.__getitem__)
+    field = {c: pos for pos, c in enumerate(order)}
+    width, start, over, full = _budget_fields([budgets[c] for c in order])
+    inc = _packed([[field[c] for c in row] for row in rows], width)
+    deadline = [len(masks) - 1] + [last[order[b // width]]
+                                   for b in range(width * len(order))]
+    return _fill(masks, inc, total, start, over, full, deadline, cap)
 
 
 def _occupancy(tables: Sequence[Tuple[int, ...]]) -> List[int]:

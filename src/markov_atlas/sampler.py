@@ -79,9 +79,13 @@ def _checked_moves(g: Graph,
 
 
 def _steps(g: Graph, moves: Iterable[Move], z0: TableVector,
-           cfg: WalkConfig, counts: Dict[int, int]) -> Iterator[bool]:
-    """Walk `counts`, a mutable copy of z0's entries, in place and yield
-    after every step whether its proposal was accepted.
+           cfg: WalkConfig, counts: Dict[int, int]
+           ) -> Tuple[int, Iterator[int]]:
+    """Check the walk's start and moves, and return the number of
+    proposals and an iterator that walks `counts`, a mutable copy of
+    z0's entries, in place and yields the index (from 0, burn-in
+    included) of each step whose proposal was accepted, once it is
+    taken.  Most proposals are rejected, so no rejected step yields.
 
     Without moves nothing is proposed and nothing is yielded.
     """
@@ -91,12 +95,18 @@ def _steps(g: Graph, moves: Iterable[Move], z0: TableVector,
         raise GroundSetMismatch(f"{z0.vertices} vs {g.vertices}")
     deltas = _checked_moves(g, moves)
     if not deltas:
-        return
+        return 0, iter(())
+    return cfg.burn_in + cfg.steps, _accepted(deltas, cfg, counts)
+
+
+def _accepted(deltas: List[Tuple[Tuple[int, int], ...]], cfg: WalkConfig,
+              counts: Dict[int, int]) -> Iterator[int]:
+    """The step loop of `_steps` over its checked moves."""
     bits = random.Random(cfg.seed).getrandbits
     n = len(deltas)
     k = n.bit_length()
     get = counts.get
-    for _ in range(cfg.burn_in + cfg.steps):
+    for step in range(cfg.burn_in + cfg.steps):
         # the move, then the sign, each drawn as randrange(n) and
         # randrange(2) draw them: the draw order fixes the trajectory
         r = bits(k)
@@ -110,7 +120,6 @@ def _steps(g: Graph, moves: Iterable[Move], z0: TableVector,
         if sign:  # subtract the move
             for m, c in delta:
                 if c > 0 and get(m, 0) < c:
-                    yield False
                     break
             else:
                 for m, c in delta:
@@ -119,11 +128,10 @@ def _steps(g: Graph, moves: Iterable[Move], z0: TableVector,
                         counts[m] = left
                     else:
                         del counts[m]
-                yield True
+                yield step
         else:  # add the move
             for m, c in delta:
                 if c < 0 and get(m, 0) < -c:
-                    yield False
                     break
             else:
                 for m, c in delta:
@@ -132,7 +140,7 @@ def _steps(g: Graph, moves: Iterable[Move], z0: TableVector,
                         counts[m] = left
                     else:
                         del counts[m]
-                yield True
+                yield step
 
 
 def walk_states(g: Graph, moves: Iterable[Move], z0: TableVector,
@@ -142,11 +150,16 @@ def walk_states(g: Graph, moves: Iterable[Move], z0: TableVector,
     The trajectory is a deterministic function of (moves order, z0, cfg).
     """
     counts = dict(z0.entries)
-    steps = _steps(g, moves, z0, cfg, counts)
+    _, accepted = _steps(g, moves, z0, cfg, counts)
     state = z0
-    for _ in range(cfg.burn_in + cfg.steps):
-        if next(steps, False):
-            state = TableVector(z0.vertices, counts)
+    done = 0  # the steps whose states have been yielded
+    for step in accepted:
+        for _ in range(step - done):
+            yield state
+        state = TableVector(z0.vertices, counts)
+        yield state
+        done = step + 1
+    for _ in range(cfg.burn_in + cfg.steps - done):
         yield state
 
 
@@ -154,9 +167,6 @@ def random_walk(g: Graph, moves: Iterable[Move], z0: TableVector,
                 cfg: WalkConfig) -> WalkResult:
     """Run the walk and return the final state with acceptance metadata."""
     counts = dict(z0.entries)
-    accepted = proposed = 0
-    for moved in _steps(g, moves, z0, cfg, counts):
-        proposed += 1
-        accepted += moved
-    return WalkResult(TableVector(z0.vertices, counts), cfg, accepted,
-                      proposed)
+    proposed, accepted = _steps(g, moves, z0, cfg, counts)
+    taken = sum(1 for _ in accepted)
+    return WalkResult(TableVector(z0.vertices, counts), cfg, taken, proposed)

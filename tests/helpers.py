@@ -135,6 +135,45 @@ def all_grouped_tables(n: int, edges, total: int
     return groups
 
 
+def unit_walk_tables(n: int, edges, budgets: Sequence[int], total: int,
+                     candidates: Optional[Sequence[int]] = None,
+                     cap: int = 0) -> List[Tuple[int, ...]]:
+    """`_kernel.fiber_tables` by the unit walk it replaced: one unit
+    per level, in ascending order, pruned only where a cell passes its
+    budget, so that every table of `total` units within the budgets is
+    made, and those that meet every budget are kept, in lexicographic
+    order.  The candidates are placed once each; CapExceeded once more
+    than `cap` tables are made (no cap at 0)."""
+    masks = range(1 << n) if candidates is None else sorted(set(candidates))
+    rows = [edge_cells(m, edges) for m in masks]
+    cells = [0] * len(budgets)
+    units = [0] * total
+    tables: List[Tuple[int, ...]] = []
+    made = 0
+
+    def place(depth: int, lo: int):
+        nonlocal made
+        if depth == total:
+            made += 1
+            if cap and made > cap:
+                raise _kernel.CapExceeded(total)
+            if list(cells) == list(budgets):
+                tables.append(tuple(units))
+            return
+        for i in range(lo, len(masks)):
+            row = rows[i]
+            for c in row:
+                cells[c] += 1
+            if all(cells[c] <= budgets[c] for c in row):
+                units[depth] = masks[i]
+                place(depth + 1, i)
+            for c in row:
+                cells[c] -= 1
+
+    place(0, 0)
+    return tables
+
+
 @functools.lru_cache(maxsize=None)
 def _every_table(n: int, total: int):
     """Every table of `total` units over n vertices in lexicographic

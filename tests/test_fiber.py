@@ -19,7 +19,7 @@ from helpers import (all_graphs, all_grouped_tables, all_trees,
                      flip_cut_fibers, has_zero_marginals, ladder_graph,
                      least_flip_image, merge_moves, mst_bottleneck,
                      naive_search, nonisomorphic_graphs, pairwise_moves,
-                     rejection_fiber, triangle_cactus)
+                     rejection_fiber, triangle_cactus, unit_walk_tables)
 
 
 def tv(g, units):
@@ -181,6 +181,53 @@ def test_fiber_places_each_candidate_once():
         fiber_of(g, z, support + [16])
     with pytest.raises(ValueError, match=r"candidates \[-1\]"):
         fiber_of(g, z, [-1] + support)
+
+
+def test_fiber_tables_match_the_unit_walk():
+    """On every graph of at most 4 vertices (edgeless ones and isolated
+    vertices included) at totals 0-6, the walk gives the unit walk's
+    tables in the unit walk's order, for the marginals of random tables,
+    with every labeling and with random candidate supersets of the
+    support (repeats included); a fiber of F tables returns at cap F and
+    raises at cap F - 1."""
+    rng = random.Random(30)
+    sizes = set()
+    for n in range(5):
+        for g in all_graphs(n):
+            for total in range(7):
+                units = [rng.randrange(1 << n) for _ in range(total)]
+                m = graph_marginals(tv(g, units), g)
+                extra = [rng.randrange(1 << n) for _ in range(3)]
+                for candidates in (None, units + extra + units[:2]):
+                    want = unit_walk_tables(n, m.edges, m.cells, total,
+                                            candidates)
+                    got = _kernel.fiber_tables(n, m.edges, m.cells, total,
+                                               candidates)
+                    assert got == want, (g, units, candidates)
+                    size = len(want)
+                    sizes.add(size)
+                    assert _kernel.fiber_tables(
+                        n, m.edges, m.cells, total, candidates,
+                        cap=size) == want
+                    if size > 1:
+                        with pytest.raises(_kernel.CapExceeded):
+                            _kernel.fiber_tables(n, m.edges, m.cells, total,
+                                                 candidates, cap=size - 1)
+    # fibers of one table and of many, up to the edgeless 4-vertex
+    # graph's C(21, 6) tables at total 6
+    assert 1 in sizes and max(sizes) == 54264
+
+
+def test_fiber_tables_of_large_totals_within_recursion_limit(
+        default_recursion_limit):
+    """The walk runs from a stack, not one call per unit: a one-edge
+    fiber of one table returns at total 10,000 (each cell at 2,500) and
+    at 1,100 with every unit in one cell, where the unit walk raised
+    RecursionError at 1,100."""
+    assert _kernel.fiber_tables(2, [(0, 1)], [2500] * 4, 10000) == [
+        (0,) * 2500 + (1,) * 2500 + (2,) * 2500 + (3,) * 2500]
+    assert _kernel.fiber_tables(2, [(0, 1)], [1100, 0, 0, 0], 1100) == [
+        (0,) * 1100]
 
 
 # W4 (hub e), K5, and K4 with the edge a-b subdivided by e

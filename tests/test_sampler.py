@@ -26,6 +26,9 @@ def test_empty_move_list_is_identity():
     res = random_walk(g, [], z0, WalkConfig(steps=50, seed=1))
     assert res.state == z0
     assert res.proposed == 0
+    # a state is still given for every step, burn-in included
+    cfg = WalkConfig(steps=5, burn_in=2, seed=1)
+    assert list(walk_states(g, [], z0, cfg)) == [z0] * 7
 
 
 def test_singleton_fiber_never_moves():

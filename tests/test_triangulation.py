@@ -218,6 +218,26 @@ def test_difference_set_member_n12(monkeypatch):
     assert rep.fiber_verified and rep.fiber_size == 2 and rep.fiber_is_pair
 
 
+@pytest.mark.parametrize("n_mod,a,b,c,bound", [
+    (4, {1, 2, 3}, {1, 2, 3}, {1, 2, 3}, 12),
+    (9, {1, 5, 7, 8}, {2, 4, 5, 7}, {0, 1, 5, 6}, 36),
+], ids=["n12", "n27"])
+def test_difference_set_members_verify(n_mod, a, b, c, bound, monkeypatch):
+    """The probe members N = 4 (n = 12) and N = 9 (n = 27) verify under
+    the caps that admit the larger: the fiber of the red table is the
+    red/blue pair (the n = 27 fiber gave no answer in 300 s before the
+    walk bounded each unit by the deadline of the lowest unfilled
+    cell)."""
+    t = difference_triangulation(n_mod, a, b, c)
+    assert (t.n, t.m, t.f) == (3 * n_mod, 3 * n_mod * len(a),
+                               2 * n_mod * len(a))
+    monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_total=36,max_vertices=27")
+    rep = certify_lower_bound(t, verify_fiber=True)
+    assert rep.clean and rep.colorable and rep.dual_components == 1
+    assert rep.bound == bound
+    assert rep.fiber_verified and rep.fiber_size == 2 and rep.fiber_is_pair
+
+
 def test_tetrahedron_certificate_fails():
     rep = certify_lower_bound(load_triangulation(TETRA))
     assert rep.clean and not rep.colorable
