@@ -2,10 +2,11 @@
 
 The fiber of a non-negative table is the complete list of non-negative
 integer tables sharing its edge marginals.  Enumeration is exhaustive
-(depth-first placement of units, pruned where a cell passes its
-marginal, for one fiber also where a cell can no longer reach it, and
-in a search where a vertex's 1s pass half the total) and either
-returns the whole fiber or raises `ResourceLimitError`, never a part.
+(depth-first placement of units in one kernel walk, pruned where a
+cell passes its marginal or, for one fiber and for the fixed cells of
+a search, can no longer reach it, and in a search where a vertex's 1s
+pass half the total) and either returns the whole fiber or raises
+`ResourceLimitError`, never a part.
 
 The enumeration and analysis loops live in `markov_atlas.fiber._kernel`,
 and the layer speaks its format: a fiber holds the kernel's tables

@@ -6,20 +6,21 @@ counts are in the layout of `lattice.edge_cells`, the one definition of
 which cell a labeling falls in at each sorted edge: the budgets
 `fiber_tables` takes are `MarginalSet.cells`.
 
-`group_tables` (every fiber of a total) counts the 1s at each vertex
-and the units that are 1 at both ends of each edge, which with the
-total fix every cell, and can count the cells of some edges against
-budgets (`_budget_fields`), to walk only the fibers with those cells.
-Its walk, `_walk`, places one unit per level over a packed counter
-whose fields are sized from the total, skips a unit that overflows a
-field, and counts every table it makes against one cap.
-`fiber_tables` (one fiber) counts every cell against its budget too,
-but its walk, `_fill`, makes only the fiber's tables: the next unit
-may not pass the last labeling that can still fill the lowest
-unfilled cell (the cells are ordered by that deadline), and the last
-unit is a labeling that fills every cell left, found by one lookup.
-It runs from an explicit stack, so its work follows the fiber, not
-the total, and no total meets the recursion limit.
+One walk, `_walk`, makes every table: it places one unit per level,
+in ascending order, over a packed counter, skips a unit that
+overflows a field, and counts every table it makes against one cap.
+Some fields must end full, and the next unit may not pass the last
+labeling that can still fill the lowest of them not yet full (its
+deadline).  It runs from an explicit stack, so no total meets the
+recursion limit, and leaves no reference cycle.  `group_tables`
+(every fiber of a total) counts the 1s at each vertex and the units
+that are 1 at both ends of each edge, which with the total fix every
+cell, and requires no field full; with some edges' cells fixed it
+also counts those cells against them and requires them full.
+`fiber_tables` (one fiber) counts every cell and requires all of
+them full, so its work follows the fiber, not the total.
+`_cell_fields` builds the fields of every cell counted against a
+budget, ordered by deadline.
 
 Distances are taken on occupancy ints (`_occupancy`): the L1 distance
 of two tables is one `^` and `bit_count`.  `fiber_moves` also packs
@@ -47,61 +48,101 @@ def _packed(rows: Sequence[Sequence[int]], width: int) -> List[int]:
 
 
 def _walk(masks: Sequence[int], inc: Sequence[int], total: int, start: int,
-          over: int, cap: int) -> Dict[int, List[Tuple[int, ...]]]:
+          over: int, shift: int, full: int, deadline: Sequence[int],
+          cap: int) -> Dict[int, List[Tuple[int, ...]]]:
     """The tables of `total` units from `masks` (ascending) that keep a
     counter, started at `start` and raised by `inc[i]` for each unit
-    `masks[i]`, clear of the bits of `over`, in lexicographic order,
+    `masks[i]`, clear of the bits of `over`, and end with the fields at
+    and above bit `shift` equal to `full`, in lexicographic order,
     grouped by the counter's final value in the order of their first
-    tables.  Fields only grow, so a labeling that sets a bit of `over`
-    is skipped with every table through it.  The last unit is placed in
-    a loop, with no call per table, and then CapExceeded if the walk
-    has made more than `cap` tables in all (no cap at 0)."""
-    fits = [not (start + d) & over for d in inc]
-    masks = list(compress(masks, fits))
-    inc = list(compress(inc, fits))
+    tables; CapExceeded once it has made more than `cap` (no cap at 0).
+
+    Fields only grow, so a labeling that sets a bit of `over` is
+    skipped with every table through it.  The next unit's index is at
+    most `deadline[b]`, where bit b - 1 is the lowest set bit of
+    `full ^ (s >> shift)` (b = 0 once those fields are full): the last
+    labeling that can still fill the lowest unfilled of them.  The
+    stack holds (depth, index of the unit just placed, counter), pushed
+    in reverse so that they pop in order, down to the unit before the
+    last: it and the last unit are placed in two loops, with no push
+    per table or per unit before the last."""
     if not total:
-        return {start: [()]}
-    n = len(masks)
+        return {start: [()]} if start >> shift == full else {}
     last = total - 1
     units = [0] * total
     groups: Dict[int, List[Tuple[int, ...]]] = {}
     group = groups.setdefault
     made = 0
-
-    def place(depth: int, lo: int, s: int):
-        nonlocal made
-        if depth < last:
-            for i in range(lo, n):
+    stack = [(0, 0, start)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        depth, lo, s = pop()
+        if depth:
+            units[depth - 1] = masks[lo]
+        x = full ^ (s >> shift)
+        end = deadline[(x & -x).bit_length()]
+        if depth < last - 1:
+            depth += 1
+            for i in range(end, lo - 1, -1):
                 t = s + inc[i]
                 if not t & over:
-                    units[depth] = masks[i]
-                    place(depth + 1, i, t)
-            return
-        for i in range(lo, n):
-            t = s + inc[i]
-            if t & over:
-                continue
-            units[last] = masks[i]
-            group(t, []).append(tuple(units))
-            made += 1
+                    push((depth, i, t))
+            continue
+        if depth < last:  # the unit before the last, then the last
+            for j in range(lo, end + 1):
+                u = s + inc[j]
+                if u & over:
+                    continue
+                units[depth] = masks[j]
+                x = full ^ (u >> shift)
+                for i in range(j, deadline[(x & -x).bit_length()] + 1):
+                    t = u + inc[i]
+                    if not t & over and t >> shift == full:
+                        units[last] = masks[i]
+                        group(t, []).append(tuple(units))
+                        made += 1
+        else:  # the one unit of a walk of total 1
+            for i in range(lo, end + 1):
+                t = s + inc[i]
+                if not t & over and t >> shift == full:
+                    units[last] = masks[i]
+                    group(t, []).append(tuple(units))
+                    made += 1
         if cap and made > cap:
             raise CapExceeded(total)
-
-    place(0, 0, start)
     return groups
 
 
-def _budget_fields(budgets: Sequence[int]) -> Tuple[int, int, int, int]:
-    """(width, start, over, full) of counter fields that count cells
-    against `budgets`, one field per cell: each field is started at
-    top - 1 - budget, so that passing the budget sets its top bit, and
-    a table that meets every budget ends with every field at top - 1."""
+def _cell_fields(masks: Sequence[int], edges, budgets: Sequence[int]
+                 ) -> Tuple[List[int], List[int], int, int, int, List[int]]:
+    """(masks, inc, start, over, full, deadline) of a counter that
+    counts the `edge_cells` on `edges` of the labelings of `masks`
+    (ascending) against `budgets`, for `_walk`: the labelings that fall
+    in no cell of budget 0, and one field per cell, ordered by the
+    cell's deadline, the last of those labelings that falls in it (-1
+    if none does).  Each field is started at top - 1 - budget, so that
+    passing the budget sets its top bit, and a table that meets every
+    budget ends with every field at top - 1."""
+    rows = [edge_cells(m, edges) for m in masks]
+    fits = [all(map(budgets.__getitem__, row)) for row in rows]
+    masks = list(compress(masks, fits))
+    rows = list(compress(rows, fits))
+    last = [-1] * len(budgets)
+    for i, row in enumerate(rows):
+        for c in row:
+            last[c] = i
+    order = sorted(range(len(budgets)), key=last.__getitem__)
+    field = {c: pos for pos, c in enumerate(order)}
     width = max(budgets, default=0).bit_length() + 1
     top = 1 << (width - 1)
     fields = _packed([range(len(budgets))], width)[0]
     full = (top - 1) * fields
-    start = full - sum(b << (width * idx) for idx, b in enumerate(budgets))
-    return width, start, top * fields, full
+    start = full - sum(budgets[c] << (width * pos)
+                       for pos, c in enumerate(order))
+    inc = _packed([[field[c] for c in row] for row in rows], width)
+    deadline = [len(masks) - 1] + [last[order[b // width]]
+                                   for b in range(width * len(order))]
+    return masks, inc, start, top * fields, full, deadline
 
 
 def group_tables(n: int, edges, total: int, fixed=None, cap: int = 0
@@ -119,25 +160,27 @@ def group_tables(n: int, edges, total: int, fixed=None, cap: int = 0
     enumerated.  Each returned fiber is complete, in lexicographic
     order.  Isolated vertices are not pruned: their bits are free inside
     a fiber.  CapExceeded if the walk makes more than `cap` tables (no
-    cap at 0), those of the groups `fixed` drops included.
+    cap at 0), counting only the tables it returns.
 
-    The walk counts, per vertex with an edge, its 1s c, in a field of
-    h.bit_length() + 1 bits (h = total // 2) started so that passing h
-    sets the field's top bit; and per edge (i, j), above every vertex
-    field, the units x that are 1 at both ends, in h.bit_length() bits.
-    The edge's cells (00, 01, 10, 11) are (total - c_i - c_j + x,
-    c_j - x, c_i - x, x), so the walk's groups are the fibers.  A table
-    the walk keeps has x <= c_i <= h; an add that takes x past h takes
-    c_i past h too and is discarded, and its carry stays above the
-    vertex fields.
+    The walk (`_walk`) counts, per vertex with an edge, its 1s c, in a
+    field of h.bit_length() + 1 bits (h = total // 2) started so that
+    passing h sets the field's top bit; and per edge (i, j), above
+    every vertex field, the units x that are 1 at both ends, in
+    h.bit_length() bits.  The edge's cells (00, 01, 10, 11) are
+    (total - c_i - c_j + x, c_j - x, c_i - x, x), so the walk's groups
+    are the fibers.  A table the walk keeps has x <= c_i <= h; an add
+    that takes x past h takes c_i past h too and is discarded, and its
+    carry stays above the vertex fields.  No field is required full, so
+    every labeling is within the deadline.
 
     With `fixed`, a pair (sub_edges, cells) of some of `edges` and their
     `edge_cells` counts, only the fibers with those cells on sub_edges
-    are walked and returned.  The counter gets one field per cell of
-    sub_edges above the edge fields, counted against `cells` as
-    `fiber_tables` counts, and only the groups that end with those
-    fields full are kept: a labeling or a prefix that overfills a cell
-    is skipped with every table through it."""
+    are walked and returned.  The counter gets one `_cell_fields` field
+    per cell of sub_edges above the edge fields, counted against
+    `cells` as `fiber_tables` counts, and the walk ends only tables
+    that fill them: a labeling or a prefix that overfills a cell, or
+    passes the deadline of a cell it has not filled, is skipped with
+    every table through it."""
     touched = sorted({v for e in edges for v in e})
     half = total // 2
     width = half.bit_length()
@@ -151,61 +194,16 @@ def group_tables(n: int, edges, total: int, fixed=None, cap: int = 0
     inc = [x + (c << low) for x, c in zip(ones, both)]
     top = 1 << width
     start, over = ones[-1] * (top - 1 - half), ones[-1] * top
-    if fixed is None:
-        return _walk(range(1 << n), inc, total, start, over, cap)
-    sub_edges, cells = fixed
     shift = low + width * len(edges)
-    cell_width, cell_start, cell_over, full = _budget_fields(cells)
-    counts = _packed([edge_cells(m, sub_edges) for m in range(1 << n)],
-                     cell_width)
-    inc = [x + (c << shift) for x, c in zip(inc, counts)]
-    groups = _walk(range(1 << n), inc, total, start + (cell_start << shift),
-                   over + (cell_over << shift), cap)
-    return {key: tables for key, tables in groups.items()
-            if key >> shift == full}
-
-
-def _fill(masks: Sequence[int], inc: Sequence[int], total: int, start: int,
-          over: int, full: int, deadline: Sequence[int],
-          cap: int) -> List[Tuple[int, ...]]:
-    """The tables of `total` units from `masks` (ascending) that take a
-    counter from `start` to `full`, raised by `inc[i]` for each unit
-    `masks[i]` and kept clear of the bits of `over`, in lexicographic
-    order; CapExceeded once there are more than `cap` (no cap at 0).
-
-    The next unit's index is at most `deadline[b]`, where bit b - 1 is
-    the lowest set bit of `full ^ s` (b = 0 once every field is full);
-    see `fiber_tables`.  The stack holds (depth, index of the unit just
-    placed, counter), pushed in reverse so that they pop in order."""
-    if not total:
-        return [()] if start == full else []
-    ends: Dict[int, List[int]] = {}
-    for i, d in enumerate(inc):
-        ends.setdefault(d, []).append(i)
-    last = total - 1
-    units = [0] * total
-    tables: List[Tuple[int, ...]] = []
-    stack = [(0, 0, start)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        depth, lo, s = pop()
-        if depth:
-            units[depth - 1] = masks[lo]
-        if depth == last:
-            for i in ends.get(full - s, ()):
-                if i >= lo:
-                    units[last] = masks[i]
-                    tables.append(tuple(units))
-            if cap and len(tables) > cap:
-                raise CapExceeded(total)
-            continue
-        x = full ^ s
-        depth += 1
-        for i in range(deadline[(x & -x).bit_length()], lo - 1, -1):
-            t = s + inc[i]
-            if not t & over:
-                push((depth, i, t))
-    return tables
+    masks = [m for m in range(1 << n) if not (start + inc[m]) & over]
+    if fixed is None:
+        return _walk(masks, [inc[m] for m in masks], total, start, over,
+                     shift, 0, [len(masks) - 1], cap)
+    masks, counts, cell_start, cell_over, full, deadline = _cell_fields(
+        masks, *fixed)
+    inc = [inc[m] + (c << shift) for m, c in zip(masks, counts)]
+    return _walk(masks, inc, total, start + (cell_start << shift),
+                 over + (cell_over << shift), shift, full, deadline, cap)
 
 
 def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
@@ -217,13 +215,12 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
     ValueError names any outside range(2^n)).  CapExceeded if there are
     more than `cap` (no cap at 0); the walk makes only these tables.
 
-    The counter holds one `_budget_fields` field per cell, ordered by
-    the cell's deadline: the last labeling, in candidate order, that
-    falls in it.  Units are placed in ascending order, so a prefix
-    whose next unit passes the deadline of an unfilled cell can never
-    fill it; the walk (`_fill`) places the next unit only up to the
-    deadline of the lowest unfilled field, and the last unit by one
-    lookup of the increment that fills every field.  Its work follows
+    The counter holds one `_cell_fields` field per cell, ordered by the
+    cell's deadline: the last labeling, in candidate order, that falls
+    in it.  Units are placed in ascending order, so a prefix whose next
+    unit passes the deadline of an unfilled cell can never fill it; the
+    walk (`_walk`, every field required full) places the next unit only
+    up to the deadline of the lowest unfilled field.  Its work follows
     the fiber, not the total: one edge at total 10,000 is a walk of
     10,000 nodes, run from an explicit stack, so no total meets the
     recursion limit."""
@@ -233,21 +230,10 @@ def fiber_tables(n: int, edges, budgets: Sequence[int], total: int,
     if masks and (masks[0] >> n or masks[-1] >> n):  # -1 if negative
         raise ValueError(f"candidates {[m for m in masks if m >> n]} are "
                          f"not labelings of {n} vertices")
-    rows = [edge_cells(m, edges) for m in masks]
-    fits = [all(map(budgets.__getitem__, row)) for row in rows]
-    masks = list(compress(masks, fits))
-    rows = list(compress(rows, fits))
-    last = [-1] * len(budgets)  # a cell no labeling reaches is never filled
-    for i, row in enumerate(rows):
-        for c in row:
-            last[c] = i
-    order = sorted(range(len(budgets)), key=last.__getitem__)
-    field = {c: pos for pos, c in enumerate(order)}
-    width, start, over, full = _budget_fields([budgets[c] for c in order])
-    inc = _packed([[field[c] for c in row] for row in rows], width)
-    deadline = [len(masks) - 1] + [last[order[b // width]]
-                                   for b in range(width * len(order))]
-    return _fill(masks, inc, total, start, over, full, deadline, cap)
+    masks, inc, start, over, full, deadline = _cell_fields(masks, edges,
+                                                           budgets)
+    return _walk(masks, inc, total, start, over, 0, full, deadline,
+                 cap).get(full, [])
 
 
 def _occupancy(tables: Sequence[Tuple[int, ...]]) -> List[int]:

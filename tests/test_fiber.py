@@ -1,6 +1,7 @@
 """Fiber enumeration against a rejection oracle, fiber components, and
 the minimal-connecting-degree search."""
 
+import gc
 import itertools
 import random
 
@@ -128,8 +129,8 @@ def test_search_cap_counts_the_tables_a_walk_makes(monkeypatch):
     """max_fiber bounds the tables one walk makes: a search whose
     largest walk makes exactly max_fiber tables answers, and with the
     cap one lower it raises the error that names the walk and the
-    variable that raises the cap.  A fixed-cell walk counts the tables
-    of the groups it drops too."""
+    variable that raises the cap.  A fixed-cell walk counts only the
+    tables over its cells."""
     # four isolated vertices: 16 tables at total 1, 136 at total 2
     g = Graph(("a", "b", "c", "d"), [])
     monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=136")
@@ -158,13 +159,16 @@ def test_search_cap_counts_the_tables_a_walk_makes(monkeypatch):
     with pytest.raises(ResourceLimitError,
                        match="the walk of total 4 exceeds .* = 241;"):
         search_width(BOWTIE, 4, 3)
-    # cells of total 4 under a walk of total 3: the walk makes 10
-    # tables, none of them with those cells
-    fixed = (((0, 1),), [2, 1, 1, 0])
+    # a path's walk of total 3 makes 15 tables, and with its first
+    # edge's cells fixed it makes only the 4 tables over those cells
     path = [(0, 1), (1, 2)]
-    assert _kernel.group_tables(3, path, 3, fixed, cap=10) == {}
+    assert sum(map(len, _kernel.group_tables(3, path, 3).values())) == 15
+    fixed = (((0, 1),), [1, 1, 1, 0])
+    over = _kernel.group_tables(3, path, 3, fixed)
+    assert sum(map(len, over.values())) == 4
+    assert _kernel.group_tables(3, path, 3, fixed, cap=4) == over
     with pytest.raises(_kernel.CapExceeded):
-        _kernel.group_tables(3, path, 3, fixed, cap=9)
+        _kernel.group_tables(3, path, 3, fixed, cap=3)
 
 
 def test_fiber_places_each_candidate_once():
@@ -218,16 +222,36 @@ def test_fiber_tables_match_the_unit_walk():
     assert 1 in sizes and max(sizes) == 54264
 
 
-def test_fiber_tables_of_large_totals_within_recursion_limit(
+def test_walks_of_large_totals_within_recursion_limit(
         default_recursion_limit):
-    """The walk runs from a stack, not one call per unit: a one-edge
+    """Both walks run from a stack, not one call per unit: a one-edge
     fiber of one table returns at total 10,000 (each cell at 2,500) and
     at 1,100 with every unit in one cell, where the unit walk raised
-    RecursionError at 1,100."""
+    RecursionError at 1,100; and the search walk of one vertex at total
+    1,100 returns its one fiber of 1,101 tables, where the recursive
+    search walk raised RecursionError."""
     assert _kernel.fiber_tables(2, [(0, 1)], [2500] * 4, 10000) == [
         (0,) * 2500 + (1,) * 2500 + (2,) * 2500 + (3,) * 2500]
     assert _kernel.fiber_tables(2, [(0, 1)], [1100, 0, 0, 0], 1100) == [
         (0,) * 1100]
+    fibers = list(_kernel.group_tables(1, [], 1100).values())
+    assert fibers == [[(0,) * (1100 - k) + (1,) * k for k in range(1101)]]
+
+
+def test_search_leaves_no_reference_cycle():
+    """A search leaves nothing for the cyclic collector: with the
+    collector off, `gc.collect()` after `search_width` on K5 up to
+    total 4 finds 0 objects (the recursive search walk left 15,588)."""
+    k5 = Graph(tuple("abcde"), list(itertools.combinations(range(5), 2)))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        search_width(k5, 4, 3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # W4 (hub e), K5, and K4 with the edge a-b subdivided by e
