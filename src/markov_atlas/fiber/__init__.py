@@ -22,6 +22,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from struct import Struct
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import InvariantViolation
@@ -145,6 +146,11 @@ def _least_flip(edges, flips, fibers) -> Tuple[Tuple[int, ...], int]:
     return min(best)
 
 
+# cell-field widths of `_witness`, in bytes, with the struct codes that
+# read them as unsigned little-endian integers
+_CELL_FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+
+
 def _witness(g: Graph, k: int, split):
     """The fiber with the smallest marginal cells among the flip images
     of the fibers `split`, with one representative per side of its
@@ -154,17 +160,18 @@ def _witness(g: Graph, k: int, split):
     one of every flip orbit, in any order (see `search_width`), so the
     minimum is over every split fiber.  A fiber's cells are those of
     its first table, read from one packed sum of per-labeling
-    increments with one byte per cell; equal images are the same
-    fiber, and `_least_flip` finds the smallest."""
+    increments with one field per cell, of the narrowest of 1, 2, 4
+    or 8 bytes that holds the total; equal images are the same fiber,
+    and `_least_flip` finds the smallest."""
     total = len(split[0][0])
-    if total > 255:
-        raise ValueError("cell counts above 255 do not fit a byte field")
+    size, code = next(f for f in _CELL_FIELDS if not total >> 8 * f[0])
     flips = [edge_cells(mask, g.edges) for mask in range(1 << g.n)]
-    inc = _kernel._packed(flips, 8)
+    inc = _kernel._packed(flips, 8 * size)
+    unpack = Struct(f"<{4 * g.m}{code}").unpack
 
     def cells_of(table):
-        return tuple(sum(map(inc.__getitem__, table)).to_bytes(
-            4 * g.m, "little"))
+        return unpack(sum(map(inc.__getitem__, table)).to_bytes(
+            4 * g.m * size, "little"))
 
     fibers = {cells_of(tabs[0]): tabs for tabs in split}
     cells, mask = _least_flip(g.edges, flips, fibers)
@@ -200,27 +207,29 @@ def _search_fibers(g: Graph, max_total: int, k: Optional[int] = None):
     g (the caps checked for g and max_total before any walk), and the
     lowest total's fibers split by moves of degree <= k, if k is given.
 
-    Vertex flips map fibers to fibers and keep L1 distances, so one
-    fiber per flip orbit is analysed (see `_kernel.group_tables`).  Of
-    those, only fibers that can raise the answer are analysed.  A
-    fiber whose tables all hold a unit u (a fiber of one table among
-    them) is u plus the fiber of total - 1 with the marginals less u's,
-    at the same distances.  A flip image of that fiber was dealt with
-    at total - 1, so its bottleneck is at most the running degree, and
-    if it is split, a split fiber of a lower total holds the witness.
-    Flips keep a common unit common, so at the lowest split total no
-    split fiber is skipped, and the witness is the same.  Each analysed
-    fiber's bottleneck starts at the running degree (and up to the
-    lowest split total at most at k), which changes neither the degree
-    nor the split test.
+    One `_kernel.WalkPlan` of g, built for max_total, serves the walks
+    of every total.  Vertex flips map fibers to fibers and keep L1
+    distances, so one fiber per flip orbit is analysed (see
+    `_kernel.group_tables`).  Of those, only fibers that can raise the
+    answer are analysed.  A fiber whose tables all hold a unit u (a
+    fiber of one table among them) is u plus the fiber of total - 1
+    with the marginals less u's, at the same distances.  A flip image
+    of that fiber was dealt with at total - 1, so its bottleneck is at
+    most the running degree, and if it is split, a split fiber of a
+    lower total holds the witness.  Flips keep a common unit common, so
+    at the lowest split total no split fiber is skipped, and the
+    witness is the same.  Each analysed fiber's bottleneck starts at
+    the running degree (and up to the lowest split total at most at k),
+    which changes neither the degree nor the split test.
     """
     degrees: List[int] = []
     best = 1
     split = []
     with _capped(g.n, max_total, "the walk") as cap:
+        plan = _kernel.WalkPlan(g.n, g.edges, max_total)
         for total in range(1, max_total + 1):
             best, found = _analyse(
-                _kernel.group_tables(g.n, g.edges, total, cap=cap).values(),
+                _kernel.group_tables(plan, total, cap=cap).values(),
                 best, None if split else k)
             degrees.append(best)
             split = split or found
@@ -256,23 +265,26 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
 
     Each piece is searched as a whole graph (`_search_fibers`), and
     pieces with the same number of vertices and the same re-indexed
-    edges are searched once; the caps apply to each searched graph.  A
-    graph that does not split (one piece, a disconnected graph, a graph
-    without edges) is searched whole.  The witness is a fiber of the
-    whole graph: if some d(t) exceeds k, the whole graph is searched up
-    to the first such total t*, and must give the pieces' degrees there
+    edges are searched once; the caps apply to each searched graph, and
+    its walks share one plan of its increments (`_kernel.WalkPlan`),
+    made once for the call and dropped with it.  A graph that does not
+    split (one piece, a disconnected graph, a graph without edges) is
+    searched whole.  The witness is a fiber of the whole graph: if some
+    d(t) exceeds k, the whole graph is searched up to the first such
+    total t*, and must give the pieces' degrees there
     (InvariantViolation otherwise).  For k = 1 degree-2 swaps split
     fibers that no piece splits, and that search gives the witness.
 
     For k >= 2 the whole graph is walked below t* only.  At t* the
     search walks only the fibers of g whose cells on a piece P are
     those of one of the split fibers P's own search found at t*
-    (`_kernel.group_tables` with those cells fixed).  These are all the
-    split fibers of g: a fiber of g is split by moves of degree <= k
-    if and only if a piece's fiber under it is.  A move restricts to
-    each piece at no larger degree, so a split piece fiber splits every
-    fiber over it; and when every piece's fiber is connected, the lifts
-    of their moves and the degree-2 swaps connect g's fiber.  Flipping
+    (`_kernel.group_tables` with those cells fixed, every walk on one
+    `_kernel.WalkPlan` of g at t*).  These are all the split fibers of
+    g: a fiber of g is split by moves of degree <= k if and only if a
+    piece's fiber under it is.  A move restricts to each piece at no
+    larger degree, so a split piece fiber splits every fiber over it;
+    and when every piece's fiber is connected, the lifts of their moves
+    and the degree-2 swaps connect g's fiber.  Flipping
     the vertices with more than t* // 2 ones takes a split fiber of g
     to one these walks return, so the witness is that of g's whole
     walk, and the largest bottleneck among them is the degree at t*.
@@ -300,6 +312,7 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
         if k > 1:
             lifted = {}
             with _capped(g.n, first, "the walk") as cap:
+                plan = _kernel.WalkPlan(g.n, g.edges, first)
                 for edges, piece in pieces:
                     for tables in searched[piece.n, piece.edges][1]:
                         if len(tables[0]) != first:
@@ -307,8 +320,7 @@ def search_width(g: Graph, max_total: int, k: Optional[int] = None):
                         cells = graph_marginals(TableVector.from_units(
                             piece.vertices, tables[0]), piece).cells
                         for fib in _kernel.group_tables(
-                                g.n, g.edges, first, (edges, cells),
-                                cap).values():
+                                plan, first, (edges, cells), cap).values():
                             lifted.setdefault(fib[0], fib)
             best, split = _analyse(lifted.values(), whole[-1], k)
             whole.append(best)

@@ -16,7 +16,12 @@ recursion limit, and leaves no reference cycle.  `group_tables`
 (every fiber of a total) counts the 1s at each vertex and the units
 that are 1 at both ends of each edge, which with the total fix every
 cell, and requires no field full; with some edges' cells fixed it
-also counts those cells against them and requires them full.
+also counts those cells against them and requires them full.  Its
+counter is a `WalkPlan`, built once per search of a graph for its
+largest total, and read by every walk of that search: the
+per-labeling increments are built by doubling over the vertices,
+with no `edge_cells` call, and fields sized for the largest total
+give every smaller total's walk the same groups in the same order.
 `fiber_tables` (one fiber) counts every cell and requires all of
 them full, so its work follows the fiber, not the total.
 `_cell_fields` builds the fields of every cell counted against a
@@ -145,13 +150,53 @@ def _cell_fields(masks: Sequence[int], edges, budgets: Sequence[int]
     return masks, inc, start, top * fields, full, deadline
 
 
-def group_tables(n: int, edges, total: int, fixed=None, cap: int = 0
+class WalkPlan:
+    """The packed counter of every `group_tables` walk on one graph up
+    to `max_total`: for a walk of total t <= max_total, h = t // 2
+    fits its W = (max_total // 2).bit_length()-bit fields.
+
+    Each vertex with an edge has a field of W + 1 bits, and each edge
+    (i, j), i < j, above every vertex field, a field of W bits for the
+    units that are 1 at both ends.  `inc[m]` is labeling m's increment:
+    1 in the field of each vertex with an edge that m sets to 1, and in
+    that of each edge that m sets to 1 at both ends.  It is built by
+    doubling over the vertices: the increments of the labelings with
+    bit v set are those without it, plus v's field and the field of
+    each edge (u, v), u < v, whose bit u the labeling sets, so each
+    edge is added once, at its larger end.  `width` is W, `ones` the
+    sum of the vertex fields, and `shift` the bit above the edge
+    fields."""
+
+    __slots__ = ("n", "width", "inc", "ones", "shift")
+
+    def __init__(self, n: int, edges, max_total: int):
+        touched = sorted({v for e in edges for v in e})
+        width = (max_total // 2).bit_length()
+        low = (width + 1) * len(touched)
+        field = {v: 1 << (width + 1) * pos for pos, v in enumerate(touched)}
+        both = {(min(e), max(e)): 1 << (low + width * pos)
+                for pos, e in enumerate(edges)}
+        inc = [0]
+        for v in range(n):
+            step = [field.get(v, 0)]  # v's share, by the bits below v
+            for u in range(v):
+                add = both.get((u, v), 0)
+                step += [x + add for x in step]
+            inc += [x + y for x, y in zip(inc, step)]
+        self.n, self.width, self.inc = n, width, inc
+        self.ones = sum(field.values())
+        self.shift = low + width * len(edges)
+
+
+def group_tables(plan: WalkPlan, total: int, fixed=None, cap: int = 0
                  ) -> Dict[int, List[Tuple[int, ...]]]:
-    """The fibers of tables with exactly `total` units, at least one
-    per orbit of vertex flips, as the walk groups them: each a list of
-    tables, keyed by the walk's final counter, in the order of their
-    first tables.  The keys are the walk's own and mean nothing outside
-    it; a fiber's marginal cells are those of any of its tables.
+    """The fibers of tables with exactly `total` units on `plan`'s
+    graph, at least one per orbit of vertex flips, as the walk groups
+    them: each a list of tables, keyed by the walk's final counter, in
+    the order of their first tables.  The keys are the walk's own and
+    mean nothing outside it; a fiber's marginal cells are those of any
+    of its tables.  ValueError if total // 2 does not fit the plan's
+    fields.
 
     Flipping one vertex's bit in every unit maps fibers onto fibers and
     keeps L1 distances.  The count of 1s at a vertex with an edge is
@@ -162,40 +207,34 @@ def group_tables(n: int, edges, total: int, fixed=None, cap: int = 0
     a fiber.  CapExceeded if the walk makes more than `cap` tables (no
     cap at 0), counting only the tables it returns.
 
-    The walk (`_walk`) counts, per vertex with an edge, its 1s c, in a
-    field of h.bit_length() + 1 bits (h = total // 2) started so that
-    passing h sets the field's top bit; and per edge (i, j), above
-    every vertex field, the units x that are 1 at both ends, in
-    h.bit_length() bits.  The edge's cells (00, 01, 10, 11) are
-    (total - c_i - c_j + x, c_j - x, c_i - x, x), so the walk's groups
-    are the fibers.  A table the walk keeps has x <= c_i <= h; an add
-    that takes x past h takes c_i past h too and is discarded, and its
-    carry stays above the vertex fields.  No field is required full, so
-    every labeling is within the deadline.
+    The walk (`_walk`) counts on the plan's counter, per vertex with an
+    edge, its 1s c, in a field started at 2^W - 1 - h (h = total // 2)
+    so that passing h sets the field's top bit; and per edge (i, j) the
+    units x that are 1 at both ends.  The edge's cells (00, 01, 10, 11)
+    are (total - c_i - c_j + x, c_j - x, c_i - x, x), so the walk's
+    groups are the fibers.  A table the walk keeps has x <= c_i <= h <
+    2^W, so x fits its field; an edge field carries only once c_i has
+    passed h, and that add is discarded.  So a plan with wider fields
+    than the total needs gives the same groups in the same order, with
+    other keys.  No field is required full, so every labeling is within
+    the deadline.
 
-    With `fixed`, a pair (sub_edges, cells) of some of `edges` and their
-    `edge_cells` counts, only the fibers with those cells on sub_edges
-    are walked and returned.  The counter gets one `_cell_fields` field
-    per cell of sub_edges above the edge fields, counted against
-    `cells` as `fiber_tables` counts, and the walk ends only tables
-    that fill them: a labeling or a prefix that overfills a cell, or
-    passes the deadline of a cell it has not filled, is skipped with
-    every table through it."""
-    touched = sorted({v for e in edges for v in e})
+    With `fixed`, a pair (sub_edges, cells) of some of the graph's
+    edges and their `edge_cells` counts, only the fibers with those
+    cells on sub_edges are walked and returned.  The counter gets one
+    `_cell_fields` field per cell of sub_edges above the edge fields,
+    counted against `cells` as `fiber_tables` counts, and the walk ends
+    only tables that fill them: a labeling or a prefix that overfills a
+    cell, or passes the deadline of a cell it has not filled, is
+    skipped with every table through it."""
     half = total // 2
-    width = half.bit_length()
-    low = (width + 1) * len(touched)
-    ones = [0]  # the vertex fields of each labeling, one vertex at a time
-    for v in range(n):
-        field = 1 << (width + 1) * touched.index(v) if v in touched else 0
-        ones += [x + field for x in ones]
-    both = _packed([[c >> 2 for c in edge_cells(m, edges) if c & 3 == 3]
-                    for m in range(1 << n)], width)
-    inc = [x + (c << low) for x, c in zip(ones, both)]
-    top = 1 << width
-    start, over = ones[-1] * (top - 1 - half), ones[-1] * top
-    shift = low + width * len(edges)
-    masks = [m for m in range(1 << n) if not (start + inc[m]) & over]
+    if half >> plan.width:
+        raise ValueError(f"a walk of total {total} does not fit fields "
+                         f"of {plan.width} bits")
+    top = 1 << plan.width
+    start, over = plan.ones * (top - 1 - half), plan.ones * top
+    inc, shift = plan.inc, plan.shift
+    masks = [m for m, x in enumerate(inc) if not (start + x) & over]
     if fixed is None:
         return _walk(masks, [inc[m] for m in masks], total, start, over,
                      shift, 0, [len(masks) - 1], cap)

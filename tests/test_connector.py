@@ -244,9 +244,9 @@ def cycle_orbit_fibers(n, total):
     and lexicographically least among their rotations and reflections;
     flips and then a rotation bring every fiber there."""
     g = cycle_graph("abcdef"[:n])
+    plan = _kernel.WalkPlan(n, g.edges, total)
     groups = {graph_marginals(tv(g.vertices, tabs[0]), g).cells: tabs
-              for tabs in _kernel.group_tables(n, sorted(g.edges),
-                                               total).values()}
+              for tabs in _kernel.group_tables(plan, total).values()}
     for key in sorted(groups):
         tabs = groups[key]
         counts = [sum((m >> v) & 1 for m in tabs[0]) for v in range(n)]

@@ -142,7 +142,8 @@ def test_search_cap_counts_the_tables_a_walk_makes(monkeypatch):
         "the walk of total 2 exceeds the cap max_fiber = 135; "
         "raise it with MARKOV_ATLAS_LIMITS=\"max_fiber=...\"")
     k4 = Graph(tuple("abcd"), list(itertools.combinations(range(4), 2)))
-    made = [sum(map(len, _kernel.group_tables(4, k4.edges, t).values()))
+    plan = _kernel.WalkPlan(4, k4.edges, 5)
+    made = [sum(map(len, _kernel.group_tables(plan, t).values()))
             for t in range(1, 6)]
     assert made == [1, 41, 51, 782, 969]
     monkeypatch.setenv("MARKOV_ATLAS_LIMITS", "max_fiber=969")
@@ -161,14 +162,14 @@ def test_search_cap_counts_the_tables_a_walk_makes(monkeypatch):
         search_width(BOWTIE, 4, 3)
     # a path's walk of total 3 makes 15 tables, and with its first
     # edge's cells fixed it makes only the 4 tables over those cells
-    path = [(0, 1), (1, 2)]
-    assert sum(map(len, _kernel.group_tables(3, path, 3).values())) == 15
+    plan = _kernel.WalkPlan(3, [(0, 1), (1, 2)], 3)
+    assert sum(map(len, _kernel.group_tables(plan, 3).values())) == 15
     fixed = (((0, 1),), [1, 1, 1, 0])
-    over = _kernel.group_tables(3, path, 3, fixed)
+    over = _kernel.group_tables(plan, 3, fixed)
     assert sum(map(len, over.values())) == 4
-    assert _kernel.group_tables(3, path, 3, fixed, cap=4) == over
+    assert _kernel.group_tables(plan, 3, fixed, cap=4) == over
     with pytest.raises(_kernel.CapExceeded):
-        _kernel.group_tables(3, path, 3, fixed, cap=3)
+        _kernel.group_tables(plan, 3, fixed, cap=3)
 
 
 def test_fiber_places_each_candidate_once():
@@ -234,7 +235,8 @@ def test_walks_of_large_totals_within_recursion_limit(
         (0,) * 2500 + (1,) * 2500 + (2,) * 2500 + (3,) * 2500]
     assert _kernel.fiber_tables(2, [(0, 1)], [1100, 0, 0, 0], 1100) == [
         (0,) * 1100]
-    fibers = list(_kernel.group_tables(1, [], 1100).values())
+    fibers = list(_kernel.group_tables(_kernel.WalkPlan(1, [], 1100),
+                                       1100).values())
     assert fibers == [[(0,) * (1100 - k) + (1,) * k for k in range(1101)]]
 
 
@@ -463,10 +465,31 @@ def test_marginal_cells_are_the_kernels_keys():
     one fiber share their marginal cells, and different fibers have
     different cells."""
     g = Graph(("a", "b", "c", "d"), [(0, 1), (1, 2), (0, 2), (2, 3)])
-    fibers = list(_kernel.group_tables(g.n, sorted(g.edges), 3).values())
+    plan = _kernel.WalkPlan(g.n, g.edges, 3)
+    fibers = list(_kernel.group_tables(plan, 3).values())
     for tables in fibers:
         assert {_cells(g, t) for t in tables} == {_cells(g, tables[0])}
     assert len({_cells(g, tables[0]) for tables in fibers}) == len(fibers)
+
+
+def test_witness_past_total_255():
+    """The witness reads a fiber's cells in fields sized from the total
+    (one byte per cell raised ValueError past 255): C4's split fiber
+    at total 2, tables (5, 15) and (7, 13), with 254 copies of unit 5
+    added to each, gives a witness of total 256 at distance 4, the
+    least flip image; with 255 copies, a cell holds 256."""
+    g = cycle_graph("abcd")
+    split = search_width(g, 2, 1)[1][0].tables
+    assert split == ((5, 15), (7, 13))
+    for copies in (254, 255):
+        tables = [tuple(sorted(t + (5,) * copies)) for t in split]
+        witness = fiber._witness(g, 1, [tables])
+        za, zb = witness[1]
+        assert za.total() == zb.total() == copies + 2
+        assert graph_marginals(za, g) == graph_marginals(zb, g)
+        assert (za - zb).l1() == 4
+        _assert_least_flip(g, [tables], witness)
+    assert max(_cells(g, tables[0])) == 256
 
 
 def test_witness_marginals_are_its_key():
@@ -516,7 +539,7 @@ def test_group_tables_keeps_one_fiber_per_flip_orbit(g, total):
     edges = sorted(g.edges)
     oracle = all_grouped_tables(g.n, edges, total)
     key_of = {t: key for key, tabs in oracle.items() for t in tabs}
-    got = _kernel.group_tables(g.n, edges, total)
+    got = _kernel.group_tables(_kernel.WalkPlan(g.n, edges, total), total)
     assert len(got) < len(oracle)
     covered = set()
     for tabs in got.values():
@@ -534,16 +557,51 @@ def test_group_tables_matches_blind_grouping(n):
     follow): every labelled graph on 1-4 vertices at totals 0-6, and
     one graph per isomorphism class on 5 vertices at totals 0-4.  The
     sweep takes in graphs with isolated vertices and total 1, where
-    the walk's vertex fields are 1 bit wide."""
+    the walk's vertex fields are 1 bit wide.  Each total is walked on
+    a plan built for it and on one built for total 8, whose wider
+    fields give the same fibers in the same order."""
     graphs = all_graphs(n) if n <= 4 else nonisomorphic_graphs(n)
     isolated = 0
     for g in graphs:
         edges = sorted(g.edges)
         isolated += len({v for e in edges for v in e}) < n
+        wide = _kernel.WalkPlan(n, edges, 8)
         for total in range(7 if n <= 4 else 5):
-            got = list(_kernel.group_tables(n, edges, total).values())
-            assert got == flip_cut_fibers(n, edges, total), (edges, total)
+            want = flip_cut_fibers(n, edges, total)
+            for plan in (_kernel.WalkPlan(n, edges, total), wide):
+                got = list(_kernel.group_tables(plan, total).values())
+                assert got == want, (edges, total, plan.width)
     assert isolated
+
+
+def test_group_tables_refuses_a_total_past_its_plan():
+    """A plan's fields hold total // 2 below 2^W: K4's plan for total
+    5 has W = 2, so it walks totals 0-7 and refuses 8."""
+    k4 = list(itertools.combinations(range(4), 2))
+    plan = _kernel.WalkPlan(4, k4, 5)
+    assert plan.width == 2
+    assert list(_kernel.group_tables(plan, 0).values()) == [[()]]
+    assert sum(map(len, _kernel.group_tables(plan, 5).values())) == 969
+    assert _kernel.group_tables(plan, 7)
+    with pytest.raises(ValueError, match="total 8"):
+        _kernel.group_tables(plan, 8)
+
+
+def test_search_builds_increments_without_edge_cells(monkeypatch):
+    """A search builds its walks' increments by doubling over the
+    vertices: `search_width(K5, 4)` makes no `_kernel.edge_cells` call
+    (one per labeling in each of its 4 walks before, 128 in all)."""
+    calls = []
+    real = _kernel.edge_cells
+
+    def counted(mask, edges):
+        calls.append(mask)
+        return real(mask, edges)
+
+    monkeypatch.setattr(_kernel, "edge_cells", counted)
+    k5 = Graph(tuple("abcde"), list(itertools.combinations(range(5), 2)))
+    assert search_width(k5, 4) == ([1, 1, 1, 4], None)
+    assert calls == []
 
 
 def _recorded_witnesses(monkeypatch):
@@ -664,8 +722,9 @@ def test_search_width_analyses_only_fibers_that_can_raise_it(monkeypatch):
 
     monkeypatch.setattr(_kernel, "bottleneck_norm", counted)
     assert search_width(g, 4, 3)[0] == [1, 2, 2, 4]
+    plan = _kernel.WalkPlan(g.n, edges, 4)
     fibers = [tabs for total in range(1, 5)
-              for tabs in _kernel.group_tables(g.n, edges, total).values()]
+              for tabs in _kernel.group_tables(plan, total).values()]
     want = [tabs for tabs in fibers
             if len(tabs) >= 2 and not set(tabs[0]).intersection(*tabs[1:])]
     assert analysed == want
@@ -772,9 +831,9 @@ def _record_group_tables(monkeypatch):
     calls = []
     real = _kernel.group_tables
 
-    def recorded(n, edges, total, cap=0):
-        calls.append(n)
-        return real(n, edges, total, cap=cap)
+    def recorded(plan, total, cap=0):
+        calls.append(plan.n)
+        return real(plan, total, cap=cap)
 
     monkeypatch.setattr(_kernel, "group_tables", recorded)
     return calls
@@ -786,9 +845,9 @@ def _record_walks(monkeypatch):
     calls = []
     real = _kernel.group_tables
 
-    def recorded(n, edges, total, fixed=None, cap=0):
-        calls.append((n, total, fixed is None))
-        return real(n, edges, total, fixed, cap)
+    def recorded(plan, total, fixed=None, cap=0):
+        calls.append((plan.n, total, fixed is None))
+        return real(plan, total, fixed, cap)
 
     monkeypatch.setattr(_kernel, "group_tables", recorded)
     return calls
@@ -813,15 +872,16 @@ def test_group_tables_with_fixed_cells_walks_the_fibers_over_them():
     for g, totals in ((BOWTIE, (2, 3, 4)), (C4_TAIL, (3,))):
         for _, sub in _sum_pieces(g):
             for total in totals:
+                plan = _kernel.WalkPlan(g.n, g.edges, total)
                 over = {}
                 for tabs in flip_cut_fibers(g.n, g.edges, total):
                     over.setdefault(_edge_counts(sub, tabs[0]),
                                     []).append(tabs)
                 for cells, want in over.items():
-                    got = _kernel.group_tables(g.n, g.edges, total,
+                    got = _kernel.group_tables(plan, total,
                                                (sub, list(cells)))
                     assert list(got.values()) == want, (g, sub, cells)
-                    assert _kernel.group_tables(g.n, g.edges, total - 1,
+                    assert _kernel.group_tables(plan, total - 1,
                                                 (sub, list(cells))) == {}
                     walks += 1
     assert walks > 100
